@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
+#include <utility>
 
 #include "obs/trace.h"
 #include "tensor/aligned.h"
@@ -16,12 +16,11 @@ namespace ttrec {
 
 namespace {
 
-// Blocks are dispatched to the pool in sequential "rounds" of at most
-// kRoundBlocksPerThread blocks per worker. Rounds bound the shared row
-// buffer (forward) and the number of live block-local gradient accumulators
-// (backward) without affecting results: per-bag pooling order and the
-// block-order gradient merge are functions of block boundaries only, and
-// block boundaries depend only on config.block_size.
+// Forward blocks are dispatched to the pool in sequential "rounds" of at
+// most kRoundBlocksPerThread blocks per worker. Rounds bound the shared row
+// buffer without affecting results: per-bag pooling order is a function of
+// block boundaries only, and block boundaries depend only on
+// config.block_size.
 constexpr int64_t kRoundBlocksPerThread = 4;
 
 /// Bag id for every lookup, from the CSR offsets.
@@ -36,23 +35,59 @@ std::vector<int64_t> LookupBags(const CsrBatch& batch) {
   return bags;
 }
 
-/// Effective per-lookup weight: alpha (Eq. 6) combined with mean pooling.
+/// Effective weight of lookup `l` in bag `bag`: alpha (Eq. 6) combined with
+/// mean pooling.
+float LookupWeight(const CsrBatch& batch, PoolingMode pooling, int64_t l,
+                   int64_t bag) {
+  float w =
+      batch.weights.empty() ? 1.0f : batch.weights[static_cast<size_t>(l)];
+  if (pooling == PoolingMode::kMean) {
+    w /= static_cast<float>(batch.offsets[static_cast<size_t>(bag) + 1] -
+                            batch.offsets[static_cast<size_t>(bag)]);
+  }
+  return w;
+}
+
+/// Effective weight of every lookup.
 std::vector<float> EffectiveWeights(const CsrBatch& batch,
                                     PoolingMode pooling,
                                     std::span<const int64_t> bags) {
-  std::vector<float> w(static_cast<size_t>(batch.num_lookups()), 1.0f);
-  if (!batch.weights.empty()) {
-    std::copy(batch.weights.begin(), batch.weights.end(), w.begin());
-  }
-  if (pooling == PoolingMode::kMean) {
-    for (int64_t l = 0; l < batch.num_lookups(); ++l) {
-      const int64_t b = bags[static_cast<size_t>(l)];
-      const int64_t size = batch.offsets[static_cast<size_t>(b) + 1] -
-                           batch.offsets[static_cast<size_t>(b)];
-      if (size > 0) w[static_cast<size_t>(l)] /= static_cast<float>(size);
-    }
+  std::vector<float> w(static_cast<size_t>(batch.num_lookups()));
+  for (int64_t l = 0; l < batch.num_lookups(); ++l) {
+    w[static_cast<size_t>(l)] =
+        LookupWeight(batch, pooling, l, bags[static_cast<size_t>(l)]);
   }
   return w;
+}
+
+/// Groups lookups [begin, end) of `indices` by row: `unique` gets the
+/// distinct rows in ascending order and `slot[l - begin]` the position of
+/// lookup l's row in it. Sorting (row, position) pairs is a total order, so
+/// the grouping is a function of the indices alone and needs no hash map.
+void GroupByRow(std::span<const int64_t> indices, int64_t begin, int64_t end,
+                std::vector<std::pair<int64_t, int32_t>>& keys,
+                std::vector<int64_t>& unique, std::vector<int32_t>& slot) {
+  const int64_t L = end - begin;
+  keys.resize(static_cast<size_t>(L));
+  for (int64_t l = 0; l < L; ++l) {
+    keys[static_cast<size_t>(l)] = {indices[static_cast<size_t>(begin + l)],
+                                    static_cast<int32_t>(l)};
+  }
+  std::sort(keys.begin(), keys.end());
+  unique.clear();
+  slot.resize(static_cast<size_t>(L));
+  for (const auto& [row, l] : keys) {
+    if (unique.empty() || unique.back() != row) unique.push_back(row);
+    slot[static_cast<size_t>(l)] = static_cast<int32_t>(unique.size() - 1);
+  }
+}
+
+/// Grows `v` to at least `n` elements (never shrinks, so buffers reused
+/// across calls are zero-filled only when they grow) and returns its data.
+template <typename T>
+T* Grow(AlignedVec<T>& v, int64_t n) {
+  if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
+  return v.data();
 }
 
 /// Order-sensitive 64-bit fingerprint of a lookup-index sequence (splitmix64
@@ -85,41 +120,54 @@ struct TtEmbeddingBag::BlockBuffers {
   std::vector<const float*> a_ptrs;
   std::vector<const float*> b_ptrs;
   std::vector<float*> c_ptrs;
-  // Backward-only scratch.
-  AlignedVec<float> d_cur;
-  AlignedVec<float> d_next;
-  AlignedVec<float> slice_grads;
-  AlignedVec<float> scratch_rows;  // recompute / dedup-expanded rows
-  // Dedup scratch (config.deduplicate).
+  // Dedup scratch (config.deduplicate): (row, position) keys sorted by row,
+  // distinct rows in ascending order, and each lookup's distinct-row slot.
+  std::vector<std::pair<int64_t, int32_t>> dedup_keys;
   std::vector<int64_t> unique;
   std::vector<int32_t> lookup_to_unique;
   AlignedVec<float> unique_rows;
-  std::unordered_map<int64_t, int32_t> dedup_map;
 };
 
-// Block-local gradient accumulator: per core, a compact first-touch-ordered
-// list of slice ids plus their dense gradient rows. Each block task writes
-// only its own BlockGrads; the caller merges them into grads_ in block
-// order, so the accumulated gradient never depends on the thread count.
-struct TtEmbeddingBag::BlockGrads {
-  struct PerCore {
-    std::vector<int64_t> slices;  // slice ids, first-touch order
-    std::unordered_map<int64_t, int32_t> index;
-    std::vector<float> data;  // slices.size() * slice_size floats
-  };
-  std::vector<PerCore> cores;
-
-  float* SliceFor(int k, int64_t ik, int64_t slice_size) {
-    PerCore& pc = cores[static_cast<size_t>(k)];
-    auto [it, inserted] =
-        pc.index.try_emplace(ik, static_cast<int32_t>(pc.slices.size()));
-    if (inserted) {
-      pc.slices.push_back(ik);
-      pc.data.resize(pc.slices.size() * static_cast<size_t>(slice_size), 0.0f);
-    }
-    return pc.data.data() + static_cast<int64_t>(it->second) * slice_size;
-  }
+// Backward scratch. One lives per thread that calls Backward (a
+// thread_local in Backward), reused across calls and shared by every table
+// that thread trains: once it has grown to the largest block, a steady-state
+// Backward allocates nothing that scales with the batch.
+struct TtEmbeddingBag::BackwardWorkspace {
+  // The block's units — its lookups, or its distinct rows under dedup (with
+  // each lookup's slot) — and their digits, [u * d + c].
+  std::vector<std::pair<int64_t, int32_t>> dedup_keys;
+  std::vector<int64_t> unique;
+  std::vector<int32_t> lookup_to_unique;
+  std::vector<int64_t> digits;
+  // Counting sort of the units by one digit: bucket i (the units touching
+  // slice i) is order[bucket_start[i] .. bucket_start[i + 1]); `touched`
+  // lists the nonempty buckets in slice order.
+  std::vector<int32_t> bucket_start;
+  std::vector<int32_t> cursor;
+  std::vector<int32_t> order;
+  std::vector<int32_t> touched;
+  // Recomputed intermediates: inter[c] holds P_c (c = 1..d-2) in digit-c
+  // bucket order, and inter_pos[c * units + u] is unit u's row in it.
+  std::vector<AlignedVec<float>> inter;
+  std::vector<int32_t> inter_pos;
+  // pos[u] = row of unit u in d_cur, which holds D_c in the previous
+  // stage's bucket order (unit order for the first stage).
+  std::vector<int32_t> pos;
+  AlignedVec<float> d_cur;
+  AlignedVec<float> d_next;   // D_{c-1}, in this stage's bucket order
+  AlignedVec<float> d_stack;  // D_c gathered into this stage's bucket order
+  AlignedVec<float> p_stack;  // P_{c-1} gathered the same way
 };
+
+namespace {
+
+/// Per-thread buffer for one transposed core slice, reused across calls.
+float* TransposedSliceScratch(int64_t floats) {
+  thread_local AlignedVec<float> buf;
+  return Grow(buf, floats);
+}
+
+}  // namespace
 
 TtEmbeddingBag::TtEmbeddingBag(TtEmbeddingConfig config, TtCores cores)
     : config_(std::move(config)), cores_(std::move(cores)) {
@@ -141,13 +189,20 @@ TtEmbeddingBag::TtEmbeddingBag(TtEmbeddingConfig config, TtCores cores)
     const int64_t m = prodn_[static_cast<size_t>(c - 1)];
     const int64_t kk = s.ranks[static_cast<size_t>(c)];
     const int64_t nn = cores_.SliceCols(c);
-    fwd_flops_per_lookup_ += 2 * m * kk * nn;
-    // Backward: slice-grad GEMM + propagation GEMM, same volumes.
-    bwd_flops_per_lookup_ += 4 * m * kk * nn;
+    const int64_t stage_flops = 2 * m * kk * nn;
+    fwd_flops_per_lookup_ += stage_flops;
+    // Backward: slice-grad GEMM + propagation GEMM, same volumes, plus the
+    // recompute of every stage but the last when nothing is stashed.
+    bwd_flops_per_lookup_ += 2 * stage_flops;
+    if (!config_.stash_intermediates && c < d - 1) {
+      bwd_flops_per_lookup_ += stage_flops;
+    }
     max_stage_floats_ = std::max(max_stage_floats_, m * nn);
   }
-  if (!config_.stash_intermediates) {
-    bwd_flops_per_lookup_ += fwd_flops_per_lookup_;  // recompute cost
+  for (int c = 0; c < d; ++c) {
+    max_d_floats_ = std::max(
+        max_d_floats_,
+        prodn_[static_cast<size_t>(c)] * s.ranks[static_cast<size_t>(c) + 1]);
   }
 }
 
@@ -255,83 +310,63 @@ int64_t TtEmbeddingBag::WorkspaceBytes(int num_threads) const {
   const int64_t N = emb_dim();
   const int64_t threads =
       num_threads > 0 ? num_threads : ThreadPool::Global().num_threads();
-
-  // Largest propagated gradient D_c and slice gradient across stages
-  // (same derivation as Backward).
-  int64_t max_d_stride = N;
-  int64_t max_slice = cores_.SliceSize(0);
-  for (int c = 0; c < d; ++c) {
-    max_d_stride = std::max(
-        max_d_stride,
-        prodn_[static_cast<size_t>(c)] * s.ranks[static_cast<size_t>(c) + 1]);
-    if (c > 0) max_slice = std::max(max_slice, cores_.SliceSize(c));
-  }
-
-  // --- Per concurrently running block task (one BlockBuffers each). ---
-  // Every float buffer is a separate 64-byte-aligned allocation now, so
-  // each one is accounted rounded up to the allocation granularity instead
-  // of assuming buffers pack densely.
+  // Every float buffer is a separate 64-byte-aligned allocation, so each one
+  // is accounted rounded up to the allocation granularity.
   constexpr int64_t kF = static_cast<int64_t>(sizeof(float));
-  int64_t per_block_bytes = 0;
-  // Forward stage intermediates, stages 1..d-2 (one allocation per stage).
+  constexpr int64_t kI32 = static_cast<int64_t>(sizeof(int32_t));
+  constexpr int64_t kI64 = static_cast<int64_t>(sizeof(int64_t));
+  int64_t inter_bytes = 0;  // stage intermediates 1..d-2 of one block
   for (int c = 1; c <= d - 2; ++c) {
-    per_block_bytes += AlignedBytes(B * prodn_[static_cast<size_t>(c)] *
-                                    s.ranks[static_cast<size_t>(c) + 1] * kF);
+    inter_bytes += AlignedBytes(B * prodn_[static_cast<size_t>(c)] *
+                                s.ranks[static_cast<size_t>(c) + 1] * kF);
   }
-  // Backward: D_c ping-pong buffers, per-unit slice gradients, and the
-  // recompute (or dedup-expanded) row scratch.
-  per_block_bytes += 2 * AlignedBytes(B * max_d_stride * kF) +
-                     AlignedBytes(B * max_slice * kF) +
-                     AlignedBytes(B * N * kF);
-  // Block-local gradient accumulators: at most min(B, m_k) distinct slices
-  // per core can be touched by one block.
-  for (int k = 0; k < d; ++k) {
-    per_block_bytes += AlignedBytes(
-        std::min(B, s.row_factors[static_cast<size_t>(k)]) *
-        cores_.SliceSize(k) * kF);
-  }
-  per_block_bytes +=
-      B * d * static_cast<int64_t>(sizeof(int64_t)) +  // digits
-      3 * B * static_cast<int64_t>(sizeof(void*));     // a/b/c pointer arrays
+  // Dedup grouping: sorted (row, position) keys, distinct rows, slots.
+  const int64_t dedup_bytes =
+      config_.deduplicate
+          ? B * static_cast<int64_t>(sizeof(std::pair<int64_t, int32_t>)) +
+                B * kI64 + B * kI32
+          : 0;
+
+  // --- Forward, per concurrently running block task: intermediates,
+  // digits, GEMM pointer arrays, dedup scratch. ---
+  int64_t per_task_bytes = inter_bytes + B * d * kI64 +
+                           3 * B * static_cast<int64_t>(sizeof(void*)) +
+                           dedup_bytes;
   if (config_.deduplicate) {
-    // unique ids + lookup->unique mapping + expanded unique rows + hash map
-    // (~3 words per entry at typical open-addressing load factors).
-    per_block_bytes += B * static_cast<int64_t>(sizeof(int64_t)) +
-                       B * static_cast<int64_t>(sizeof(int32_t)) +
-                       AlignedBytes(B * N * kF) +
-                       3 * B * static_cast<int64_t>(sizeof(void*));
+    per_task_bytes += AlignedBytes(B * N * kF);  // distinct rows
   }
   if (config_.fuse_lookup) {
     // Fused chain scratch per task: ping/pong stage buffers, the current
     // row, and the double-buffered digit decode.
-    per_block_bytes += 2 * AlignedBytes(max_stage_floats_ * kF) +
-                       AlignedBytes(N * kF) +
-                       2 * d * static_cast<int64_t>(sizeof(int64_t));
+    per_task_bytes += 2 * AlignedBytes(max_stage_floats_ * kF) +
+                      AlignedBytes(N * kF) + 2 * d * kI64;
   }
-
-  // --- Shared per-call buffer: one round's reconstructed rows
+  // Shared per-call buffer: one round's reconstructed rows
   // (kRoundBlocksPerThread blocks per worker). The staged pooling phase
   // reads it; the fused path's boundary side-rows are bounded by the same
   // footprint in the worst case (every bag crossing a block edge).
   const int64_t round_rows_bytes =
       AlignedBytes(kRoundBlocksPerThread * threads * B * N * kF);
 
-  return threads * per_block_bytes + round_rows_bytes;
-}
-
-void TtEmbeddingBag::BuildBlockDedup(std::span<const int64_t> indices,
-                                     int64_t begin, int64_t end,
-                                     BlockBuffers& buf) const {
-  buf.unique.clear();
-  buf.dedup_map.clear();
-  buf.lookup_to_unique.resize(static_cast<size_t>(end - begin));
-  for (int64_t l = begin; l < end; ++l) {
-    const int64_t row = indices[l];
-    auto [it, inserted] = buf.dedup_map.try_emplace(
-        row, static_cast<int32_t>(buf.unique.size()));
-    if (inserted) buf.unique.push_back(row);
-    buf.lookup_to_unique[static_cast<size_t>(l - begin)] = it->second;
+  // --- Backward: one workspace on the calling thread, kept across calls,
+  // plus one transposed slice per pool thread. ---
+  int64_t max_m = 0;
+  int64_t max_slice = 0;
+  for (int c = 0; c < d; ++c) {
+    max_m = std::max(max_m, s.row_factors[static_cast<size_t>(c)]);
+    if (c > 0) max_slice = std::max(max_slice, cores_.SliceSize(c));
   }
+  const int64_t backward_bytes =
+      (config_.stash_intermediates ? 0 : inter_bytes) + dedup_bytes +
+      B * d * kI64 +  // digits
+      // D_c, D_{c-1} and the two bucket stacks, max_d_floats_ per unit.
+      4 * AlignedBytes(B * max_d_floats_ * kF) +
+      // Counting sort (bucket starts, cursors, order, touched list), the
+      // recomputed intermediates' rows, and pos.
+      (2 * max_m + 1 + B + std::min(B, max_m) + B * d + B) * kI32 +
+      threads * AlignedBytes(max_slice * kF);
+
+  return threads * per_task_bytes + round_rows_bytes + backward_bytes;
 }
 
 void TtEmbeddingBag::ForwardBlock(std::span<const int64_t> indices,
@@ -567,7 +602,8 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
         const int64_t end = std::min(r1, begin + bs);
         float* out_rows = rows.data() + (begin - r0) * N;
         if (dedup) {
-          BuildBlockDedup(batch.indices, begin, end, buf);
+          GroupByRow(batch.indices, begin, end, buf.dedup_keys, buf.unique,
+                     buf.lookup_to_unique);
           const int64_t num_unique = static_cast<int64_t>(buf.unique.size());
           buf.unique_rows.resize(static_cast<size_t>(num_unique * N));
           ForwardBlock(buf.unique, 0, num_unique, buf.unique_rows.data(), buf,
@@ -626,12 +662,13 @@ void TtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
   ++forward_serial_;
   stash_.valid = false;
   if (config_.stash_intermediates) {
-    stash_.stage.assign(static_cast<size_t>(std::max(0, d - 2)) + 1, {});
+    // Grow-only, like the backward workspace: a steady batch size reuses
+    // the stash instead of re-faulting it in every step.
+    stash_.stage.resize(static_cast<size_t>(std::max(0, d - 2)) + 1);
     for (int c = 1; c <= d - 2; ++c) {
       const int64_t stride = prodn_[static_cast<size_t>(c)] *
                              cores_.shape().ranks[static_cast<size_t>(c) + 1];
-      stash_.stage[static_cast<size_t>(c)].resize(
-          static_cast<size_t>(n_lookups * stride));
+      Grow(stash_.stage[static_cast<size_t>(c)], n_lookups * stride);
     }
   }
 
@@ -739,159 +776,217 @@ void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices, float* out) {
   stats_.forward_flops += n * fwd_flops_per_lookup_;
 }
 
+void TtEmbeddingBag::SortUnitsByDigit(int c, int64_t units,
+                                      BackwardWorkspace& ws) const {
+  const int d = cores_.num_cores();
+  const int64_t m = cores_.shape().row_factors[static_cast<size_t>(c)];
+  const int64_t* digits = ws.digits.data();
+  ws.bucket_start.assign(static_cast<size_t>(m) + 1, 0);
+  for (int64_t u = 0; u < units; ++u) {
+    ++ws.bucket_start[static_cast<size_t>(digits[u * d + c]) + 1];
+  }
+  ws.touched.clear();
+  for (int64_t i = 0; i < m; ++i) {
+    if (ws.bucket_start[static_cast<size_t>(i) + 1] > 0) {
+      ws.touched.push_back(static_cast<int32_t>(i));
+    }
+    ws.bucket_start[static_cast<size_t>(i) + 1] +=
+        ws.bucket_start[static_cast<size_t>(i)];
+  }
+  // Stable: within a bucket, units keep their unit order.
+  ws.cursor.assign(ws.bucket_start.begin(), ws.bucket_start.end() - 1);
+  ws.order.resize(static_cast<size_t>(units));
+  for (int64_t u = 0; u < units; ++u) {
+    const int64_t ik = digits[u * d + c];
+    ws.order[static_cast<size_t>(ws.cursor[static_cast<size_t>(ik)]++)] =
+        static_cast<int32_t>(u);
+  }
+}
+
 void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
-                                   std::span<const int64_t> bags,
-                                   std::span<const float> w,
                                    const float* grad_output, int64_t begin,
                                    int64_t end, bool use_stash,
-                                   int64_t max_d_stride, int64_t max_slice,
-                                   BlockBuffers& buf,
-                                   BlockGrads& local) const {
+                                   BackwardWorkspace& ws) {
   const TtShape& s = cores_.shape();
   const int d = s.num_cores();
   const int64_t N = emb_dim();
-  const int64_t L = end - begin;
+  ThreadPool& pool = ThreadPool::Global();
 
-  local.cores.assign(static_cast<size_t>(d), BlockGrads::PerCore{});
-
-  // `work` = gradient-carrying units in this block: one per lookup, or one
-  // per distinct row when deduplicating (gradients are linear in the row,
-  // so per-row aggregation is exact).
-  int64_t work = L;
+  // Units carry the gradient: one per lookup, or one per distinct row when
+  // deduplicating (gradients are linear in the row, so summing a row's
+  // lookups first is exact).
+  std::span<const int64_t> rows(batch.indices.data() + begin,
+                                static_cast<size_t>(end - begin));
   if (config_.deduplicate) {
-    BuildBlockDedup(batch.indices, begin, end, buf);
-    work = static_cast<int64_t>(buf.unique.size());
-    buf.scratch_rows.resize(static_cast<size_t>(work * N));
-    ForwardBlock(buf.unique, 0, work, buf.scratch_rows.data(), buf,
-                 /*stash=*/nullptr);
-  } else if (use_stash) {
-    // Digits are still needed for slice addressing.
-    buf.digits.resize(static_cast<size_t>(L * d));
-    for (int64_t l = 0; l < L; ++l) {
-      s.RowDigitsInto(batch.indices[begin + l], buf.digits.data() + l * d);
+    GroupByRow(batch.indices, begin, end, ws.dedup_keys, ws.unique,
+               ws.lookup_to_unique);
+    rows = ws.unique;
+  }
+  const int64_t units = static_cast<int64_t>(rows.size());
+  ws.digits.resize(static_cast<size_t>(units * d));
+  for (int64_t u = 0; u < units; ++u) {
+    s.RowDigitsInto(rows[static_cast<size_t>(u)], ws.digits.data() + u * d);
+  }
+  float* d_cur = Grow(ws.d_cur, units * max_d_floats_);
+  float* d_next = Grow(ws.d_next, units * max_d_floats_);
+  float* d_stack = Grow(ws.d_stack, units * max_d_floats_);
+  float* p_stack = Grow(ws.p_stack, units * max_d_floats_);
+
+  // Runs fn(slice, j0, j1) for every touched bucket of the last sort, one
+  // task per slice: tasks write disjoint stack and output ranges and their
+  // own gradient slice, so any chunking gives bitwise the same result.
+  auto for_each_bucket = [&](const auto& fn) {
+    pool.ParallelFor(
+        static_cast<int64_t>(ws.touched.size()), 1,
+        [&](int64_t t0, int64_t t1) {
+          TTREC_TRACE_SCOPE("tt.backward.slices");
+          for (int64_t t = t0; t < t1; ++t) {
+            const int64_t ik = ws.touched[static_cast<size_t>(t)];
+            fn(ik, int64_t{ws.bucket_start[static_cast<size_t>(ik)]},
+               int64_t{ws.bucket_start[static_cast<size_t>(ik) + 1]});
+          }
+        });
+  };
+  // P_c of unit u, c in [0, d-2]: its core-0 slice, or its stashed or
+  // recomputed intermediate.
+  auto p_row = [&](int c, int64_t u) -> const float* {
+    if (c == 0) return cores_.Slice(0, ws.digits[static_cast<size_t>(u * d)]);
+    const int64_t stride =
+        prodn_[static_cast<size_t>(c)] * s.ranks[static_cast<size_t>(c) + 1];
+    if (use_stash) {
+      return stash_.stage[static_cast<size_t>(c)].data() +
+             (begin + u) * stride;
     }
-  } else {
-    // Recompute intermediates (Algorithm 2 line 3). We only need stages
-    // 1..d-2; run the forward including the last stage into a scratch row
-    // buffer — its cost is small relative to the rest and keeps one code
-    // path.
-    buf.scratch_rows.resize(static_cast<size_t>(L * N));
-    ForwardBlock(batch.indices, begin, end, buf.scratch_rows.data(), buf,
-                 /*stash=*/nullptr);
+    return ws.inter[static_cast<size_t>(c)].data() +
+           ws.inter_pos[static_cast<size_t>(c * units + u)] * stride;
+  };
+
+  // Recompute P_1..P_{d-2} (Algorithm 2 line 3) through the same buckets:
+  // stage c stacks P_{c-1} by digit c and multiplies each bucket by its
+  // slice at once. Every output row is the forward's per-lookup product of
+  // the same operands, so it matches the stash bitwise.
+  if (!use_stash) {
+    TTREC_TRACE_SCOPE("tt.gemm_chain");
+    if (ws.inter.size() < static_cast<size_t>(d)) {
+      ws.inter.resize(static_cast<size_t>(d));
+    }
+    ws.inter_pos.resize(static_cast<size_t>(units * d));
+    for (int c = 1; c <= d - 2; ++c) {
+      const int64_t m_prev = prodn_[static_cast<size_t>(c - 1)];
+      const int64_t rank_c = s.ranks[static_cast<size_t>(c)];
+      const int64_t cols_c = cores_.SliceCols(c);
+      const int64_t p_stride = m_prev * rank_c;
+      float* out = Grow(ws.inter[static_cast<size_t>(c)],
+                        units * m_prev * cols_c);
+      SortUnitsByDigit(c, units, ws);
+      for_each_bucket([&](int64_t ik, int64_t j0, int64_t j1) {
+        for (int64_t j = j0; j < j1; ++j) {
+          std::memcpy(p_stack + j * p_stride,
+                      p_row(c - 1, ws.order[static_cast<size_t>(j)]),
+                      static_cast<size_t>(p_stride) * sizeof(float));
+        }
+        Gemm(Trans::kNo, Trans::kNo, (j1 - j0) * m_prev, cols_c, rank_c, 1.0f,
+             p_stack + j0 * p_stride, rank_c, cores_.Slice(c, ik), cols_c,
+             0.0f, out + j0 * m_prev * cols_c, cols_c);
+      });
+      for (int64_t j = 0; j < units; ++j) {
+        ws.inter_pos[static_cast<size_t>(
+            c * units + ws.order[static_cast<size_t>(j)])] =
+            static_cast<int32_t>(j);
+      }
+    }
   }
 
-  // D_{d-1} = w_l * dL/d(bag row), reshaped per unit.
-  buf.d_cur.resize(static_cast<size_t>(work * max_d_stride));
-  buf.d_next.resize(static_cast<size_t>(work * max_d_stride));
-  buf.slice_grads.resize(static_cast<size_t>(work * max_slice));
-  if (config_.deduplicate) {
-    std::fill(
-        buf.d_cur.begin(),
-        buf.d_cur.begin() + static_cast<ptrdiff_t>(work * max_d_stride),
-        0.0f);
-    for (int64_t l = begin; l < end; ++l) {
-      const float wl = w[static_cast<size_t>(l)];
-      const float* g = grad_output + bags[static_cast<size_t>(l)] * N;
-      float* dcur =
-          buf.d_cur.data() +
-          static_cast<int64_t>(
-              buf.lookup_to_unique[static_cast<size_t>(l - begin)]) *
-              max_d_stride;
-      for (int64_t j = 0; j < N; ++j) dcur[j] += wl * g[j];
-    }
-  } else {
-    for (int64_t l = begin; l < end; ++l) {
-      const float wl = w[static_cast<size_t>(l)];
-      const float* g = grad_output + bags[static_cast<size_t>(l)] * N;
-      float* dcur = buf.d_cur.data() + (l - begin) * max_d_stride;
-      for (int64_t j = 0; j < N; ++j) dcur[j] = wl * g[j];
+  // D_{d-1} = w_l * dL/d(bag row), one N-float row per unit, unit order.
+  if (config_.deduplicate) std::fill(d_cur, d_cur + units * N, 0.0f);
+  int64_t bag = std::upper_bound(batch.offsets.begin(), batch.offsets.end(),
+                                 begin) -
+                batch.offsets.begin() - 1;
+  for (int64_t l = begin; l < end; ++l) {
+    while (batch.offsets[static_cast<size_t>(bag) + 1] <= l) ++bag;
+    const float wl = LookupWeight(batch, config_.pooling, l, bag);
+    const float* g = grad_output + bag * N;
+    if (config_.deduplicate) {
+      float* dst = d_cur + static_cast<int64_t>(ws.lookup_to_unique[
+                               static_cast<size_t>(l - begin)]) * N;
+      for (int64_t j = 0; j < N; ++j) dst[j] += wl * g[j];
+    } else {
+      float* dst = d_cur + (l - begin) * N;
+      for (int64_t j = 0; j < N; ++j) dst[j] = wl * g[j];
     }
   }
-
-  buf.a_ptrs.resize(static_cast<size_t>(work));
-  buf.b_ptrs.resize(static_cast<size_t>(work));
-  buf.c_ptrs.resize(static_cast<size_t>(work));
+  ws.pos.resize(static_cast<size_t>(units));
+  for (int64_t u = 0; u < units; ++u) {
+    ws.pos[static_cast<size_t>(u)] = static_cast<int32_t>(u);
+  }
 
   for (int c = d - 1; c >= 1; --c) {
     const int64_t m_prev = prodn_[static_cast<size_t>(c - 1)];
     const int64_t rank_c = s.ranks[static_cast<size_t>(c)];
     const int64_t cols_c = cores_.SliceCols(c);
     const int64_t slice_size = rank_c * cols_c;
-    const int64_t prev_stride = (c >= 2) ? m_prev * rank_c : 0;
-
-    auto p_prev = [&](int64_t l) -> const float* {
-      const int64_t* dg = buf.digits.data() + l * d;
-      if (c == 1) return cores_.Slice(0, dg[0]);
-      if (use_stash) {
-        return stash_.stage[static_cast<size_t>(c - 1)].data() +
-               (begin + l) * prev_stride;
+    const int64_t d_stride = m_prev * cols_c;  // D_c per unit
+    const int64_t p_stride = m_prev * rank_c;  // P_{c-1}, D_{c-1} per unit
+    Tensor& grad = grads_[static_cast<size_t>(c)];
+    SortUnitsByDigit(c, units, ws);
+    for_each_bucket([&](int64_t ik, int64_t j0, int64_t j1) {
+      for (int64_t j = j0; j < j1; ++j) {
+        const int64_t u = ws.order[static_cast<size_t>(j)];
+        std::memcpy(p_stack + j * p_stride, p_row(c - 1, u),
+                    static_cast<size_t>(p_stride) * sizeof(float));
+        std::memcpy(d_stack + j * d_stride,
+                    d_cur + ws.pos[static_cast<size_t>(u)] * d_stride,
+                    static_cast<size_t>(d_stride) * sizeof(float));
       }
-      return buf.inter[static_cast<size_t>(c - 1)].data() + l * prev_stride;
-    };
-
-    // Slice gradients: sg = P_{c-1}^T * D_c  (Eq. 4).
-    for (int64_t l = 0; l < work; ++l) {
-      buf.a_ptrs[static_cast<size_t>(l)] = p_prev(l);
-      buf.b_ptrs[static_cast<size_t>(l)] = buf.d_cur.data() + l * max_d_stride;
-      buf.c_ptrs[static_cast<size_t>(l)] =
-          buf.slice_grads.data() + l * max_slice;
+      const int64_t k = (j1 - j0) * m_prev;
+      const float* dd = d_stack + j0 * d_stride;
+      // Eq. 4 for the whole bucket at once: sum_u P_u^T D_u = [P]^T [D] over
+      // the stacked K, accumulated into the slice.
+      Gemm(Trans::kYes, Trans::kNo, rank_c, cols_c, k, 1.0f,
+           p_stack + j0 * p_stride, rank_c, dd, cols_c, 1.0f,
+           grad.data() + ik * slice_size, cols_c);
+      // Eq. 5: D_{c-1} = D_c G_c[i]^T, against the slice transposed once so
+      // the product runs on the NN kernel.
+      float* slice_t = TransposedSliceScratch(slice_size);
+      const float* slice = cores_.Slice(c, ik);
+      for (int64_t r = 0; r < rank_c; ++r) {
+        for (int64_t j = 0; j < cols_c; ++j) {
+          slice_t[j * rank_c + r] = slice[r * cols_c + j];
+        }
+      }
+      Gemm(Trans::kNo, Trans::kNo, k, rank_c, cols_c, 1.0f, dd, cols_c,
+           slice_t, rank_c, 0.0f, d_next + j0 * p_stride, rank_c);
+    });
+    for (int32_t ik : ws.touched) MarkTouched(c, ik);
+    for (int64_t j = 0; j < units; ++j) {
+      ws.pos[static_cast<size_t>(ws.order[static_cast<size_t>(j)])] =
+          static_cast<int32_t>(j);
     }
-    BatchedGemmShape sg_shape;
-    sg_shape.ta = Trans::kYes;
-    sg_shape.m = rank_c;
-    sg_shape.n = cols_c;
-    sg_shape.k = m_prev;
-    BatchedGemm(sg_shape, buf.a_ptrs, buf.b_ptrs, buf.c_ptrs);
-
-    // Scatter-add into the block-local accumulator, in unit order: correct
-    // under duplicate indices within the block and independent of how
-    // blocks were scheduled across threads.
-    for (int64_t l = 0; l < work; ++l) {
-      const int64_t ik = buf.digits[static_cast<size_t>(l * d + c)];
-      float* dst = local.SliceFor(c, ik, slice_size);
-      const float* src = buf.slice_grads.data() + l * max_slice;
-      for (int64_t j = 0; j < slice_size; ++j) dst[j] += src[j];
-    }
-
-    // Propagate: D_{c-1} = D_c * slice_c^T  (Eq. 5).
-    for (int64_t l = 0; l < work; ++l) {
-      const int64_t* dg = buf.digits.data() + l * d;
-      buf.a_ptrs[static_cast<size_t>(l)] = buf.d_cur.data() + l * max_d_stride;
-      buf.b_ptrs[static_cast<size_t>(l)] = cores_.Slice(c, dg[c]);
-      buf.c_ptrs[static_cast<size_t>(l)] =
-          buf.d_next.data() + l * max_d_stride;
-    }
-    BatchedGemmShape prop_shape;
-    prop_shape.tb = Trans::kYes;
-    prop_shape.m = m_prev;
-    prop_shape.n = rank_c;
-    prop_shape.k = cols_c;
-    BatchedGemm(prop_shape, buf.a_ptrs, buf.b_ptrs, buf.c_ptrs);
-    buf.d_cur.swap(buf.d_next);
+    std::swap(d_cur, d_next);
   }
 
-  // After the c == 1 iteration, D_0 is exactly the gradient of the core-0
-  // slice of each lookup.
+  // D_0 is each unit's core-0 slice gradient: sum every bucket in order.
   const int64_t slice0 = cores_.SliceSize(0);
-  for (int64_t l = 0; l < work; ++l) {
-    const int64_t i0 = buf.digits[static_cast<size_t>(l * d)];
-    float* dst = local.SliceFor(0, i0, slice0);
-    const float* src = buf.d_cur.data() + l * max_d_stride;
-    for (int64_t j = 0; j < slice0; ++j) dst[j] += src[j];
-  }
+  Tensor& grad0 = grads_[0];
+  SortUnitsByDigit(0, units, ws);
+  for_each_bucket([&](int64_t ik, int64_t j0, int64_t j1) {
+    float* dst = grad0.data() + ik * slice0;
+    for (int64_t j = j0; j < j1; ++j) {
+      const float* src =
+          d_cur +
+          ws.pos[static_cast<size_t>(ws.order[static_cast<size_t>(j)])] *
+              slice0;
+      for (int64_t e = 0; e < slice0; ++e) dst[e] += src[e];
+    }
+  });
+  for (int32_t ik : ws.touched) MarkTouched(0, ik);
 }
 
 void TtEmbeddingBag::Backward(const CsrBatch& batch,
                               const float* grad_output) {
   batch.Validate(num_rows());
   EnsureGrads();
-  const TtShape& s = cores_.shape();
-  const int d = cores_.num_cores();
-  const int64_t N = emb_dim();
   const int64_t n_lookups = batch.num_lookups();
-
-  const std::vector<int64_t> bags = LookupBags(batch);
-  const std::vector<float> w = EffectiveWeights(batch, config_.pooling, bags);
 
   // The stash is trusted only when it provably came from a Forward over
   // THIS batch: same lookup count, same indices fingerprint, and written by
@@ -905,67 +1000,14 @@ void TtEmbeddingBag::Backward(const CsrBatch& batch,
                          stash_.forward_serial == forward_serial_ &&
                          stash_.fingerprint == HashIndices(batch.indices);
 
-  // Maximum per-lookup size of the propagated gradient D_c and of a slice
-  // gradient, across stages.
-  // D_c has prodn_[c] * R_{c+1} elements per lookup, for every c in
-  // [0, d-1] — c = 0 is the final propagated gradient (the core-0 slice
-  // gradient), which can be the largest when d == 2.
-  int64_t max_d_stride = N;
-  int64_t max_slice = cores_.SliceSize(0);
-  for (int c = 0; c < d; ++c) {
-    max_d_stride = std::max(
-        max_d_stride,
-        prodn_[static_cast<size_t>(c)] * s.ranks[static_cast<size_t>(c) + 1]);
-    if (c > 0) max_slice = std::max(max_slice, cores_.SliceSize(c));
-  }
-
+  // Blocks accumulate into grads_ one after another, in block order; the
+  // parallelism is inside a block, across touched slices.
+  thread_local BackwardWorkspace ws;
   const int64_t bs = config_.block_size;
-  const int64_t num_blocks = (n_lookups + bs - 1) / bs;
-  ThreadPool& pool = ThreadPool::Global();
-  const int64_t round_blocks = std::max<int64_t>(
-      1, kRoundBlocksPerThread * static_cast<int64_t>(pool.num_threads()));
-
-  std::vector<BlockGrads> block_grads;
-  for (int64_t rb = 0; rb < num_blocks; rb += round_blocks) {
-    const int64_t rcount = std::min(round_blocks, num_blocks - rb);
-    block_grads.assign(static_cast<size_t>(rcount), BlockGrads{});
-
-    // Phase 1: per-block Algorithm 2 chains, block-parallel. Each task
-    // accumulates into its own BlockGrads only.
-    pool.ParallelFor(rcount, 1, [&](int64_t c0, int64_t c1) {
-      TTREC_TRACE_SCOPE("tt.backward.block");
-      BlockBuffers buf;
-      for (int64_t bi = c0; bi < c1; ++bi) {
-        const int64_t begin = (rb + bi) * bs;
-        const int64_t end = std::min(n_lookups, begin + bs);
-        BackwardBlock(batch, bags, w, grad_output, begin, end, use_stash,
-                      max_d_stride, max_slice, buf,
-                      block_grads[static_cast<size_t>(bi)]);
-      }
-    });
-
-    // Phase 2: merge block-local gradients into the dense per-core buffers
-    // in fixed block order. Cores are independent (grads_ / touched state
-    // are per-core), so the merge parallelizes over cores while the
-    // block-order summation keeps results thread-count-invariant.
-    pool.ParallelFor(d, 1, [&](int64_t k0, int64_t k1) {
-      TTREC_TRACE_SCOPE("tt.backward.merge");
-      for (int64_t k = k0; k < k1; ++k) {
-        const int64_t slice_size = cores_.SliceSize(static_cast<int>(k));
-        Tensor& grad = grads_[static_cast<size_t>(k)];
-        for (const BlockGrads& bg : block_grads) {
-          const auto& pc = bg.cores[static_cast<size_t>(k)];
-          for (size_t p = 0; p < pc.slices.size(); ++p) {
-            const int64_t ik = pc.slices[p];
-            MarkTouched(static_cast<int>(k), ik);
-            float* dst = grad.data() + ik * slice_size;
-            const float* src =
-                pc.data.data() + static_cast<int64_t>(p) * slice_size;
-            for (int64_t j = 0; j < slice_size; ++j) dst[j] += src[j];
-          }
-        }
-      }
-    });
+  for (int64_t begin = 0; begin < n_lookups; begin += bs) {
+    TTREC_TRACE_SCOPE("tt.backward.block");
+    BackwardBlock(batch, grad_output, begin, std::min(n_lookups, begin + bs),
+                  use_stash, ws);
   }
 
   ++stats_.backward_calls;

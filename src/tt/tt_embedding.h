@@ -12,15 +12,20 @@
 // task and accumulates its lookups in lookup order, so pooled outputs are
 // bitwise independent of the thread count.
 //
-// Backward (Algorithm 2, Eq. 4/5): intermediates are either recomputed
-// (default; lowest memory, the paper's choice) or replayed from the stash
-// written by the previous Forward (faster, more memory — the trade-off §4.2
-// discusses). Per-lookup slice gradients come from batched GEMMs; each block
-// task scatter-adds them into block-local slice accumulators (touched-slice
-// maps), which are then merged into the dense per-core gradient buffers in
-// fixed block order. Block boundaries depend only on `block_size`, so the
+// Backward (Algorithm 2, Eq. 4/5) is a per-core gather-reduce: intermediates
+// are either recomputed (default; lowest memory, the paper's choice) or
+// replayed from the stash written by the previous Forward (faster, more
+// memory — the trade-off §4.2 discusses). Blocks run one after another. In
+// each block, for core c from d-1 down, the block's units (lookups, or
+// distinct rows under dedup) are counting-sorted by digit c; every touched
+// slice then takes ONE GEMM over its stacked bucket, sum_l P_l^T D_l =
+// [P]^T [D], accumulated straight into the dense per-core gradient, and
+// propagates D_{c-1} = D_c G_c[i]^T with one more GEMM per bucket. Slices
+// are independent tasks with one writer each, bucket order depends only on
+// the batch and `block_size`, and blocks accumulate in block order, so the
 // result is bitwise identical for any thread count, and duplicate indices
-// within a batch stay well-defined.
+// within a batch stay well-defined. The scratch lives in a per-thread
+// workspace reused across calls and tables.
 //
 // ApplySgd folds the accumulated gradients into the cores (plain SGD, the
 // optimizer MLPerf-DLRM uses) and clears them.
@@ -44,10 +49,11 @@ struct TtEmbeddingConfig {
   TtShape shape;
   PoolingMode pooling = PoolingMode::kSum;
   /// Max lookups per batched-GEMM block (B in Algorithm 1). Blocks are the
-  /// unit of parallelism and bound intermediate memory at block_size *
-  /// emb_dim * max_rank floats per in-flight block. Block boundaries are a
-  /// function of this config alone — never of the thread count — which is
-  /// what makes dedup grouping and gradient merge order reproducible.
+  /// forward's unit of parallelism and bound intermediate memory at
+  /// block_size * emb_dim * max_rank floats per in-flight block. Block
+  /// boundaries are a function of this config alone — never of the thread
+  /// count — which is what makes dedup grouping and the backward's bucket
+  /// and accumulation order reproducible.
   int64_t block_size = 1024;
   /// Keep forward intermediates for the next Backward call instead of
   /// recomputing them (paper §4.2: "can be eliminated by storing tensors
@@ -161,17 +167,18 @@ class TtEmbeddingBag {
 
   /// Parameter memory (cores only).
   int64_t MemoryBytes() const { return cores_.MemoryBytes(); }
-  /// Peak transient memory of a Forward/Backward call: per-block-task
-  /// buffers (stage intermediates, GEMM pointer arrays, backward ping-pong
-  /// and slice-gradient scratch, dedup scratch, block-local gradient
-  /// accumulators) times the number of concurrent block tasks, plus the
-  /// shared per-round row buffer the pooling phase reads. `num_threads`
-  /// <= 0 means size for the current global ThreadPool.
+  /// Peak scratch memory of Forward and Backward: the forward's per-block-
+  /// task buffers (stage intermediates, GEMM pointer arrays, dedup scratch)
+  /// times the number of concurrent block tasks, plus the shared per-round
+  /// row buffer the pooling phase reads, plus the backward workspace the
+  /// calling thread keeps (one block's intermediates, D buffers, bucket
+  /// stacks and counting-sort arrays) and one transposed slice per thread.
+  /// `num_threads` <= 0 means size for the current global ThreadPool.
   int64_t WorkspaceBytes(int num_threads = 0) const;
 
  private:
   struct BlockBuffers;
-  struct BlockGrads;
+  struct BackwardWorkspace;
   struct Stash;
 
   /// Computes reconstructed rows for lookups [begin, end) of `indices` into
@@ -213,25 +220,22 @@ class TtEmbeddingBag {
   void ReconstructRow(const int64_t* dg, const int64_t* prefetch_dg,
                       float* row_out, float* ping, float* pong) const;
 
-  /// Backward for lookups [begin, end): runs the per-block Algorithm 2
-  /// chain and scatter-adds slice gradients into the block-local `local`
-  /// accumulator (never into grads_ — that merge happens on the caller, in
-  /// block order). Const for the same reason as ForwardBlock.
-  void BackwardBlock(const CsrBatch& batch, std::span<const int64_t> bags,
-                     std::span<const float> w, const float* grad_output,
+  /// Backward for lookups [begin, end): the per-core gather-reduce of
+  /// Algorithm 2, accumulating every touched slice's gradient into grads_.
+  void BackwardBlock(const CsrBatch& batch, const float* grad_output,
                      int64_t begin, int64_t end, bool use_stash,
-                     int64_t max_d_stride, int64_t max_slice,
-                     BlockBuffers& buf, BlockGrads& local) const;
+                     BackwardWorkspace& ws);
+
+  /// Stable counting sort of the block's first `units` units by digit `c`
+  /// (read from ws.digits) into ws.order / ws.bucket_start, listing the
+  /// nonempty buckets in ws.touched.
+  void SortUnitsByDigit(int c, int64_t units, BackwardWorkspace& ws) const;
 
   void EnsureGrads();
 
   /// Marks slice `ik` of core `k` as carrying gradient (so ApplySgd and
   /// ZeroGrad touch only dirty slices — O(batch) instead of O(params)).
   void MarkTouched(int k, int64_t ik);
-
-  /// Fills buf.unique / buf.lookup_to_unique for lookups [begin, end).
-  void BuildBlockDedup(std::span<const int64_t> indices, int64_t begin,
-                       int64_t end, BlockBuffers& buf) const;
 
   TtEmbeddingConfig config_;
   TtCores cores_;
@@ -267,6 +271,10 @@ class TtEmbeddingBag {
   // Largest per-lookup stage output (>= emb_dim); sizes the fused path's
   // ping-pong buffers.
   int64_t max_stage_floats_ = 0;
+  // Largest per-unit propagated gradient D_c = prodn_[c] * R_{c+1} over
+  // c in [0, d-1] (also bounds every intermediate P_c); sizes the backward
+  // D buffers and bucket stacks.
+  int64_t max_d_floats_ = 0;
 };
 
 }  // namespace ttrec

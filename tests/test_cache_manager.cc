@@ -504,15 +504,20 @@ TEST(CacheManager, PlanCapacityWithCacheSplitsBudget) {
   // Table 2 sees no traffic.
 
   const int64_t budget = 2 * 1024 * 1024;
+  // Named options object: the defaulted temporary trips gcc's
+  // -Wmaybe-uninitialized under -Werror at -O2 and above.
+  const CachePlannerOptions defaults;
   const CacheAwarePlan plan =
-      PlanCapacityWithCache(spec, emb_dim, budget, mrcs);
+      PlanCapacityWithCache(spec, emb_dim, budget, mrcs, defaults);
   EXPECT_TRUE(plan.tt.fits);
   // Combined footprint respects the budget.
   EXPECT_LE(plan.tt.total_bytes + plan.cache_budget_bytes, budget);
   ASSERT_EQ(plan.cache_rows.size(), 3u);
   // Dense tables get no cache.
   for (size_t t = 0; t < plan.cache_rows.size(); ++t) {
-    if (!plan.tt.tables[t].compress) EXPECT_EQ(plan.cache_rows[t], 0);
+    if (!plan.tt.tables[t].compress) {
+      EXPECT_EQ(plan.cache_rows[t], 0);
+    }
   }
   // With strongly skewed traffic, some nonzero cache fraction should win
   // over pure TT (predicted hit rate > 0 implies rows were allocated).
@@ -531,10 +536,7 @@ TEST(CacheManager, PlanCapacityWithCacheSplitsBudget) {
   EXPECT_EQ(pure.tt.total_bytes, reference.total_bytes);
   EXPECT_EQ(pure.cache_budget_bytes, 0);
 
-  // Validation: MRC count mismatch and missing 0 fraction. (Named options
-  // object: a defaulted temporary inside EXPECT_THROW trips gcc's
-  // -Wmaybe-uninitialized under -Werror.)
-  const CachePlannerOptions defaults;
+  // Validation: MRC count mismatch and missing 0 fraction.
   const std::vector<MissRatioCurve> short_mrcs(2);
   EXPECT_THROW(
       PlanCapacityWithCache(spec, emb_dim, budget, short_mrcs, defaults),

@@ -3,9 +3,11 @@
 // Contract under test (DESIGN.md "Kernel parallelism"): forward, backward,
 // and optimizer application of TtEmbeddingBag are bitwise identical for any
 // global ThreadPool size, with and without dedup and stash. Plus regression
-// tests for the stale-stash gradient corruption and the workspace
-// accounting.
+// tests for the stale-stash gradient corruption, the workspace accounting,
+// and the backward's steady-state page faults.
 #include <gtest/gtest.h>
+#include <malloc.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <cstring>
@@ -328,22 +330,37 @@ std::vector<SimdTier> TestableTiers() {
 
 TEST(TtEmbeddingParallelTiers, PipelineBitwiseIdenticalAcrossThreadsInEveryTier) {
   // The thread-count determinism contract holds PER dispatch tier: force
-  // each tier this machine supports and re-run the full pipeline sweep.
+  // each tier this machine supports and re-run the full pipeline sweep for
+  // the plain, dedup and stash configs under SGD and Adagrad.
   // (Different tiers legitimately differ bitwise from each other — that
   // cross-tier gap is gated against GemmRef in test_gemm, not here.)
   PoolGuard pool_guard;
   TierGuard tier_guard;
-  TtEmbeddingConfig cfg = BaseConfig();
+  struct TierCase {
+    const char* name;
+    bool dedup;
+    bool stash;
+  };
   for (SimdTier tier : TestableTiers()) {
     SetSimdTier(tier);
-    const PipelineResult ref = RunPipeline(cfg, /*threads=*/1,
-                                           /*adagrad=*/false,
-                                           /*with_weights=*/true);
-    for (int threads : {2, 8}) {
-      const PipelineResult got =
-          RunPipeline(cfg, threads, /*adagrad=*/false, /*with_weights=*/true);
-      SCOPED_TRACE(std::string("tier=") + SimdTierName(tier));
-      ExpectSamePipeline(ref, got, threads);
+    for (const TierCase& tc : {TierCase{"plain", false, false},
+                               TierCase{"dedup", true, false},
+                               TierCase{"stash", false, true}}) {
+      TtEmbeddingConfig cfg = BaseConfig();
+      cfg.deduplicate = tc.dedup;
+      cfg.stash_intermediates = tc.stash;
+      for (bool adagrad : {false, true}) {
+        SCOPED_TRACE(std::string("tier=") + SimdTierName(tier) +
+                     " config=" + tc.name +
+                     (adagrad ? " adagrad" : " sgd"));
+        const PipelineResult ref = RunPipeline(cfg, /*threads=*/1, adagrad,
+                                               /*with_weights=*/true);
+        for (int threads : {2, 8}) {
+          const PipelineResult got =
+              RunPipeline(cfg, threads, adagrad, /*with_weights=*/true);
+          ExpectSamePipeline(ref, got, threads);
+        }
+      }
     }
   }
 }
@@ -393,30 +410,32 @@ TEST(TtEmbeddingParallelTiers, FusedMatchesStagedBitwiseInEveryTier) {
 
 TEST(TtWorkspaceRegression, AccountsForBackwardAndDedupAndThreads) {
   // Regression: WorkspaceBytes used to count only the forward intermediates
-  // and pointer arrays — no backward ping-pong buffers, no slice-gradient
-  // scratch, no dedup scratch, no per-thread multiplier.
+  // and pointer arrays — no backward buffers, no dedup scratch, no
+  // per-thread multiplier.
   TtEmbeddingConfig cfg = BaseConfig();
   cfg.block_size = 64;
   Rng rng(5);
   TtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
 
   const int64_t ws1 = emb.WorkspaceBytes(/*num_threads=*/1);
-  // Backward needs at least the two D ping-pong buffers on top of the
-  // forward-only accounting: 2 * block * max_d_stride floats, where
-  // max_d_stride >= emb_dim.
-  const int64_t d_pingpong =
-      2 * cfg.block_size * emb.emb_dim() *
+  // Backward keeps D_c, D_{c-1} and the two bucket stacks on top of the
+  // forward accounting: 4 * block * max_d_floats floats, where
+  // max_d_floats >= emb_dim.
+  const int64_t backward_buffers =
+      4 * cfg.block_size * emb.emb_dim() *
       static_cast<int64_t>(sizeof(float));
-  EXPECT_GE(ws1, d_pingpong);
+  EXPECT_GE(ws1, backward_buffers);
 
-  // More threads -> more concurrent block tasks -> more workspace. Both the
-  // per-block-task term and the shared round buffer scale with the pool
-  // width, so 8 threads need several times the single-thread bound.
+  // More threads -> more concurrent forward block tasks and a wider round
+  // buffer: every extra thread adds at least its four blocks of
+  // reconstructed rows. (The backward workspace belongs to the calling
+  // thread, so it does not grow with the pool.)
   const int64_t ws8 = emb.WorkspaceBytes(/*num_threads=*/8);
-  EXPECT_GT(ws8, ws1);
-  EXPECT_GE(ws8, 4 * ws1);
+  EXPECT_GE(ws8 - ws1, 7 * 4 * cfg.block_size * emb.emb_dim() *
+                           static_cast<int64_t>(sizeof(float)));
 
-  // Dedup adds its scratch (unique ids, mapping, expanded rows, map).
+  // Dedup adds its scratch (sorted keys, unique ids, mapping, expanded
+  // rows).
   TtEmbeddingConfig dedup_cfg = cfg;
   dedup_cfg.deduplicate = true;
   Rng rng2(5);
@@ -429,6 +448,53 @@ TEST(TtWorkspaceRegression, AccountsForBackwardAndDedupAndThreads) {
   Rng rng3(5);
   TtEmbeddingBag big_emb(big_cfg, TtInit::kGaussian, rng3);
   EXPECT_LT(ws1, big_emb.WorkspaceBytes(1));
+}
+
+TEST(TtBackwardSteadyState, TakesNoPageFaults) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators quarantine freed memory";
+#else
+  // With a fixed 256 KiB mmap threshold, every large buffer comes from mmap
+  // and goes back to the kernel when freed, so a Backward that re-allocates
+  // its scratch pays one minor fault per page it touches. A Backward that
+  // reuses its workspace pays none once warm.
+  PoolGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  mallopt(M_MMAP_THRESHOLD, 256 * 1024);
+
+  CsrBatch batch;
+  Rng idx_rng(8);
+  batch.offsets.push_back(0);
+  for (int l = 0; l < 4096; ++l) {
+    batch.indices.push_back(
+        static_cast<int64_t>(idx_rng.Uniform(0.0, 99999.0)));
+    batch.offsets.push_back(l + 1);
+  }
+  for (const char* mode : {"plain", "dedup", "stash"}) {
+    SCOPED_TRACE(mode);
+    TtEmbeddingConfig cfg;
+    cfg.shape = MakeTtShape(/*num_rows=*/100000, /*emb_dim=*/16,
+                            /*num_cores=*/3, /*rank=*/32);
+    cfg.deduplicate = std::string(mode) == "dedup";
+    cfg.stash_intermediates = std::string(mode) == "stash";
+    Rng rng(3);
+    TtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+    const std::vector<float> g = FixedGrad(batch.num_bags() * emb.emb_dim());
+    std::vector<float> out(g.size());
+    emb.Forward(batch, out.data());  // writes the stash the stash mode uses
+    emb.Backward(batch, g.data());   // warm-up: workspace and gradients grow
+
+    constexpr int kCalls = 20;
+    rusage before{};
+    rusage after{};
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+    for (int i = 0; i < kCalls; ++i) emb.Backward(batch, g.data());
+    ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+    const long faults = after.ru_minflt - before.ru_minflt;
+    EXPECT_LT(faults, kCalls) << faults << " minor faults over " << kCalls
+                              << " steady-state Backward calls";
+  }
+#endif
 }
 
 }  // namespace
