@@ -6,6 +6,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 
 #include "baselines/hashed_embedding.h"
@@ -27,6 +28,11 @@ struct OpFactory {
   bool trainable;
   std::function<std::unique_ptr<EmbeddingOp>(uint64_t seed)> make;
 };
+
+// gtest_discover_tests puts the printed parameter into each CTest name. The
+// default printer dumps the struct's bytes, addresses included, so the names
+// would change with every build; print the family name instead.
+void PrintTo(const OpFactory& f, std::ostream* os) { *os << f.name; }
 
 std::vector<OpFactory> AllFactories() {
   std::vector<OpFactory> fs;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
+#include <vector>
 
 #include "tensor/check.h"
 #include "tt/tt_shapes.h"
@@ -83,6 +85,13 @@ struct Table2Row {
   int64_t params;
   int64_t reduction;  // paper rounds down
 };
+
+// gtest_discover_tests puts the printed parameter into each CTest name. The
+// default printer dumps the struct's bytes, row_factors' heap pointer
+// included, so the names would change with every build.
+void PrintTo(const Table2Row& row, std::ostream* os) {
+  *os << "rows" << row.rows << "_rank" << row.rank;
+}
 
 class PaperTable2 : public ::testing::TestWithParam<Table2Row> {};
 
