@@ -1,9 +1,10 @@
 // Ablations of TT-Rec's kernel-level design choices (DESIGN.md §3):
 //  1. Batched GEMM vs per-lookup execution (block_size sweep) — the
-//     paper's core kernel optimization (§4.1, batched cuBLAS).
-//  2. Recompute vs stash of forward intermediates in backward (§4.2's
-//     "can be eliminated by storing tensors from the forward pass").
-//  3. Per-core parameter memory vs extra workspace across block sizes.
+//     paper's core kernel optimization (§4.1, batched cuBLAS) — with the
+//     workspace each block size needs.
+//  2. TT rank: FLOPs per lookup, forward time and compression.
+//  3. Block dedup of repeated rows under Zipf traffic.
+//  4. Number of TT cores d.
 #include <cstdio>
 #include <vector>
 
@@ -29,8 +30,8 @@ CsrBatch ZipfBatch(int64_t rows, int64_t batch, uint64_t seed) {
 int main() {
   const BenchEnv env = BenchEnv::FromEnvironment();
   PrintHeader("ablation_kernels",
-              "Ablations: GEMM batching, intermediate stash vs recompute "
-              "(design choices of paper §4.1/§4.2)",
+              "Ablations: GEMM batching, rank, dedup, core count "
+              "(design choices of paper §4.1)",
               env);
 
   const int64_t rows = env.full ? 1000000 : 200000;
@@ -89,32 +90,8 @@ int main() {
                 FormatBytes(emb.WorkspaceBytes()).c_str());
   }
 
-  // 2. Stash vs recompute in backward.
-  std::printf("\n2) backward intermediates (%lld lookups, rank %lld):\n",
-              static_cast<long long>(batch), static_cast<long long>(rank));
-  std::printf("%-12s %14s %14s\n", "mode", "fwd+bwd ms", "note");
-  for (bool stash : {false, true}) {
-    TtEmbeddingConfig cfg;
-    cfg.shape = MakeTtShape(rows, dim, 3, rank);
-    cfg.stash_intermediates = stash;
-    Rng rng(3);
-    TtEmbeddingBag emb(cfg, TtInit::kSampledGaussian, rng);
-    emb.Forward(lookups, out.data());
-    emb.Backward(lookups, grad.data());
-    emb.ZeroGrad();
-    WallTimer t;
-    for (int r = 0; r < reps; ++r) {
-      emb.Forward(lookups, out.data());
-      emb.Backward(lookups, grad.data());
-      emb.ApplySgd(0.01f);
-    }
-    const double ms = t.Seconds() * 1000.0 / reps;
-    std::printf("%-12s %14.3f %14s\n", stash ? "stash" : "recompute", ms,
-                stash ? "(more memory)" : "(paper default)");
-  }
-
-  // 3. Rank sweep: flops per lookup and achieved throughput.
-  std::printf("\n3) rank sweep (forward, %lld lookups):\n",
+  // 2. Rank sweep: flops per lookup and achieved throughput.
+  std::printf("\n2) rank sweep (forward, %lld lookups):\n",
               static_cast<long long>(batch));
   std::printf("%-8s %14s %16s %14s %14s\n", "rank", "fwd ms",
               "kflop/lookup", "params", "reduction");
@@ -135,9 +112,9 @@ int main() {
                 static_cast<long long>(emb.shape().TotalParams()),
                 emb.shape().CompressionRatio());
   }
-  // 4. Index deduplication: Zipf traffic repeats hot rows within a block;
+  // 3. Index deduplication: Zipf traffic repeats hot rows within a block;
   // dedup runs the TT chain once per distinct row.
-  std::printf("\n4) block dedup on Zipf traffic (%lld lookups, rank %lld):\n",
+  std::printf("\n3) block dedup on Zipf traffic (%lld lookups, rank %lld):\n",
               static_cast<long long>(batch), static_cast<long long>(rank));
   std::printf("%-18s %14s %14s\n", "zipf exponent", "plain f+b ms",
               "dedup f+b ms");
@@ -168,10 +145,10 @@ int main() {
                 times[1], times[0] / times[1]);
   }
 
-  // 5. Number of TT cores d: the paper fixes d = 3 (Table 2); this sweep
+  // 4. Number of TT cores d: the paper fixes d = 3 (Table 2); this sweep
   // shows why — d = 2 compresses little, d >= 4 adds compute and more
   // rank-bottlenecked stages for marginal size gains at dim 16.
-  std::printf("\n5) TT core count d (rank %lld, %lld lookups):\n",
+  std::printf("\n4) TT core count d (rank %lld, %lld lookups):\n",
               static_cast<long long>(rank), static_cast<long long>(batch));
   std::printf("%-6s %14s %14s %14s %16s\n", "d", "fwd ms", "params",
               "reduction", "kflop/lookup");
@@ -195,9 +172,8 @@ int main() {
       "\nExpected: on CPU all execution strategies tie (~FLOP-bound; no "
       "kernel-launch cost) — an honest negative: the paper's batched-GEMM "
       "win is a GPU launch-amortization effect; the CPU levers are dedup "
-      "(section 4) and rank. Stash is modestly faster than recompute "
-      "at higher memory; forward cost scales ~quadratically in rank while "
-      "params scale ~R^2; dedup wins grow with traffic skew. The d sweep "
+      "(section 3) and rank. Forward cost scales ~quadratically in rank "
+      "while params scale ~R^2; dedup wins grow with traffic skew. The d sweep "
       "trades compute for compression: d = 2 is cheap but its factor "
       "sizes scale as sqrt(rows) (poor at the paper's 10M-row tables), "
       "d = 4 doubles compute for little size gain at dim 16 — d = 3 (the "

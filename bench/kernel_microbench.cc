@@ -8,8 +8,8 @@
 // BENCH_kernels.json artifact CI uploads: a thread-count sweep of the
 // block-parallel TT kernels (GFLOP/s and lookups/s per pool size, plus a
 // cross-thread determinism check) and a SIMD-tier sweep (scalar vs AVX2 vs
-// AVX-512 on the TT GEMM chain and the fused vs staged lookup pipeline,
-// with speedups over the scalar tier and a fused==staged bitwise gate).
+// AVX-512 on the TT GEMM chain and the pooled forward, with speedups over
+// the scalar tier).
 // The envelope stamps the CPU model and dispatch tier so the numbers are
 // attributable. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
@@ -110,11 +110,9 @@ BENCHMARK(BM_BatchedGemmTtStage)
     ->Args({512, 64})
     ->Args({4096, 32});
 
-TtEmbeddingBag MakeBenchEmbedding(int64_t rows, int64_t rank,
-                                  bool fuse_lookup = true) {
+TtEmbeddingBag MakeBenchEmbedding(int64_t rows, int64_t rank) {
   TtEmbeddingConfig cfg;
   cfg.shape = MakeTtShape(rows, 16, 3, rank);
-  cfg.fuse_lookup = fuse_lookup;
   Rng rng(3);
   return TtEmbeddingBag(cfg, TtInit::kSampledGaussian, rng);
 }
@@ -127,8 +125,9 @@ CsrBatch MakeLookupBatch(int64_t rows, int64_t batch) {
 }
 
 /// Algorithmic memory traffic of one lookup: the core slices its digits
-/// select (read) plus the reconstructed row (write). Intermediates live in
-/// L1 under the fused kernel, so they are excluded on purpose.
+/// select (read) plus the reconstructed row (write). Stage intermediates
+/// are reused block scratch, not table traffic, so they are excluded on
+/// purpose.
 int64_t LookupBytes(const TtEmbeddingBag& emb) {
   int64_t bytes = emb.emb_dim() * static_cast<int64_t>(sizeof(float));
   for (int k = 0; k < emb.cores().num_cores(); ++k) {
@@ -244,14 +243,12 @@ double MsSince(Clock::time_point t0) {
 }
 
 // One SIMD tier's measurements at a fixed thread count: the raw TT GEMM
-// chain (LookupRows — decode + per-row GEMMs, no pooling), the fused
-// decode→chain→pool forward, and the staged (unfused) forward.
+// chain (LookupRows — decode + per-row GEMMs, no pooling) and the pooled
+// forward.
 struct TierRow {
   SimdTier tier = SimdTier::kScalar;
   double chain_ms = 0.0, chain_gflops = 0.0, chain_gbytes = 0.0;
-  double fused_ms = 0.0, fused_gflops = 0.0, fused_lookups_per_s = 0.0;
-  double unfused_ms = 0.0, unfused_gflops = 0.0;
-  bool fused_matches_unfused = true;
+  double fwd_ms = 0.0, fwd_gflops = 0.0, fwd_lookups_per_s = 0.0;
 };
 
 // --json mode: the Criteo-shape sweeps described in the file comment.
@@ -332,23 +329,19 @@ int RunKernelJsonSweep(const std::string& path) {
   // so they are not masked by slice-fetch memory traffic either — the 1M-row
   // thread sweep above already covers the memory-bound regime. min-of-reps
   // timing rejects scheduler/turbo noise. The same cores (identical seed)
-  // serve every tier and both the fused and staged paths, so outputs are
-  // memcmp-comparable.
+  // serve every tier.
   ThreadPool::SetGlobalThreads(1);
   const int64_t tier_rows = 65536;
   const int tier_reps = 20;
   std::vector<TierRow> tiers;
-  bool fused_ok = true;
   {
-    TtEmbeddingBag emb_fused = MakeBenchEmbedding(tier_rows, rank, true);
-    TtEmbeddingBag emb_staged = MakeBenchEmbedding(tier_rows, rank, false);
+    TtEmbeddingBag emb = MakeBenchEmbedding(tier_rows, rank);
     CsrBatch lookup = MakeLookupBatch(tier_rows, batch);
     const std::vector<int64_t> indices(lookup.indices.begin(),
                                        lookup.indices.end());
-    const int64_t chain_bytes = batch * LookupBytes(emb_fused);
+    const int64_t chain_bytes = batch * LookupBytes(emb);
     std::vector<float> chain_out(static_cast<size_t>(batch * 16));
-    std::vector<float> out_f(static_cast<size_t>(batch * 16));
-    std::vector<float> out_s(static_cast<size_t>(batch * 16));
+    std::vector<float> out(static_cast<size_t>(batch * 16));
 
     const auto min_ms = [&](auto&& fn) {
       fn();  // warm-up: page in buffers, settle the dispatch tier
@@ -368,42 +361,26 @@ int RunKernelJsonSweep(const std::string& path) {
       TierRow row;
       row.tier = tier;
 
-      const int64_t flops0 = emb_fused.stats().forward_flops;
-      emb_fused.LookupRows(indices, chain_out.data());
-      const int64_t chain_flops = emb_fused.stats().forward_flops - flops0;
-      row.chain_ms =
-          min_ms([&] { emb_fused.LookupRows(indices, chain_out.data()); });
+      const int64_t flops0 = emb.stats().forward_flops;
+      emb.LookupRows(indices, chain_out.data());
+      const int64_t chain_flops = emb.stats().forward_flops - flops0;
+      row.chain_ms = min_ms([&] { emb.LookupRows(indices, chain_out.data()); });
       row.chain_gflops =
           static_cast<double>(chain_flops) / (row.chain_ms * 1e6);
       row.chain_gbytes =
           static_cast<double>(chain_bytes) / (row.chain_ms * 1e6);
 
-      row.fused_ms =
-          min_ms([&] { emb_fused.Forward(lookup, out_f.data()); });
+      row.fwd_ms = min_ms([&] { emb.Forward(lookup, out.data()); });
       // Forward runs the same per-lookup chain, so its FLOP count per call
       // equals the LookupRows count (pooling adds are not counted).
-      row.fused_gflops =
-          static_cast<double>(chain_flops) / (row.fused_ms * 1e6);
-      row.fused_lookups_per_s =
-          static_cast<double>(batch) / (row.fused_ms * 1e-3);
-
-      row.unfused_ms =
-          min_ms([&] { emb_staged.Forward(lookup, out_s.data()); });
-      row.unfused_gflops =
-          static_cast<double>(chain_flops) / (row.unfused_ms * 1e6);
-
-      row.fused_matches_unfused =
-          std::memcmp(out_f.data(), out_s.data(),
-                      out_f.size() * sizeof(float)) == 0;
-      fused_ok = fused_ok && row.fused_matches_unfused;
+      row.fwd_gflops = static_cast<double>(chain_flops) / (row.fwd_ms * 1e6);
+      row.fwd_lookups_per_s = static_cast<double>(batch) / (row.fwd_ms * 1e-3);
       tiers.push_back(row);
 
       std::printf(
-          "tier=%-6s  chain %.2f ms (%.2f GFLOP/s, %.2f GB/s)  fused fwd "
-          "%.2f ms  staged fwd %.2f ms  fused==staged: %s\n",
+          "tier=%-6s  chain %.2f ms (%.2f GFLOP/s, %.2f GB/s)  fwd %.2f ms\n",
           SimdTierName(tier), row.chain_ms, row.chain_gflops,
-          row.chain_gbytes, row.fused_ms, row.unfused_ms,
-          row.fused_matches_unfused ? "yes" : "NO");
+          row.chain_gbytes, row.fwd_ms);
     }
     SetSimdTier(sweep_tier);  // restore whatever the process started with
   }
@@ -450,16 +427,11 @@ int RunKernelJsonSweep(const std::string& path) {
     w.Kv("gemm_chain_ms", r.chain_ms, 4);
     w.Kv("gemm_chain_gflops", r.chain_gflops, 4);
     w.Kv("gemm_chain_gbytes_per_s", r.chain_gbytes, 4);
-    w.Kv("fused_forward_ms", r.fused_ms, 4);
-    w.Kv("fused_forward_gflops", r.fused_gflops, 4);
-    w.Kv("fused_lookups_per_s", r.fused_lookups_per_s, 1);
-    w.Kv("unfused_forward_ms", r.unfused_ms, 4);
-    w.Kv("unfused_forward_gflops", r.unfused_gflops, 4);
-    w.Kv("fused_matches_unfused", r.fused_matches_unfused);
+    w.Kv("forward_ms", r.fwd_ms, 4);
+    w.Kv("forward_gflops", r.fwd_gflops, 4);
+    w.Kv("forward_lookups_per_s", r.fwd_lookups_per_s, 1);
     w.Kv("gemm_chain_speedup_vs_scalar", tiers[0].chain_ms / r.chain_ms, 3);
-    w.Kv("fused_speedup_vs_scalar", tiers[0].fused_ms / r.fused_ms, 3);
-    w.Kv("unfused_speedup_vs_scalar", tiers[0].unfused_ms / r.unfused_ms, 3);
-    w.Kv("fused_speedup_vs_unfused", r.unfused_ms / r.fused_ms, 3);
+    w.Kv("forward_speedup_vs_scalar", tiers[0].fwd_ms / r.fwd_ms, 3);
     w.EndObject();
   }
   w.EndArray().EndObject();
@@ -472,12 +444,9 @@ int RunKernelJsonSweep(const std::string& path) {
   std::fwrite(w.str().data(), 1, w.str().size(), f);
   std::fputc('\n', f);
   std::fclose(f);
-  std::printf(
-      "wrote %s (deterministic across threads: %s, fused==staged: %s)\n",
-      path.c_str(), deterministic ? "yes" : "NO", fused_ok ? "yes" : "NO");
-  if (!deterministic) return 2;
-  if (!fused_ok) return 3;
-  return 0;
+  std::printf("wrote %s (deterministic across threads: %s)\n", path.c_str(),
+              deterministic ? "yes" : "NO");
+  return deterministic ? 0 : 2;
 }
 
 }  // namespace

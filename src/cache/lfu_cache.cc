@@ -121,8 +121,11 @@ void LfuRowCache::PopulateImpl(int64_t new_capacity,
     std::fill(grads_.begin(), grads_.end(), 0.0f);
     std::fill(adagrad_.begin(), adagrad_.end(), 0.0f);
   }
-  std::memcpy(values_.data(), values, n * static_cast<size_t>(emb_dim_) *
-                                           sizeof(float));
+  // An empty populate may pass a null `values`, which memcpy must not get.
+  if (n > 0) {
+    std::memcpy(values_.data(), values,
+                n * static_cast<size_t>(emb_dim_) * sizeof(float));
+  }
   map_keys_ = std::move(new_keys);
   map_slots_ = std::move(new_slots);
   // Count the rows that did not survive the repopulation — their learned

@@ -42,6 +42,8 @@ class InferenceSession {
   /// the session-owned scratch. Run shards tables across the pool one
   /// table per chunk (dlrm/model.h), so within a call each table's TT
   /// kernel executes single-threaded — hence WorkspaceBytes(1) per table.
+  /// The TT tables one thread runs share that thread's workspace, so the
+  /// sum over-counts when several tables land on one thread.
   /// The session scratch itself (MLP activations, per-table outputs) is
   /// sized by the first Run and reused; this estimate reflects its current
   /// allocation.

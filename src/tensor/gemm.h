@@ -31,8 +31,8 @@ void Gemm(Trans ta, Trans tb, int64_t m, int64_t n, int64_t k, float alpha,
 
 /// y += alpha * x over n contiguous floats, dispatched like Gemm. Bitwise
 /// deterministic within a SIMD tier for any operand alignment; used for
-/// the pooling accumulation in the TT lookup kernels so the fused and
-/// staged paths share one reduction kernel.
+/// the pooling accumulation of the TT forward and of PoolPrefetchedRows,
+/// which must match it bitwise.
 void Axpy(int64_t n, float alpha, const float* x, float* y);
 
 /// Naive triple-loop oracle with identical semantics; for tests only.

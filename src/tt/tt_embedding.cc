@@ -90,66 +90,47 @@ T* Grow(AlignedVec<T>& v, int64_t n) {
   return v.data();
 }
 
-/// Order-sensitive 64-bit fingerprint of a lookup-index sequence (splitmix64
-/// finalizer per element folded FNV-style). Stamps the stash so Backward can
-/// prove it is replaying intermediates of THIS batch, not merely one of
-/// equal size.
-uint64_t HashIndices(std::span<const int64_t> indices) {
-  uint64_t h = 0x9e3779b97f4a7c15ull ^ static_cast<uint64_t>(indices.size());
-  for (int64_t v : indices) {
-    uint64_t x = static_cast<uint64_t>(v) + 0x9e3779b97f4a7c15ull;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    h = (h ^ x) * 0x100000001b3ull;
-  }
-  return h;
-}
-
 }  // namespace
 
-struct TtEmbeddingBag::BlockBuffers {
-  // inter[c] holds the stage-c outputs for the block, c = 1..d-2 (the final
-  // stage writes to the caller's row buffer). Strides in floats. All float
-  // scratch that feeds GEMM operands is 64-byte aligned (tensor/aligned.h)
-  // so the SIMD kernels stream cache-line-clean memory.
-  std::vector<AlignedVec<float>> inter;
-  std::vector<int64_t> digits;  // [l * d + c]
-  std::vector<const float*> a_ptrs;
-  std::vector<const float*> b_ptrs;
-  std::vector<float*> c_ptrs;
-  // Dedup scratch (config.deduplicate): (row, position) keys sorted by row,
-  // distinct rows in ascending order, and each lookup's distinct-row slot.
-  std::vector<std::pair<int64_t, int32_t>> dedup_keys;
-  std::vector<int64_t> unique;
-  std::vector<int32_t> lookup_to_unique;
-  AlignedVec<float> unique_rows;
-};
-
-// Backward scratch. One lives per thread that calls Backward (a
-// thread_local in Backward), reused across calls and shared by every table
-// that thread trains: once it has grown to the largest block, a steady-state
-// Backward allocates nothing that scales with the batch.
-struct TtEmbeddingBag::BackwardWorkspace {
+// Scratch of the forward's block tasks and pooling phase and of the
+// backward. One lives per thread (ThreadWorkspace), reused across calls and
+// shared by every table that thread runs: once it has grown to the largest
+// block, a steady-state Forward or Backward allocates none of its block or
+// round buffers. Sharing is safe because a thread never runs two users of
+// its workspace at once: ThreadPool never runs a foreign task on a caller
+// waiting in ParallelFor, and runs a nested ParallelFor inline on the
+// task's own thread (tensor/parallel.cc). The two overlaps are by design
+// and touch disjoint fields: the thread that calls Forward keeps its round
+// of rows in `round_rows` while it runs block tasks of that call, and the
+// thread that calls Backward keeps the block's sort and stacks while it
+// runs slice tasks, which use only `slice_t`.
+struct TtEmbeddingBag::Workspace {
   // The block's units — its lookups, or its distinct rows under dedup (with
   // each lookup's slot) — and their digits, [u * d + c].
   std::vector<std::pair<int64_t, int32_t>> dedup_keys;
   std::vector<int64_t> unique;
   std::vector<int32_t> lookup_to_unique;
   std::vector<int64_t> digits;
-  // Counting sort of the units by one digit: bucket i (the units touching
-  // slice i) is order[bucket_start[i] .. bucket_start[i + 1]); `touched`
-  // lists the nonempty buckets in slice order.
+  // Stage intermediates P_c (c = 1..d-2) of one block: in unit order in the
+  // forward, in digit-c bucket order in the backward's recompute, where
+  // inter_pos[c * units + u] is unit u's row. All float scratch that feeds
+  // GEMM operands is 64-byte aligned (tensor/aligned.h).
+  std::vector<AlignedVec<float>> inter;
+  std::vector<int32_t> inter_pos;
+  // Forward: one stage's BatchedGemm operands, the distinct rows under
+  // dedup, and one round's reconstructed rows.
+  std::vector<const float*> a_ptrs;
+  std::vector<const float*> b_ptrs;
+  std::vector<float*> c_ptrs;
+  AlignedVec<float> unique_rows;
+  AlignedVec<float> round_rows;
+  // Backward: counting sort of the units by one digit. Bucket i (the units
+  // touching slice i) is order[bucket_start[i] .. bucket_start[i + 1]);
+  // `touched` lists the nonempty buckets in slice order.
   std::vector<int32_t> bucket_start;
   std::vector<int32_t> cursor;
   std::vector<int32_t> order;
   std::vector<int32_t> touched;
-  // Recomputed intermediates: inter[c] holds P_c (c = 1..d-2) in digit-c
-  // bucket order, and inter_pos[c * units + u] is unit u's row in it.
-  std::vector<AlignedVec<float>> inter;
-  std::vector<int32_t> inter_pos;
   // pos[u] = row of unit u in d_cur, which holds D_c in the previous
   // stage's bucket order (unit order for the first stage).
   std::vector<int32_t> pos;
@@ -157,25 +138,18 @@ struct TtEmbeddingBag::BackwardWorkspace {
   AlignedVec<float> d_next;   // D_{c-1}, in this stage's bucket order
   AlignedVec<float> d_stack;  // D_c gathered into this stage's bucket order
   AlignedVec<float> p_stack;  // P_{c-1} gathered the same way
+  AlignedVec<float> slice_t;  // one core slice, transposed
 };
 
-namespace {
-
-/// Per-thread buffer for one transposed core slice, reused across calls.
-float* TransposedSliceScratch(int64_t floats) {
-  thread_local AlignedVec<float> buf;
-  return Grow(buf, floats);
+TtEmbeddingBag::Workspace& TtEmbeddingBag::ThreadWorkspace() {
+  thread_local Workspace ws;
+  return ws;
 }
-
-}  // namespace
 
 TtEmbeddingBag::TtEmbeddingBag(TtEmbeddingConfig config, TtCores cores)
     : config_(std::move(config)), cores_(std::move(cores)) {
   TTREC_CHECK_CONFIG(config_.block_size >= 1,
                      "block_size must be >= 1, got ", config_.block_size);
-  TTREC_CHECK_CONFIG(!(config_.deduplicate && config_.stash_intermediates),
-                     "deduplicate and stash_intermediates are mutually "
-                     "exclusive (the stash layout is per-lookup)");
   const TtShape& s = cores_.shape();
   const int d = s.num_cores();
   prodn_.resize(static_cast<size_t>(d));
@@ -192,12 +166,9 @@ TtEmbeddingBag::TtEmbeddingBag(TtEmbeddingConfig config, TtCores cores)
     const int64_t stage_flops = 2 * m * kk * nn;
     fwd_flops_per_lookup_ += stage_flops;
     // Backward: slice-grad GEMM + propagation GEMM, same volumes, plus the
-    // recompute of every stage but the last when nothing is stashed.
+    // recompute of every stage but the last.
     bwd_flops_per_lookup_ += 2 * stage_flops;
-    if (!config_.stash_intermediates && c < d - 1) {
-      bwd_flops_per_lookup_ += stage_flops;
-    }
-    max_stage_floats_ = std::max(max_stage_floats_, m * nn);
+    if (c < d - 1) bwd_flops_per_lookup_ += stage_flops;
   }
   for (int c = 0; c < d; ++c) {
     max_d_floats_ = std::max(
@@ -315,80 +286,66 @@ int64_t TtEmbeddingBag::WorkspaceBytes(int num_threads) const {
   constexpr int64_t kF = static_cast<int64_t>(sizeof(float));
   constexpr int64_t kI32 = static_cast<int64_t>(sizeof(int32_t));
   constexpr int64_t kI64 = static_cast<int64_t>(sizeof(int64_t));
-  int64_t inter_bytes = 0;  // stage intermediates 1..d-2 of one block
-  for (int c = 1; c <= d - 2; ++c) {
-    inter_bytes += AlignedBytes(B * prodn_[static_cast<size_t>(c)] *
-                                s.ranks[static_cast<size_t>(c) + 1] * kF);
-  }
-  // Dedup grouping: sorted (row, position) keys, distinct rows, slots.
-  const int64_t dedup_bytes =
-      config_.deduplicate
-          ? B * static_cast<int64_t>(sizeof(std::pair<int64_t, int32_t>)) +
-                B * kI64 + B * kI32
-          : 0;
-
-  // --- Forward, per concurrently running block task: intermediates,
-  // digits, GEMM pointer arrays, dedup scratch. ---
-  int64_t per_task_bytes = inter_bytes + B * d * kI64 +
-                           3 * B * static_cast<int64_t>(sizeof(void*)) +
-                           dedup_bytes;
-  if (config_.deduplicate) {
-    per_task_bytes += AlignedBytes(B * N * kF);  // distinct rows
-  }
-  if (config_.fuse_lookup) {
-    // Fused chain scratch per task: ping/pong stage buffers, the current
-    // row, and the double-buffered digit decode.
-    per_task_bytes += 2 * AlignedBytes(max_stage_floats_ * kF) +
-                      AlignedBytes(N * kF) + 2 * d * kI64;
-  }
-  // Shared per-call buffer: one round's reconstructed rows
-  // (kRoundBlocksPerThread blocks per worker). The staged pooling phase
-  // reads it; the fused path's boundary side-rows are bounded by the same
-  // footprint in the worst case (every bag crossing a block edge).
-  const int64_t round_rows_bytes =
-      AlignedBytes(kRoundBlocksPerThread * threads * B * N * kF);
-
-  // --- Backward: one workspace on the calling thread, kept across calls,
-  // plus one transposed slice per pool thread. ---
   int64_t max_m = 0;
   int64_t max_slice = 0;
   for (int c = 0; c < d; ++c) {
     max_m = std::max(max_m, s.row_factors[static_cast<size_t>(c)]);
     if (c > 0) max_slice = std::max(max_slice, cores_.SliceSize(c));
   }
-  const int64_t backward_bytes =
-      (config_.stash_intermediates ? 0 : inter_bytes) + dedup_bytes +
-      B * d * kI64 +  // digits
-      // D_c, D_{c-1} and the two bucket stacks, max_d_floats_ per unit.
-      4 * AlignedBytes(B * max_d_floats_ * kF) +
-      // Counting sort (bucket starts, cursors, order, touched list), the
-      // recomputed intermediates' rows, and pos.
-      (2 * max_m + 1 + B + std::min(B, max_m) + B * d + B) * kI32 +
-      threads * AlignedBytes(max_slice * kF);
 
-  return threads * per_task_bytes + round_rows_bytes + backward_bytes;
+  // One thread's Workspace, sized for one block. Shared by forward and
+  // backward: the digits and the stage intermediates 1..d-2.
+  int64_t ws_bytes = B * d * kI64;
+  for (int c = 1; c <= d - 2; ++c) {
+    ws_bytes += AlignedBytes(B * prodn_[static_cast<size_t>(c)] *
+                             s.ranks[static_cast<size_t>(c) + 1] * kF);
+  }
+  if (config_.deduplicate) {
+    // Sorted (row, position) keys, distinct rows, slots, and the forward's
+    // reconstructed distinct rows.
+    ws_bytes += B * static_cast<int64_t>(sizeof(std::pair<int64_t, int32_t>)) +
+                B * kI64 + B * kI32 + AlignedBytes(B * N * kF);
+  }
+  // Forward: the GEMM pointer arrays.
+  ws_bytes += 3 * B * static_cast<int64_t>(sizeof(void*));
+  // Backward: D_c, D_{c-1} and the two bucket stacks (max_d_floats_ per
+  // unit); the counting sort (bucket starts, cursors, order, touched list),
+  // the recomputed intermediates' rows and pos; one transposed slice.
+  ws_bytes += 4 * AlignedBytes(B * max_d_floats_ * kF) +
+              (2 * max_m + 1 + B + std::min(B, max_m) + B * d + B) * kI32 +
+              AlignedBytes(max_slice * kF);
+
+  // The calling thread's workspace also holds one round of reconstructed
+  // rows: kRoundBlocksPerThread blocks per pool thread.
+  const int64_t round_rows_bytes =
+      AlignedBytes(kRoundBlocksPerThread * threads * B * N * kF);
+  return threads * ws_bytes + round_rows_bytes;
 }
 
 void TtEmbeddingBag::ForwardBlock(std::span<const int64_t> indices,
                                   int64_t begin, int64_t end, float* rows_out,
-                                  BlockBuffers& buf, Stash* stash) const {
+                                  Workspace& ws) const {
   const TtShape& s = cores_.shape();
   const int d = s.num_cores();
   const int64_t L = end - begin;
   const int64_t N = emb_dim();
 
-  buf.digits.resize(static_cast<size_t>(L * d));
+  ws.digits.resize(static_cast<size_t>(L * d));
   {
     TTREC_TRACE_SCOPE("tt.decode");
     for (int64_t l = 0; l < L; ++l) {
-      s.RowDigitsInto(indices[begin + l], buf.digits.data() + l * d);
+      s.RowDigitsInto(indices[begin + l], ws.digits.data() + l * d);
     }
   }
 
-  buf.inter.resize(static_cast<size_t>(std::max(0, d - 2)) + 1);
-  buf.a_ptrs.resize(static_cast<size_t>(L));
-  buf.b_ptrs.resize(static_cast<size_t>(L));
-  buf.c_ptrs.resize(static_cast<size_t>(L));
+  // Grow-only, like every buffer in the workspace: a table with fewer cores
+  // must not free a deeper table's intermediates.
+  if (ws.inter.size() < static_cast<size_t>(d)) {
+    ws.inter.resize(static_cast<size_t>(d));
+  }
+  ws.a_ptrs.resize(static_cast<size_t>(L));
+  ws.b_ptrs.resize(static_cast<size_t>(L));
+  ws.c_ptrs.resize(static_cast<size_t>(L));
 
   TTREC_TRACE_SCOPE("tt.gemm_chain");
   for (int c = 1; c < d; ++c) {
@@ -407,19 +364,17 @@ void TtEmbeddingBag::ForwardBlock(std::span<const int64_t> indices,
       TTREC_CHECK_INTERNAL(out_stride == N, "final stage must produce rows");
       out_base = rows_out;
     } else {
-      auto& ib = buf.inter[static_cast<size_t>(c)];
-      ib.resize(static_cast<size_t>(L * out_stride));
-      out_base = ib.data();
+      out_base = Grow(ws.inter[static_cast<size_t>(c)], L * out_stride);
     }
 
     for (int64_t l = 0; l < L; ++l) {
-      const int64_t* dg = buf.digits.data() + l * d;
-      buf.a_ptrs[static_cast<size_t>(l)] =
+      const int64_t* dg = ws.digits.data() + l * d;
+      ws.a_ptrs[static_cast<size_t>(l)] =
           (c == 1) ? cores_.Slice(0, dg[0])
-                   : buf.inter[static_cast<size_t>(c - 1)].data() +
+                   : ws.inter[static_cast<size_t>(c - 1)].data() +
                          l * prev_stride;
-      buf.b_ptrs[static_cast<size_t>(l)] = cores_.Slice(c, dg[c]);
-      buf.c_ptrs[static_cast<size_t>(l)] = out_base + l * out_stride;
+      ws.b_ptrs[static_cast<size_t>(l)] = cores_.Slice(c, dg[c]);
+      ws.c_ptrs[static_cast<size_t>(l)] = out_base + l * out_stride;
     }
     BatchedGemmShape shape;
     shape.m = m;
@@ -427,156 +382,17 @@ void TtEmbeddingBag::ForwardBlock(std::span<const int64_t> indices,
     shape.k = kk;
     // Inside a block task this runs inline (pool re-entrancy); from a
     // sequential caller it still fans the batch across the pool.
-    BatchedGemm(shape, buf.a_ptrs, buf.b_ptrs, buf.c_ptrs);
-
-    if (stash != nullptr && !last_stage) {
-      auto& st = stash->stage[static_cast<size_t>(c)];
-      std::memcpy(st.data() + begin * out_stride,
-                  buf.inter[static_cast<size_t>(c)].data(),
-                  static_cast<size_t>(L * out_stride) * sizeof(float));
-    }
-  }
-}
-
-void TtEmbeddingBag::ReconstructRow(const int64_t* dg,
-                                    const int64_t* prefetch_dg,
-                                    float* row_out, float* ping,
-                                    float* pong) const {
-  const TtShape& s = cores_.shape();
-  const int d = s.num_cores();
-  if (prefetch_dg != nullptr) {
-    // Pull the next lookup's core slices toward L1/L2 while this lookup's
-    // chain computes. Two lines per slice cover a rank-32 stage row; deeper
-    // slices stream in behind the leading lines.
-    for (int k = 0; k < d; ++k) {
-      const float* next = cores_.Slice(k, prefetch_dg[k]);
-      __builtin_prefetch(next, 0, 3);
-      __builtin_prefetch(next + 16, 0, 3);
-    }
-  }
-  // Stage c: (prodn_[c-1] x R_c) * slice_c (R_c x n_c*R_{c+1}), exactly the
-  // BatchedGemm problem the staged path runs for this lookup — same
-  // operands, same leading dims, same kernel — so each stage output is
-  // bitwise identical to the staged intermediate.
-  const float* cur = cores_.Slice(0, dg[0]);
-  float* out = ping;
-  for (int c = 1; c < d; ++c) {
-    const int64_t m = prodn_[static_cast<size_t>(c - 1)];
-    const int64_t kk = s.ranks[static_cast<size_t>(c)];
-    const int64_t nn = cores_.SliceCols(c);
-    float* dst = (c == d - 1) ? row_out : out;
-    Gemm(Trans::kNo, Trans::kNo, m, nn, kk, 1.0f, cur, kk,
-         cores_.Slice(c, dg[c]), nn, 0.0f, dst, nn);
-    cur = dst;
-    out = (out == ping) ? pong : ping;
-  }
-}
-
-void TtEmbeddingBag::FusedPooledForward(const CsrBatch& batch,
-                                        std::span<const int64_t> bags,
-                                        std::span<const float> w,
-                                        float* output) const {
-  const TtShape& s = cores_.shape();
-  const int d = s.num_cores();
-  const int64_t N = emb_dim();
-  const int64_t n_lookups = batch.num_lookups();
-  if (n_lookups == 0) return;
-
-  const int64_t bs = config_.block_size;
-  ThreadPool& pool = ThreadPool::Global();
-  const int64_t round_blocks = std::max<int64_t>(
-      1, kRoundBlocksPerThread * static_cast<int64_t>(pool.num_threads()));
-  const int64_t round_lookups = round_blocks * bs;
-
-  // Rows of bags that span a block boundary, staged per block and merged
-  // sequentially in block order after each round. A bag is "interior" to a
-  // block iff all its lookups fall inside that block — a function of block
-  // boundaries only, never of scheduling — so every bag either accumulates
-  // entirely inside one block task (race-free: that task owns the bag) or
-  // entirely through this ordered merge. Both orders are lookup order, the
-  // same order the staged pooling phase uses.
-  struct BlockSide {
-    std::vector<int64_t> lookups;
-    AlignedVec<float> rows;  // lookups.size() * N floats
-  };
-  std::vector<BlockSide> sides(static_cast<size_t>(round_blocks));
-
-  for (int64_t r0 = 0; r0 < n_lookups; r0 += round_lookups) {
-    const int64_t r1 = std::min(n_lookups, r0 + round_lookups);
-    const int64_t blocks = (r1 - r0 + bs - 1) / bs;
-
-    pool.ParallelFor(blocks, 1, [&](int64_t c0, int64_t c1) {
-      TTREC_TRACE_SCOPE("tt.fused_lookup");
-      // Per-task chain scratch: two ping-pong stage buffers plus the
-      // current row. All L1-sized for TT-typical shapes, so an entire
-      // lookup runs out of cache instead of round-tripping the shared
-      // round buffer.
-      AlignedVec<float> ping(static_cast<size_t>(max_stage_floats_));
-      AlignedVec<float> pong(static_cast<size_t>(max_stage_floats_));
-      AlignedVec<float> row(static_cast<size_t>(N));
-      std::vector<int64_t> digits(static_cast<size_t>(2 * d));
-      for (int64_t blk = c0; blk < c1; ++blk) {
-        const int64_t begin = r0 + blk * bs;
-        const int64_t end = std::min(r1, begin + bs);
-        BlockSide& side = sides[static_cast<size_t>(blk)];
-        side.lookups.clear();
-        side.rows.clear();
-        int64_t* cur_dg = digits.data();
-        int64_t* next_dg = digits.data() + d;
-        s.RowDigitsInto(batch.indices[static_cast<size_t>(begin)], cur_dg);
-        for (int64_t l = begin; l < end; ++l) {
-          const int64_t* pf = nullptr;
-          if (l + 1 < end) {
-            s.RowDigitsInto(batch.indices[static_cast<size_t>(l + 1)],
-                            next_dg);
-            pf = next_dg;
-          }
-          ReconstructRow(cur_dg, pf, row.data(), ping.data(), pong.data());
-          const int64_t bag = bags[static_cast<size_t>(l)];
-          const bool interior =
-              batch.offsets[static_cast<size_t>(bag)] >= begin &&
-              batch.offsets[static_cast<size_t>(bag) + 1] <= end;
-          if (interior) {
-            Axpy(N, w[static_cast<size_t>(l)], row.data(), output + bag * N);
-          } else {
-            side.lookups.push_back(l);
-            side.rows.insert(side.rows.end(), row.begin(), row.end());
-          }
-          std::swap(cur_dg, next_dg);
-        }
-      }
-    });
-
-    // Ordered merge of boundary-bag rows. Cheap: only bags crossing block
-    // boundaries land here (O(blocks) bags for contiguous CSR batches).
-    TTREC_TRACE_SCOPE("tt.fused_merge");
-    for (int64_t blk = 0; blk < blocks; ++blk) {
-      const BlockSide& side = sides[static_cast<size_t>(blk)];
-      for (size_t i = 0; i < side.lookups.size(); ++i) {
-        const int64_t l = side.lookups[i];
-        const int64_t bag = bags[static_cast<size_t>(l)];
-        Axpy(N, w[static_cast<size_t>(l)],
-             side.rows.data() + static_cast<int64_t>(i) * N, output + bag * N);
-      }
-    }
+    BatchedGemm(shape, ws.a_ptrs, ws.b_ptrs, ws.c_ptrs);
   }
 }
 
 void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
                                    std::span<const int64_t> bags,
                                    std::span<const float> w, float* output,
-                                   Stash* stash, bool dedup) const {
+                                   bool dedup) const {
   const int64_t N = emb_dim();
   const int64_t n_lookups = batch.num_lookups();
   if (n_lookups == 0) return;
-
-  // The fused path covers the plain forward; stashing needs block-wide
-  // per-lookup intermediates and dedup reconstructs per distinct row, so
-  // both keep the staged kernels.
-  if (config_.fuse_lookup && stash == nullptr && !dedup) {
-    FusedPooledForward(batch, bags, w, output);
-    return;
-  }
 
   const int64_t bs = config_.block_size;
   ThreadPool& pool = ThreadPool::Global();
@@ -585,40 +401,38 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
   const int64_t round_lookups = round_blocks * bs;
 
   // Reconstructed rows for one round, indexed by (lookup - round_begin).
-  AlignedVec<float> rows(
-      static_cast<size_t>(std::min(n_lookups, round_lookups) * N));
+  float* rows = Grow(ThreadWorkspace().round_rows,
+                     std::min(n_lookups, round_lookups) * N);
 
   for (int64_t r0 = 0; r0 < n_lookups; r0 += round_lookups) {
     const int64_t r1 = std::min(n_lookups, r0 + round_lookups);
     const int64_t blocks = (r1 - r0 + bs - 1) / bs;
 
     // Phase 1: reconstruct rows, block-parallel. Each block writes a
-    // disjoint range of `rows` (and, when stashing, a disjoint range of the
-    // stash), so tasks never overlap.
+    // disjoint range of `rows`, so tasks never overlap.
     pool.ParallelFor(blocks, 1, [&](int64_t c0, int64_t c1) {
-      BlockBuffers buf;
+      Workspace& ws = ThreadWorkspace();
       for (int64_t blk = c0; blk < c1; ++blk) {
         const int64_t begin = r0 + blk * bs;
         const int64_t end = std::min(r1, begin + bs);
-        float* out_rows = rows.data() + (begin - r0) * N;
+        float* out_rows = rows + (begin - r0) * N;
         if (dedup) {
-          GroupByRow(batch.indices, begin, end, buf.dedup_keys, buf.unique,
-                     buf.lookup_to_unique);
-          const int64_t num_unique = static_cast<int64_t>(buf.unique.size());
-          buf.unique_rows.resize(static_cast<size_t>(num_unique * N));
-          ForwardBlock(buf.unique, 0, num_unique, buf.unique_rows.data(), buf,
-                       /*stash=*/nullptr);
+          GroupByRow(batch.indices, begin, end, ws.dedup_keys, ws.unique,
+                     ws.lookup_to_unique);
+          const int64_t num_unique = static_cast<int64_t>(ws.unique.size());
+          float* unique_rows = Grow(ws.unique_rows, num_unique * N);
+          ForwardBlock(ws.unique, 0, num_unique, unique_rows, ws);
           for (int64_t l = begin; l < end; ++l) {
             const float* src =
-                buf.unique_rows.data() +
+                unique_rows +
                 static_cast<int64_t>(
-                    buf.lookup_to_unique[static_cast<size_t>(l - begin)]) *
+                    ws.lookup_to_unique[static_cast<size_t>(l - begin)]) *
                     N;
             std::memcpy(out_rows + (l - begin) * N, src,
                         static_cast<size_t>(N) * sizeof(float));
           }
         } else {
-          ForwardBlock(batch.indices, begin, end, out_rows, buf, stash);
+          ForwardBlock(batch.indices, begin, end, out_rows, ws);
         }
       }
     });
@@ -638,9 +452,7 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
             std::min(r1, batch.offsets[static_cast<size_t>(bag) + 1]);
         float* dst = output + bag * N;
         for (int64_t l = lo; l < hi; ++l) {
-          // Same Axpy kernel as the fused path's pooling, so the two paths
-          // stay bitwise identical within a SIMD tier.
-          Axpy(N, w[static_cast<size_t>(l)], rows.data() + (l - r0) * N, dst);
+          Axpy(N, w[static_cast<size_t>(l)], rows + (l - r0) * N, dst);
         }
       }
     });
@@ -649,7 +461,6 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
 
 void TtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
   batch.Validate(num_rows());
-  const int d = cores_.num_cores();
   const int64_t N = emb_dim();
   const int64_t n_lookups = batch.num_lookups();
   const int64_t n_bags = batch.num_bags();
@@ -659,29 +470,7 @@ void TtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
   const std::vector<int64_t> bags = LookupBags(batch);
   const std::vector<float> w = EffectiveWeights(batch, config_.pooling, bags);
 
-  ++forward_serial_;
-  stash_.valid = false;
-  if (config_.stash_intermediates) {
-    // Grow-only, like the backward workspace: a steady batch size reuses
-    // the stash instead of re-faulting it in every step.
-    stash_.stage.resize(static_cast<size_t>(std::max(0, d - 2)) + 1);
-    for (int c = 1; c <= d - 2; ++c) {
-      const int64_t stride = prodn_[static_cast<size_t>(c)] *
-                             cores_.shape().ranks[static_cast<size_t>(c) + 1];
-      Grow(stash_.stage[static_cast<size_t>(c)], n_lookups * stride);
-    }
-  }
-
-  PooledForward(batch, bags, w, output,
-                config_.stash_intermediates ? &stash_ : nullptr,
-                config_.deduplicate);
-
-  if (config_.stash_intermediates) {
-    stash_.valid = true;
-    stash_.num_lookups = n_lookups;
-    stash_.fingerprint = HashIndices(batch.indices);
-    stash_.forward_serial = forward_serial_;
-  }
+  PooledForward(batch, bags, w, output, config_.deduplicate);
   ++stats_.forward_calls;
   stats_.lookups += n_lookups;
   stats_.forward_flops += n_lookups * fwd_flops_per_lookup_;
@@ -701,7 +490,7 @@ void TtEmbeddingBag::ForwardInference(const CsrBatch& batch,
   // Always the per-lookup path (no dedup): each lookup's TT chain is an
   // independent GEMM problem, so pooled outputs are bitwise identical no
   // matter how requests were micro-batched together.
-  PooledForward(batch, bags, w, output, /*stash=*/nullptr, /*dedup=*/false);
+  PooledForward(batch, bags, w, output, /*dedup=*/false);
 }
 
 void TtEmbeddingBag::PoolPrefetchedRows(const CsrBatch& batch,
@@ -734,42 +523,14 @@ void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices, float* out) {
   const int64_t bs = config_.block_size;
   const int64_t blocks = (n + bs - 1) / bs;
   const int64_t N = emb_dim();
-  const int d = cores_.num_cores();
-  const TtShape& s = cores_.shape();
   // Blocks write disjoint output ranges and there is no accumulation, so
-  // this is trivially deterministic. The fused per-row chain produces
-  // bitwise the same rows as the staged block kernel (see ReconstructRow),
-  // so the config switch never changes results within a tier.
+  // this is trivially deterministic.
   ThreadPool::Global().ParallelFor(blocks, 1, [&](int64_t c0, int64_t c1) {
-    if (config_.fuse_lookup) {
-      TTREC_TRACE_SCOPE("tt.fused_lookup");
-      AlignedVec<float> ping(static_cast<size_t>(max_stage_floats_));
-      AlignedVec<float> pong(static_cast<size_t>(max_stage_floats_));
-      std::vector<int64_t> digits(static_cast<size_t>(2 * d));
-      for (int64_t blk = c0; blk < c1; ++blk) {
-        const int64_t begin = blk * bs;
-        const int64_t end = std::min(n, begin + bs);
-        int64_t* cur_dg = digits.data();
-        int64_t* next_dg = digits.data() + d;
-        s.RowDigitsInto(indices[static_cast<size_t>(begin)], cur_dg);
-        for (int64_t l = begin; l < end; ++l) {
-          const int64_t* pf = nullptr;
-          if (l + 1 < end) {
-            s.RowDigitsInto(indices[static_cast<size_t>(l + 1)], next_dg);
-            pf = next_dg;
-          }
-          ReconstructRow(cur_dg, pf, out + l * N, ping.data(), pong.data());
-          std::swap(cur_dg, next_dg);
-        }
-      }
-    } else {
-      BlockBuffers buf;
-      for (int64_t blk = c0; blk < c1; ++blk) {
-        const int64_t begin = blk * bs;
-        const int64_t end = std::min(n, begin + bs);
-        ForwardBlock(indices, begin, end, out + begin * N, buf,
-                     /*stash=*/nullptr);
-      }
+    Workspace& ws = ThreadWorkspace();
+    for (int64_t blk = c0; blk < c1; ++blk) {
+      const int64_t begin = blk * bs;
+      const int64_t end = std::min(n, begin + bs);
+      ForwardBlock(indices, begin, end, out + begin * N, ws);
     }
   });
   stats_.lookups += n;
@@ -777,7 +538,7 @@ void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices, float* out) {
 }
 
 void TtEmbeddingBag::SortUnitsByDigit(int c, int64_t units,
-                                      BackwardWorkspace& ws) const {
+                                      Workspace& ws) const {
   const int d = cores_.num_cores();
   const int64_t m = cores_.shape().row_factors[static_cast<size_t>(c)];
   const int64_t* digits = ws.digits.data();
@@ -805,8 +566,7 @@ void TtEmbeddingBag::SortUnitsByDigit(int c, int64_t units,
 
 void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
                                    const float* grad_output, int64_t begin,
-                                   int64_t end, bool use_stash,
-                                   BackwardWorkspace& ws) {
+                                   int64_t end, Workspace& ws) {
   const TtShape& s = cores_.shape();
   const int d = s.num_cores();
   const int64_t N = emb_dim();
@@ -847,16 +607,12 @@ void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
           }
         });
   };
-  // P_c of unit u, c in [0, d-2]: its core-0 slice, or its stashed or
-  // recomputed intermediate.
+  // P_c of unit u, c in [0, d-2]: its core-0 slice, or its recomputed
+  // intermediate.
   auto p_row = [&](int c, int64_t u) -> const float* {
     if (c == 0) return cores_.Slice(0, ws.digits[static_cast<size_t>(u * d)]);
     const int64_t stride =
         prodn_[static_cast<size_t>(c)] * s.ranks[static_cast<size_t>(c) + 1];
-    if (use_stash) {
-      return stash_.stage[static_cast<size_t>(c)].data() +
-             (begin + u) * stride;
-    }
     return ws.inter[static_cast<size_t>(c)].data() +
            ws.inter_pos[static_cast<size_t>(c * units + u)] * stride;
   };
@@ -864,8 +620,8 @@ void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
   // Recompute P_1..P_{d-2} (Algorithm 2 line 3) through the same buckets:
   // stage c stacks P_{c-1} by digit c and multiplies each bucket by its
   // slice at once. Every output row is the forward's per-lookup product of
-  // the same operands, so it matches the stash bitwise.
-  if (!use_stash) {
+  // the same operands, so it matches the forward's intermediate bitwise.
+  {
     TTREC_TRACE_SCOPE("tt.gemm_chain");
     if (ws.inter.size() < static_cast<size_t>(d)) {
       ws.inter.resize(static_cast<size_t>(d));
@@ -947,7 +703,8 @@ void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
            grad.data() + ik * slice_size, cols_c);
       // Eq. 5: D_{c-1} = D_c G_c[i]^T, against the slice transposed once so
       // the product runs on the NN kernel.
-      float* slice_t = TransposedSliceScratch(slice_size);
+      // The executing thread's own buffer (see Workspace).
+      float* slice_t = Grow(ThreadWorkspace().slice_t, slice_size);
       const float* slice = cores_.Slice(c, ik);
       for (int64_t r = 0; r < rank_c; ++r) {
         for (int64_t j = 0; j < cols_c; ++j) {
@@ -988,26 +745,14 @@ void TtEmbeddingBag::Backward(const CsrBatch& batch,
   EnsureGrads();
   const int64_t n_lookups = batch.num_lookups();
 
-  // The stash is trusted only when it provably came from a Forward over
-  // THIS batch: same lookup count, same indices fingerprint, and written by
-  // the most recent Forward call. A matching count alone is not evidence —
-  // Forward(A); Backward(B) with |A| == |B| would silently replay A's
-  // intermediates and corrupt every gradient. On mismatch we fall back to
-  // recompute, which yields bitwise identical gradients (the stash holds
-  // memcpys of exactly the values recompute would produce).
-  const bool use_stash = config_.stash_intermediates && stash_.valid &&
-                         stash_.num_lookups == n_lookups &&
-                         stash_.forward_serial == forward_serial_ &&
-                         stash_.fingerprint == HashIndices(batch.indices);
-
   // Blocks accumulate into grads_ one after another, in block order; the
   // parallelism is inside a block, across touched slices.
-  thread_local BackwardWorkspace ws;
+  Workspace& ws = ThreadWorkspace();
   const int64_t bs = config_.block_size;
   for (int64_t begin = 0; begin < n_lookups; begin += bs) {
     TTREC_TRACE_SCOPE("tt.backward.block");
     BackwardBlock(batch, grad_output, begin, std::min(n_lookups, begin + bs),
-                  use_stash, ws);
+                  ws);
   }
 
   ++stats_.backward_calls;
@@ -1046,7 +791,6 @@ void TtEmbeddingBag::ApplySgd(float lr) {
         });
     touched.clear();
   }
-  stash_.valid = false;  // cores changed; stashed intermediates are stale
 }
 
 void TtEmbeddingBag::ApplyAdagrad(float lr, float eps) {
@@ -1088,7 +832,6 @@ void TtEmbeddingBag::ApplyAdagrad(float lr, float eps) {
         });
     touched.clear();
   }
-  stash_.valid = false;
 }
 
 }  // namespace ttrec

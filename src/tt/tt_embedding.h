@@ -1,22 +1,20 @@
 // TT-EmbeddingBag: the paper's core operator (§4.1, Algorithms 1 & 2).
 //
 // Forward: a batch of embedding lookups is processed in blocks of up to
-// `block_size` lookups. Blocks execute concurrently on the global ThreadPool
-// — each block task owns a private BlockBuffers, so no kernel state is
-// shared between workers. Within a block each TT stage runs as ONE batched
-// GEMM whose per-problem operands are pointers to core slices and
-// intermediate buffers — the CPU analogue of the cuBLAS GemmBatchedEx
-// launches in Algorithm 1 (nested BatchedGemm calls run inline on the block
-// task's thread). Reconstructed rows are then pooled into bags with optional
-// per-sample weights (Eq. 6/7); every bag is owned by exactly one pooling
-// task and accumulates its lookups in lookup order, so pooled outputs are
-// bitwise independent of the thread count.
+// `block_size` lookups. Blocks execute concurrently on the global ThreadPool.
+// Within a block each TT stage runs as ONE batched GEMM whose per-problem
+// operands are pointers to core slices and intermediate buffers — the CPU
+// analogue of the cuBLAS GemmBatchedEx launches in Algorithm 1 (nested
+// BatchedGemm calls run inline on the block task's thread). Reconstructed
+// rows are then pooled into bags with optional per-sample weights (Eq. 6/7);
+// every bag is owned by exactly one pooling task and accumulates its lookups
+// in lookup order, so pooled outputs are bitwise independent of the thread
+// count.
 //
-// Backward (Algorithm 2, Eq. 4/5) is a per-core gather-reduce: intermediates
-// are either recomputed (default; lowest memory, the paper's choice) or
-// replayed from the stash written by the previous Forward (faster, more
-// memory — the trade-off §4.2 discusses). Blocks run one after another. In
-// each block, for core c from d-1 down, the block's units (lookups, or
+// Backward (Algorithm 2, Eq. 4/5) is a per-core gather-reduce that
+// recomputes the intermediates (the paper's default; §4.2's stash trades
+// memory for speed, but measured slower here). Blocks run one after another.
+// In each block, for core c from d-1 down, the block's units (lookups, or
 // distinct rows under dedup) are counting-sorted by digit c; every touched
 // slice then takes ONE GEMM over its stacked bucket, sum_l P_l^T D_l =
 // [P]^T [D], accumulated straight into the dense per-core gradient, and
@@ -24,8 +22,11 @@
 // are independent tasks with one writer each, bucket order depends only on
 // the batch and `block_size`, and blocks accumulate in block order, so the
 // result is bitwise identical for any thread count, and duplicate indices
-// within a batch stay well-defined. The scratch lives in a per-thread
-// workspace reused across calls and tables.
+// within a batch stay well-defined.
+//
+// Forward and backward scratch lives in one per-thread workspace reused
+// across calls and tables, so a steady-state call does not re-allocate (and
+// re-fault) its block buffers.
 //
 // ApplySgd folds the accumulated gradients into the cores (plain SGD, the
 // optimizer MLPerf-DLRM uses) and clears them.
@@ -55,25 +56,11 @@ struct TtEmbeddingConfig {
   /// count — which is what makes dedup grouping and the backward's bucket
   /// and accumulation order reproducible.
   int64_t block_size = 1024;
-  /// Keep forward intermediates for the next Backward call instead of
-  /// recomputing them (paper §4.2: "can be eliminated by storing tensors
-  /// from the forward pass ... slightly increased memory footprint").
-  bool stash_intermediates = false;
   /// Deduplicate repeated row indices within each block: the TT chain runs
   /// once per distinct row, lookups copy/aggregate. Wins when pooling
   /// factors are large (the embedding-dominated DLRMs of paper §6.6) or
-  /// traffic is Zipf-hot. Mutually exclusive with stash_intermediates
-  /// (the stash layout is per-lookup).
+  /// traffic is Zipf-hot.
   bool deduplicate = false;
-  /// Fuse decode→GEMM-chain→pool per lookup: each row's stage
-  /// intermediates stay in a thread-private L1-sized ping-pong buffer and
-  /// pooling accumulates the row immediately, instead of staging every
-  /// reconstructed row through the shared round buffer. Bitwise identical
-  /// to the staged path within a SIMD dispatch tier (same Gemm/Axpy kernel
-  /// sequence per row, same per-bag accumulation order). Applies to the
-  /// plain forward path only — stashing and dedup always use the staged
-  /// kernels, whose layouts are inherently block-wide.
-  bool fuse_lookup = true;
 };
 
 /// Counters for the memory/compute accounting of Figures 8 and 11.
@@ -108,10 +95,10 @@ class TtEmbeddingBag {
   void Forward(const CsrBatch& batch, float* output);
 
   /// Read-only forward for serving: identical arithmetic to Forward (minus
-  /// stashing and dedup, so per-lookup results are independent of how
-  /// requests are batched), but const and thread-safe for concurrent
-  /// callers — no gradient buffers, no stash, and no stats counters are
-  /// touched. Serving telemetry lives in serve/ServeMetrics instead.
+  /// dedup, so per-lookup results are independent of how requests are
+  /// batched), but const and thread-safe for concurrent callers — no
+  /// gradient buffers and no stats counters are touched. Serving telemetry
+  /// lives in serve/ServeMetrics instead.
   void ForwardInference(const CsrBatch& batch, float* output) const;
 
   /// Pools pre-decoded rows (one emb_dim row per lookup of `batch`, lookup
@@ -128,16 +115,12 @@ class TtEmbeddingBag {
   void LookupRows(std::span<const int64_t> indices, float* out);
 
   /// Accumulates core gradients for `batch` given `grad_output`
-  /// (num_bags x emb_dim). The stash written by the previous Forward is
-  /// consumed only when it provably came from this exact batch (lookup
-  /// count, forward serial, and an indices fingerprint all match);
-  /// otherwise intermediates are recomputed, which yields bitwise the same
-  /// gradients.
+  /// (num_bags x emb_dim), recomputing the forward intermediates.
   void Backward(const CsrBatch& batch, const float* grad_output);
 
-  /// cores -= lr * grads; gradients are cleared. Stashed intermediates are
-  /// invalidated (the cores changed). Touched slices update in parallel
-  /// (each slice is owned by one task — deterministic for any chunking).
+  /// cores -= lr * grads; gradients are cleared. Touched slices update in
+  /// parallel (each slice is owned by one task — deterministic for any
+  /// chunking).
   void ApplySgd(float lr);
 
   /// Elementwise Adagrad on the TT cores: state += g^2,
@@ -167,69 +150,45 @@ class TtEmbeddingBag {
 
   /// Parameter memory (cores only).
   int64_t MemoryBytes() const { return cores_.MemoryBytes(); }
-  /// Peak scratch memory of Forward and Backward: the forward's per-block-
-  /// task buffers (stage intermediates, GEMM pointer arrays, dedup scratch)
-  /// times the number of concurrent block tasks, plus the shared per-round
-  /// row buffer the pooling phase reads, plus the backward workspace the
-  /// calling thread keeps (one block's intermediates, D buffers, bucket
-  /// stacks and counting-sort arrays) and one transposed slice per thread.
-  /// `num_threads` <= 0 means size for the current global ThreadPool.
+  /// Peak scratch memory of Forward and Backward: one per-thread workspace
+  /// per pool thread, each holding one block's digits, stage intermediates
+  /// and dedup grouping (shared by forward and backward), the forward's
+  /// GEMM pointer arrays and distinct rows, and the backward's D buffers,
+  /// bucket stacks, counting-sort arrays and transposed slice; plus the
+  /// round of reconstructed rows the calling thread's workspace holds for
+  /// the pooling phase. `num_threads` <= 0 means size for the current
+  /// global ThreadPool.
   int64_t WorkspaceBytes(int num_threads = 0) const;
 
  private:
-  struct BlockBuffers;
-  struct BackwardWorkspace;
-  struct Stash;
+  struct Workspace;
+
+  /// The calling thread's workspace (see Workspace in the .cc).
+  static Workspace& ThreadWorkspace();
 
   /// Computes reconstructed rows for lookups [begin, end) of `indices` into
-  /// `rows_out` (contiguous, emb_dim stride). If `stash` is non-null, stage
-  /// intermediates for these lookups are copied into it (disjoint per-block
-  /// ranges, so concurrent block tasks never overlap). Const — all mutable
-  /// state is passed in, which is what makes the inference path shareable
-  /// across threads.
+  /// `rows_out` (contiguous, emb_dim stride), with `ws` as block scratch.
+  /// Const — all mutable state is passed in, which is what makes the
+  /// inference path shareable across threads.
   void ForwardBlock(std::span<const int64_t> indices, int64_t begin,
-                    int64_t end, float* rows_out, BlockBuffers& buf,
-                    Stash* stash) const;
+                    int64_t end, float* rows_out, Workspace& ws) const;
 
   /// Shared engine of Forward / ForwardInference: reconstructs rows block-
   /// parallel, then pools them into `output` with per-bag ownership. Rounds
   /// of blocks bound the row buffer; round boundaries never change results.
-  /// Routes to FusedPooledForward when config_.fuse_lookup applies (no
-  /// stash, no dedup).
   void PooledForward(const CsrBatch& batch, std::span<const int64_t> bags,
-                     std::span<const float> w, float* output, Stash* stash,
+                     std::span<const float> w, float* output,
                      bool dedup) const;
-
-  /// Fused per-row forward: decode, GEMM chain, and pooling of one lookup
-  /// complete before the next lookup starts, with software prefetch of the
-  /// next lookup's core slices. Bags interior to a block accumulate
-  /// directly (each such bag is owned by exactly one block task); bags
-  /// spanning a block boundary stage their rows per block and are merged
-  /// sequentially in block order after each round — per-bag accumulation
-  /// order is lookup order either way, exactly like the staged path.
-  void FusedPooledForward(const CsrBatch& batch, std::span<const int64_t> bags,
-                          std::span<const float> w, float* output) const;
-
-  /// Runs one lookup's TT GEMM chain: digits `dg` select the core slices,
-  /// the final stage writes the emb_dim row to `row_out`, earlier stages
-  /// ping-pong between `ping`/`pong` (each max_stage_floats_ floats). When
-  /// `prefetch_dg` is non-null, the next lookup's core slices are
-  /// prefetched before the chain runs. Per-stage Gemm calls are identical
-  /// to the BatchedGemm problems of the staged path, so rows are bitwise
-  /// equal within a SIMD tier.
-  void ReconstructRow(const int64_t* dg, const int64_t* prefetch_dg,
-                      float* row_out, float* ping, float* pong) const;
 
   /// Backward for lookups [begin, end): the per-core gather-reduce of
   /// Algorithm 2, accumulating every touched slice's gradient into grads_.
   void BackwardBlock(const CsrBatch& batch, const float* grad_output,
-                     int64_t begin, int64_t end, bool use_stash,
-                     BackwardWorkspace& ws);
+                     int64_t begin, int64_t end, Workspace& ws);
 
   /// Stable counting sort of the block's first `units` units by digit `c`
   /// (read from ws.digits) into ws.order / ws.bucket_start, listing the
   /// nonempty buckets in ws.touched.
-  void SortUnitsByDigit(int c, int64_t units, BackwardWorkspace& ws) const;
+  void SortUnitsByDigit(int c, int64_t units, Workspace& ws) const;
 
   void EnsureGrads();
 
@@ -249,28 +208,8 @@ class TtEmbeddingBag {
   // prodn_[k] = n_0 * ... * n_k (column-factor prefix products).
   std::vector<int64_t> prodn_;
 
-  // Stash: per-lookup intermediates of stages 0..d-2 for the whole last
-  // forward batch (stage 0 entries are slice copies only implicitly — the
-  // slices themselves serve; we stash stages 1..d-2). The fingerprint and
-  // forward serial stamp WHICH batch the stash came from: Backward must not
-  // trust a stash merely because the lookup count matches (a Forward on
-  // batch A followed by Backward on batch B of equal size would otherwise
-  // silently reuse A's intermediates and corrupt gradients).
-  struct Stash {
-    bool valid = false;
-    int64_t num_lookups = 0;
-    uint64_t fingerprint = 0;     // hash of the forward batch's indices
-    int64_t forward_serial = -1;  // which Forward call wrote this stash
-    std::vector<AlignedVec<float>> stage;  // stage[c]: intermediates c=1..d-2
-  };
-  Stash stash_;
-  int64_t forward_serial_ = 0;  // incremented by every Forward
-
   int64_t fwd_flops_per_lookup_ = 0;
   int64_t bwd_flops_per_lookup_ = 0;
-  // Largest per-lookup stage output (>= emb_dim); sizes the fused path's
-  // ping-pong buffers.
-  int64_t max_stage_floats_ = 0;
   // Largest per-unit propagated gradient D_c = prodn_[c] * R_{c+1} over
   // c in [0, d-1] (also bounds every intermediate P_c); sizes the backward
   // D buffers and bucket stacks.

@@ -300,9 +300,8 @@ TEST(GemmTierConformance, AlignmentInvariantBitwise) {
   }
 }
 
-// Axpy is the shared pooling kernel (both the fused and staged TT forward
-// accumulate through it), so each tier's version is checked against the
-// plain loop. Vector tiers use FMA, which rounds differently from
+// Axpy is the TT forward's pooling kernel, so each tier's version is
+// checked against the plain loop. Vector tiers use FMA, which rounds differently from
 // mul-then-add — tolerance, not bitwise.
 TEST(GemmTierConformance, AxpyMatchesScalarLoop) {
   Rng rng(55);

@@ -2,15 +2,17 @@
 //
 // Contract under test (DESIGN.md "Kernel parallelism"): forward, backward,
 // and optimizer application of TtEmbeddingBag are bitwise identical for any
-// global ThreadPool size, with and without dedup and stash. Plus regression
-// tests for the stale-stash gradient corruption, the workspace accounting,
-// and the backward's steady-state page faults.
+// global ThreadPool size, with and without dedup, in every SIMD tier. Plus
+// regression tests for the workspace accounting and for the steady-state
+// page faults of the forward and the backward.
 #include <gtest/gtest.h>
 #include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,26 @@ class PoolGuard {
  private:
   int saved_;
 };
+
+/// Restores the forced SIMD dispatch tier on scope exit.
+class TierGuard {
+ public:
+  TierGuard() : saved_(ActiveSimdTier()) {}
+  ~TierGuard() { SetSimdTier(saved_); }
+  TierGuard(const TierGuard&) = delete;
+  TierGuard& operator=(const TierGuard&) = delete;
+
+ private:
+  SimdTier saved_;
+};
+
+std::vector<SimdTier> TestableTiers() {
+  std::vector<SimdTier> tiers;
+  for (int t = 0; t <= static_cast<int>(DetectedSimdTier()); ++t) {
+    tiers.push_back(static_cast<SimdTier>(t));
+  }
+  return tiers;
+}
 
 TtEmbeddingConfig BaseConfig() {
   TtEmbeddingConfig cfg;
@@ -150,11 +172,14 @@ void ExpectSamePipeline(const PipelineResult& ref, const PipelineResult& got,
 struct ParallelCase {
   const char* name;
   bool dedup;
-  bool stash;
   bool adagrad;
   bool weights;
   PoolingMode pooling;
 };
+
+// gtest folds the printed parameter into each CTest name; without this it
+// prints the struct's raw bytes, a pointer included.
+void PrintTo(const ParallelCase& pc, std::ostream* os) { *os << pc.name; }
 
 class TtEmbeddingParallel : public ::testing::TestWithParam<ParallelCase> {};
 
@@ -162,7 +187,6 @@ TEST_P(TtEmbeddingParallel, BitwiseIdenticalAcrossThreadCounts) {
   const ParallelCase& pc = GetParam();
   TtEmbeddingConfig cfg = BaseConfig();
   cfg.deduplicate = pc.dedup;
-  cfg.stash_intermediates = pc.stash;
   cfg.pooling = pc.pooling;
 
   PoolGuard guard;
@@ -178,24 +202,20 @@ TEST_P(TtEmbeddingParallel, BitwiseIdenticalAcrossThreadCounts) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, TtEmbeddingParallel,
     ::testing::Values(
-        ParallelCase{"plain_sgd", false, false, false, false,
-                     PoolingMode::kSum},
-        ParallelCase{"dedup_sgd", true, false, false, false,
-                     PoolingMode::kSum},
-        ParallelCase{"stash_sgd", false, true, false, false,
-                     PoolingMode::kSum},
-        ParallelCase{"plain_adagrad_weighted_mean", false, false, true, true,
+        ParallelCase{"plain_sgd", false, false, false, PoolingMode::kSum},
+        ParallelCase{"dedup_sgd", true, false, false, PoolingMode::kSum},
+        ParallelCase{"plain_adagrad_weighted_mean", false, true, true,
                      PoolingMode::kMean},
-        ParallelCase{"dedup_adagrad", true, false, true, false,
-                     PoolingMode::kSum},
-        ParallelCase{"stash_adagrad_weighted", false, true, true, true,
+        ParallelCase{"dedup_adagrad", true, true, false, PoolingMode::kSum},
+        ParallelCase{"plain_adagrad_weighted", false, true, true,
                      PoolingMode::kSum}),
     [](const ::testing::TestParamInfo<ParallelCase>& info) {
       return std::string(info.param.name);
     });
 
 TEST(TtEmbeddingParallelOps, LookupRowsBitwiseIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
+  PoolGuard pool_guard;
+  TierGuard tier_guard;
   std::vector<int64_t> idx;
   Rng rng(7);
   for (int i = 0; i < 150; ++i) {
@@ -211,15 +231,19 @@ TEST(TtEmbeddingParallelOps, LookupRowsBitwiseIdenticalAcrossThreadCounts) {
     return out;
   };
 
-  const std::vector<float> ref = run(1);
-  for (int threads : {2, 8}) {
-    ExpectBitwiseEqual(ref, run(threads), "LookupRows", threads);
+  for (SimdTier tier : TestableTiers()) {
+    SetSimdTier(tier);
+    SCOPED_TRACE(std::string("tier=") + SimdTierName(tier));
+    const std::vector<float> ref = run(1);
+    for (int threads : {2, 8}) {
+      ExpectBitwiseEqual(ref, run(threads), "LookupRows", threads);
+    }
   }
 }
 
 TEST(TtEmbeddingParallelOps, ForwardInferenceMatchesForwardBitwise) {
   // ForwardInference shares the block-parallel engine with Forward (minus
-  // stash/dedup); on a plain config the two must agree bitwise at any
+  // dedup); on a plain config the two must agree bitwise at any
   // thread count.
   PoolGuard guard;
   for (int threads : {1, 2, 8}) {
@@ -236,122 +260,22 @@ TEST(TtEmbeddingParallelOps, ForwardInferenceMatchesForwardBitwise) {
   }
 }
 
-TEST(TtEmbeddingStashRegression, BackwardOnDifferentBatchRecomputes) {
-  // Regression: Backward used to trust the stash whenever the lookup COUNT
-  // matched. Forward(A); Backward(B) with |A| == |B| replayed A's
-  // intermediates and silently corrupted every gradient. With the batch
-  // fingerprint the stash is rejected and intermediates are recomputed —
-  // bitwise the gradients a Forward(B); Backward(B) pairing produces.
-  TtEmbeddingConfig cfg = BaseConfig();
-  cfg.stash_intermediates = true;
-
-  CsrBatch a = BigBatch(/*with_weights=*/false);
-  CsrBatch b = a;
-  std::reverse(b.indices.begin(), b.indices.end());
-  ASSERT_EQ(a.num_lookups(), b.num_lookups());
-  ASSERT_NE(a.indices, b.indices);
-
-  Rng rng1(321), rng2(321);
-  TtEmbeddingBag mismatched(cfg, TtInit::kGaussian, rng1);
-  TtEmbeddingBag reference(cfg, TtInit::kGaussian, rng2);
-
-  const int64_t N = mismatched.emb_dim();
-  std::vector<float> out(static_cast<size_t>(a.num_bags() * N));
-  const std::vector<float> g = FixedGrad(a.num_bags() * N);
-
-  mismatched.Forward(a, out.data());  // stashes A's intermediates
-  mismatched.Backward(b, g.data());   // must NOT replay them for B
-
-  reference.Forward(b, out.data());
-  reference.Backward(b, g.data());
-
-  for (int k = 0; k < mismatched.cores().num_cores(); ++k) {
-    const Tensor& gm = mismatched.core_grad(k);
-    const Tensor& gr = reference.core_grad(k);
-    ASSERT_EQ(gm.numel(), gr.numel());
-    EXPECT_EQ(std::memcmp(gm.data(), gr.data(),
-                          static_cast<size_t>(gm.numel()) * sizeof(float)),
-              0)
-        << "core " << k
-        << ": stale stash leaked into gradients of a different batch";
-  }
-}
-
-TEST(TtEmbeddingStashRegression, MatchingBatchStillUsesStashCorrectly) {
-  // The fingerprint must not break the legitimate stash path: Forward(A);
-  // Backward(A) equals the recompute configuration bitwise.
-  TtEmbeddingConfig stash_cfg = BaseConfig();
-  stash_cfg.stash_intermediates = true;
-  TtEmbeddingConfig recompute_cfg = BaseConfig();
-
-  CsrBatch a = BigBatch(/*with_weights=*/false);
-  Rng rng1(77), rng2(77);
-  TtEmbeddingBag stashed(stash_cfg, TtInit::kGaussian, rng1);
-  TtEmbeddingBag recomputed(recompute_cfg, TtInit::kGaussian, rng2);
-
-  const int64_t N = stashed.emb_dim();
-  std::vector<float> out(static_cast<size_t>(a.num_bags() * N));
-  const std::vector<float> g = FixedGrad(a.num_bags() * N);
-
-  stashed.Forward(a, out.data());
-  stashed.Backward(a, g.data());
-  recomputed.Forward(a, out.data());
-  recomputed.Backward(a, g.data());
-
-  for (int k = 0; k < stashed.cores().num_cores(); ++k) {
-    const Tensor& gs = stashed.core_grad(k);
-    const Tensor& gr = recomputed.core_grad(k);
-    EXPECT_EQ(std::memcmp(gs.data(), gr.data(),
-                          static_cast<size_t>(gs.numel()) * sizeof(float)),
-              0)
-        << "core " << k << ": stash and recompute paths diverged";
-  }
-}
-
-/// Restores the forced SIMD dispatch tier on scope exit.
-class TierGuard {
- public:
-  TierGuard() : saved_(ActiveSimdTier()) {}
-  ~TierGuard() { SetSimdTier(saved_); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-
- private:
-  SimdTier saved_;
-};
-
-std::vector<SimdTier> TestableTiers() {
-  std::vector<SimdTier> tiers;
-  for (int t = 0; t <= static_cast<int>(DetectedSimdTier()); ++t) {
-    tiers.push_back(static_cast<SimdTier>(t));
-  }
-  return tiers;
-}
-
 TEST(TtEmbeddingParallelTiers, PipelineBitwiseIdenticalAcrossThreadsInEveryTier) {
   // The thread-count determinism contract holds PER dispatch tier: force
   // each tier this machine supports and re-run the full pipeline sweep for
-  // the plain, dedup and stash configs under SGD and Adagrad.
+  // the plain and dedup configs under SGD and Adagrad.
   // (Different tiers legitimately differ bitwise from each other — that
   // cross-tier gap is gated against GemmRef in test_gemm, not here.)
   PoolGuard pool_guard;
   TierGuard tier_guard;
-  struct TierCase {
-    const char* name;
-    bool dedup;
-    bool stash;
-  };
   for (SimdTier tier : TestableTiers()) {
     SetSimdTier(tier);
-    for (const TierCase& tc : {TierCase{"plain", false, false},
-                               TierCase{"dedup", true, false},
-                               TierCase{"stash", false, true}}) {
+    for (bool dedup : {false, true}) {
       TtEmbeddingConfig cfg = BaseConfig();
-      cfg.deduplicate = tc.dedup;
-      cfg.stash_intermediates = tc.stash;
+      cfg.deduplicate = dedup;
       for (bool adagrad : {false, true}) {
         SCOPED_TRACE(std::string("tier=") + SimdTierName(tier) +
-                     " config=" + tc.name +
+                     (dedup ? " config=dedup" : " config=plain") +
                      (adagrad ? " adagrad" : " sgd"));
         const PipelineResult ref = RunPipeline(cfg, /*threads=*/1, adagrad,
                                                /*with_weights=*/true);
@@ -361,49 +285,6 @@ TEST(TtEmbeddingParallelTiers, PipelineBitwiseIdenticalAcrossThreadsInEveryTier)
           ExpectSamePipeline(ref, got, threads);
         }
       }
-    }
-  }
-}
-
-TEST(TtEmbeddingParallelTiers, FusedMatchesStagedBitwiseInEveryTier) {
-  // Within a tier the fused decode→GEMM-chain→pool pipeline must be
-  // bitwise interchangeable with the staged round-buffer path: identical
-  // per-row Gemm sequence, identical per-bag Axpy accumulation order.
-  PoolGuard pool_guard;
-  TierGuard tier_guard;
-  CsrBatch batch = BigBatch(/*with_weights=*/true);
-  std::vector<int64_t> idx;
-  Rng idx_rng(13);
-  for (int i = 0; i < 150; ++i) {
-    idx.push_back(static_cast<int64_t>(idx_rng.Uniform(0.0, 59.99)));
-  }
-  for (SimdTier tier : TestableTiers()) {
-    SetSimdTier(tier);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool::SetGlobalThreads(threads);
-      TtEmbeddingConfig fused_cfg = BaseConfig();
-      fused_cfg.fuse_lookup = true;
-      TtEmbeddingConfig staged_cfg = BaseConfig();
-      staged_cfg.fuse_lookup = false;
-      Rng rng1(314), rng2(314);
-      TtEmbeddingBag fused(fused_cfg, TtInit::kGaussian, rng1);
-      TtEmbeddingBag staged(staged_cfg, TtInit::kGaussian, rng2);
-
-      const int64_t N = fused.emb_dim();
-      std::vector<float> out_f(static_cast<size_t>(batch.num_bags() * N));
-      std::vector<float> out_s(out_f.size());
-      fused.Forward(batch, out_f.data());
-      staged.Forward(batch, out_s.data());
-      SCOPED_TRACE(std::string("tier=") + SimdTierName(tier) +
-                   " threads=" + std::to_string(threads));
-      ExpectBitwiseEqual(out_f, out_s, "fused vs staged Forward", threads);
-
-      std::vector<float> rows_f(idx.size() * static_cast<size_t>(N));
-      std::vector<float> rows_s(rows_f.size());
-      fused.LookupRows(idx, rows_f.data());
-      staged.LookupRows(idx, rows_s.data());
-      ExpectBitwiseEqual(rows_f, rows_s, "fused vs staged LookupRows",
-                         threads);
     }
   }
 }
@@ -426,10 +307,8 @@ TEST(TtWorkspaceRegression, AccountsForBackwardAndDedupAndThreads) {
       static_cast<int64_t>(sizeof(float));
   EXPECT_GE(ws1, backward_buffers);
 
-  // More threads -> more concurrent forward block tasks and a wider round
-  // buffer: every extra thread adds at least its four blocks of
-  // reconstructed rows. (The backward workspace belongs to the calling
-  // thread, so it does not grow with the pool.)
+  // More threads -> more per-thread workspaces and a wider round buffer:
+  // every extra thread adds at least its four blocks of reconstructed rows.
   const int64_t ws8 = emb.WorkspaceBytes(/*num_threads=*/8);
   EXPECT_GE(ws8 - ws1, 7 * 4 * cfg.block_size * emb.emb_dim() *
                            static_cast<int64_t>(sizeof(float)));
@@ -450,49 +329,102 @@ TEST(TtWorkspaceRegression, AccountsForBackwardAndDedupAndThreads) {
   EXPECT_LT(ws1, big_emb.WorkspaceBytes(1));
 }
 
-TEST(TtBackwardSteadyState, TakesNoPageFaults) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "sanitizer allocators quarantine freed memory";
-#else
-  // With a fixed 256 KiB mmap threshold, every large buffer comes from mmap
-  // and goes back to the kernel when freed, so a Backward that re-allocates
-  // its scratch pays one minor fault per page it touches. A Backward that
-  // reuses its workspace pays none once warm.
-  PoolGuard guard;
-  ThreadPool::SetGlobalThreads(1);
-  mallopt(M_MMAP_THRESHOLD, 256 * 1024);
-
+/// `lookups` bags of one lookup each over 100k rows.
+CsrBatch SingleLookupBags(int lookups) {
   CsrBatch batch;
   Rng idx_rng(8);
   batch.offsets.push_back(0);
-  for (int l = 0; l < 4096; ++l) {
+  for (int l = 0; l < lookups; ++l) {
     batch.indices.push_back(
         static_cast<int64_t>(idx_rng.Uniform(0.0, 99999.0)));
     batch.offsets.push_back(l + 1);
   }
-  for (const char* mode : {"plain", "dedup", "stash"}) {
-    SCOPED_TRACE(mode);
-    TtEmbeddingConfig cfg;
-    cfg.shape = MakeTtShape(/*num_rows=*/100000, /*emb_dim=*/16,
-                            /*num_cores=*/3, /*rank=*/32);
-    cfg.deduplicate = std::string(mode) == "dedup";
-    cfg.stash_intermediates = std::string(mode) == "stash";
-    Rng rng(3);
-    TtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
-    const std::vector<float> g = FixedGrad(batch.num_bags() * emb.emb_dim());
-    std::vector<float> out(g.size());
-    emb.Forward(batch, out.data());  // writes the stash the stash mode uses
-    emb.Backward(batch, g.data());   // warm-up: workspace and gradients grow
+  return batch;
+}
 
-    constexpr int kCalls = 20;
-    rusage before{};
-    rusage after{};
-    ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
-    for (int i = 0; i < kCalls; ++i) emb.Backward(batch, g.data());
-    ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
-    const long faults = after.ru_minflt - before.ru_minflt;
-    EXPECT_LT(faults, kCalls) << faults << " minor faults over " << kCalls
-                              << " steady-state Backward calls";
+/// A rank-32 table whose 16 columns factor as (2, 2, 4).
+TtEmbeddingConfig SteadyStateConfig(bool dedup) {
+  TtEmbeddingConfig cfg;
+  cfg.shape = MakeTtShape(/*num_rows=*/100000, /*emb_dim=*/16,
+                          /*num_cores=*/3, /*rank=*/32);
+  cfg.deduplicate = dedup;
+  return cfg;
+}
+
+/// Minor page faults the calling thread takes over `calls` calls of `fn`.
+long MinorFaults(int calls, const std::function<void()>& fn) {
+  rusage before{};
+  rusage after{};
+  EXPECT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+  for (int i = 0; i < calls; ++i) fn();
+  EXPECT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+  return after.ru_minflt - before.ru_minflt;
+}
+
+// With a fixed 256 KiB mmap threshold (perfbench's setting), every large
+// buffer comes from mmap and goes back to the kernel when freed, so a call
+// that re-allocates its scratch pays one minor fault per page it touches.
+// A call that reuses the thread's workspace pays none once warm. One pool
+// thread keeps all the work on the measured thread.
+constexpr int kSteadyCalls = 20;
+
+TEST(TtBackwardSteadyState, TakesNoPageFaults) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators quarantine freed memory";
+#else
+  PoolGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  mallopt(M_MMAP_THRESHOLD, 256 * 1024);
+
+  const CsrBatch batch = SingleLookupBags(4096);
+  for (bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "dedup" : "plain");
+    Rng rng(3);
+    TtEmbeddingBag emb(SteadyStateConfig(dedup), TtInit::kGaussian, rng);
+    const std::vector<float> g = FixedGrad(batch.num_bags() * emb.emb_dim());
+    emb.Backward(batch, g.data());  // warm-up: workspace and gradients grow
+
+    const long faults =
+        MinorFaults(kSteadyCalls, [&] { emb.Backward(batch, g.data()); });
+    EXPECT_LT(faults, kSteadyCalls)
+        << faults << " minor faults over " << kSteadyCalls
+        << " steady-state Backward calls";
+  }
+#endif
+}
+
+TEST(TtForwardSteadyState, TakesNoPageFaults) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer allocators quarantine freed memory";
+#else
+  PoolGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  mallopt(M_MMAP_THRESHOLD, 256 * 1024);
+
+  for (int lookups : {512, 4096}) {
+    const CsrBatch batch = SingleLookupBags(lookups);
+    for (bool dedup : {false, true}) {
+      SCOPED_TRACE(std::to_string(lookups) + " lookups, " +
+                   (dedup ? "dedup" : "plain"));
+      Rng rng(3);
+      TtEmbeddingBag emb(SteadyStateConfig(dedup), TtInit::kGaussian, rng);
+      std::vector<float> out(
+          static_cast<size_t>(batch.num_bags() * emb.emb_dim()));
+      // Warm-up: the workspace grows to both paths' blocks.
+      emb.Forward(batch, out.data());
+      emb.ForwardInference(batch, out.data());
+
+      const long forward =
+          MinorFaults(kSteadyCalls, [&] { emb.Forward(batch, out.data()); });
+      EXPECT_LT(forward, kSteadyCalls)
+          << forward << " minor faults over " << kSteadyCalls
+          << " steady-state Forward calls";
+      const long inference = MinorFaults(
+          kSteadyCalls, [&] { emb.ForwardInference(batch, out.data()); });
+      EXPECT_LT(inference, kSteadyCalls)
+          << inference << " minor faults over " << kSteadyCalls
+          << " steady-state ForwardInference calls";
+    }
   }
 #endif
 }

@@ -1,7 +1,6 @@
 // TtEmbeddingBag: the batched forward must equal scalar materialization;
-// the batched backward must equal finite differences; stash and recompute
-// paths must agree; pooling modes, per-sample weights, blocking, SGD, and
-// failure injection.
+// the batched backward must equal finite differences; pooling modes,
+// per-sample weights, blocking, SGD, and failure injection.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -172,36 +171,6 @@ TEST(TtEmbeddingBag, LookupRowsMatchesMaterialization) {
   }
 }
 
-TEST(TtEmbeddingBag, StashAndRecomputeBackwardAgree) {
-  CsrBatch batch = MixedBatch();
-  std::vector<float> g(static_cast<size_t>(batch.num_bags() * 8));
-  Rng grng(55);
-  for (float& x : g) x = static_cast<float>(grng.Uniform(-1.0, 1.0));
-
-  auto run = [&](bool stash) {
-    Rng rng(44);  // identical init
-    TtEmbeddingConfig cfg = SmallConfig(3, 4);
-    cfg.stash_intermediates = stash;
-    TtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
-    std::vector<float> out(static_cast<size_t>(batch.num_bags() * 8));
-    emb.Forward(batch, out.data());
-    emb.Backward(batch, g.data());
-    std::vector<Tensor> grads;
-    for (int k = 0; k < emb.cores().num_cores(); ++k) {
-      grads.push_back(emb.core_grad(k));
-    }
-    return grads;
-  };
-
-  const auto stash_grads = run(true);
-  const auto recompute_grads = run(false);
-  ASSERT_EQ(stash_grads.size(), recompute_grads.size());
-  for (size_t k = 0; k < stash_grads.size(); ++k) {
-    EXPECT_LT(MaxAbsDiff(stash_grads[k], recompute_grads[k]), 1e-5)
-        << "core " << k;
-  }
-}
-
 TEST(TtEmbeddingBag, DuplicateIndicesAccumulateGradients) {
   Rng rng(66);
   TtEmbeddingBag emb(SmallConfig(2, 2), TtInit::kGaussian, rng);
@@ -352,14 +321,6 @@ TEST(TtEmbeddingBag, DedupAllSameRow) {
     EXPECT_NEAR(out[static_cast<size_t>(j)],
                 20.0f * row[static_cast<size_t>(j)], 1e-4f);
   }
-}
-
-TEST(TtEmbeddingBag, DedupRejectsStashCombination) {
-  Rng rng(5);
-  TtEmbeddingConfig cfg = SmallConfig(3, 2);
-  cfg.deduplicate = true;
-  cfg.stash_intermediates = true;
-  EXPECT_THROW(TtEmbeddingBag(cfg, TtInit::kGaussian, rng), ConfigError);
 }
 
 TEST(TtEmbeddingBag, ValidatesBatch) {

@@ -205,29 +205,22 @@ TEST_P(TtOracleSweep, BackwardMatchesElementwiseGradient) {
 
   struct Case {
     const char* name;
-    bool stash;
     bool dedup;
     PoolingMode pooling;
     bool weighted;
   };
-  for (const Case& c : {Case{"plain_sum", false, false, PoolingMode::kSum,
-                             false},
-                        Case{"plain_weighted_mean", false, false,
-                             PoolingMode::kMean, true},
-                        Case{"stash_weighted", true, false, PoolingMode::kSum,
-                             true},
-                        Case{"stash_mean", true, false, PoolingMode::kMean,
-                             false},
-                        Case{"dedup_weighted", false, true, PoolingMode::kSum,
-                             true},
-                        Case{"dedup_weighted_mean", false, true,
-                             PoolingMode::kMean, true}}) {
+  for (const Case& c :
+       {Case{"plain_sum", false, PoolingMode::kSum, false},
+        Case{"plain_weighted_mean", false, PoolingMode::kMean, true},
+        Case{"plain_weighted", false, PoolingMode::kSum, true},
+        Case{"plain_mean", false, PoolingMode::kMean, false},
+        Case{"dedup_weighted", true, PoolingMode::kSum, true},
+        Case{"dedup_weighted_mean", true, PoolingMode::kMean, true}}) {
     SCOPED_TRACE(std::string(c.name) + " d=" + std::to_string(d) +
                  " rank=" + std::to_string(rank));
     TtEmbeddingConfig cfg;
     cfg.shape = MakeTtShape(48, N, d, rank);
     cfg.block_size = 3;
-    cfg.stash_intermediates = c.stash;
     cfg.deduplicate = c.dedup;
     cfg.pooling = c.pooling;
     Rng rng(static_cast<uint64_t>(d * 131 + rank));
@@ -235,7 +228,6 @@ TEST_P(TtOracleSweep, BackwardMatchesElementwiseGradient) {
     CsrBatch b = batch;
     if (c.weighted) b.weights = weights;
 
-    // The Forward writes the stash that the stash cases replay.
     std::vector<float> out(grad_out.size());
     emb.Forward(b, out.data());
     emb.Backward(b, grad_out.data());
