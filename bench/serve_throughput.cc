@@ -86,11 +86,6 @@ SweepPoint RunPoint(const DlrmModel& model,
                     int64_t max_batch, int producers) {
   serve::InferenceServerConfig cfg;
   cfg.max_batch_size = max_batch;
-  // Closed-loop clients can never have more than `producers` requests in
-  // flight, so holding an under-full batch open buys little: a short
-  // coalescing window lets concurrent submissions land, then the consumer
-  // greedily drains whatever queued while the previous batch was running.
-  cfg.max_wait = std::chrono::microseconds(max_batch == 1 ? 0 : 25);
   serve::InferenceServer server(model, cfg);
   ReplayClosedLoop(server, requests, producers);
 
@@ -127,7 +122,6 @@ ShardPoint RunShardPoint(const DlrmModel& model,
   {
     serve::InferenceServerConfig cfg;
     cfg.max_batch_size = 32;
-    cfg.max_wait = std::chrono::microseconds(25);
     cfg.num_shards = num_shards;
     cfg.partition = shard::PartitionStrategy::kTable;
     serve::InferenceServer server(model, cfg);
@@ -170,7 +164,6 @@ OverloadPoint RunOverloadPoint(
     std::chrono::microseconds deadline_budget) {
   serve::InferenceServerConfig cfg;
   cfg.max_batch_size = 32;
-  cfg.max_wait = std::chrono::microseconds(25);
   // Small queue + fail-fast admission: offered load beyond capacity turns
   // into typed ServerOverloaded rejections instead of unbounded queueing.
   cfg.queue_capacity = 128;
@@ -282,7 +275,6 @@ int main(int argc, char** argv) {
     }
     serve::InferenceServerConfig scfg;
     scfg.max_batch_size = 64;
-    scfg.max_wait = std::chrono::microseconds(500);
     serve::InferenceServer server(*model, scfg);
     std::vector<std::future<serve::InferenceResult>> futures;
     futures.reserve(requests.size());

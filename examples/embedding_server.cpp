@@ -3,11 +3,12 @@
 // stream through the micro-batching InferenceServer — the "small-memory
 // serving replica" story of the paper's introduction, end to end.
 //
-// Pipeline: concurrent clients Submit() single-sample requests; the bounded
-// RequestQueue coalesces them into micro-batches; a consumer thread runs the
-// read-only forward pass (TT lookup through the warm cache, pooling,
-// interaction, MLPs) sharded across the thread pool; ServeMetrics reports
-// QPS, latency percentiles, batch sizes, and cache hit rate.
+// Pipeline: concurrent clients Submit() single-sample requests into the
+// bounded RequestQueue; a consumer thread takes whatever is queued as one
+// micro-batch and runs the read-only forward pass (TT lookup through the
+// warm cache, pooling, interaction, MLPs) sharded across the thread pool;
+// ServeMetrics reports QPS, latency percentiles, batch sizes, and cache hit
+// rate.
 //
 //   $ ./embedding_server [num_rows] [num_requests]
 #include <cstdio>
@@ -87,7 +88,6 @@ int main(int argc, char** argv) {
   // --- Serve: 4 concurrent closed-loop clients, micro-batches up to 32.
   serve::InferenceServerConfig server_cfg;
   server_cfg.max_batch_size = 32;
-  server_cfg.max_wait = std::chrono::microseconds(200);
   serve::InferenceServer server(model, server_cfg);
 
   const int num_clients = 4;

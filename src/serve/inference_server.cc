@@ -30,9 +30,7 @@ InferenceServer::InferenceServer(std::shared_ptr<const DlrmModel> model,
                                  InferenceServerConfig config)
     : config_(std::move(config)),
       queue_(config_.queue_capacity),
-      batcher_(Deref(model).num_tables(), model->config().num_dense),
-      effective_max_batch_(config_.max_batch_size),
-      effective_max_wait_us_(config_.max_wait.count()) {
+      batcher_(Deref(model).num_tables(), model->config().num_dense) {
   TTREC_CHECK_CONFIG(config_.max_batch_size >= 1,
                      "InferenceServer: max_batch_size must be >= 1");
   TTREC_CHECK_CONFIG(config_.num_consumers >= 1,
@@ -63,12 +61,11 @@ InferenceServer::InferenceServer(std::shared_ptr<const DlrmModel> model,
   slot_ = std::move(slot);
   governor_ = std::make_unique<LoadGovernor>(
       config_.governor,
-      [this]() -> LoadGovernor::Signals {
-        return LoadGovernor::Signals{queue_.size(), queue_.capacity(),
-                                     metrics_.WindowLatencyP95AndReset()};
+      [this] {
+        return LoadGovernor::Signals{queue_.size(), queue_.capacity()};
       },
-      [this](HealthState from, HealthState to) {
-        OnHealthTransition(from, to);
+      [this](HealthState, HealthState to) {
+        metrics_.RecordHealthTransition(to);
       });
   StartServing();
 }
@@ -285,21 +282,13 @@ std::future<InferenceResult> InferenceServer::Submit(
   item.promise = std::move(promise);
   item.enqueued_at = now;
 
-  // How long admission may block: the policy's budget, further clipped by
-  // the request's own deadline (never wait for space past the point where
-  // the answer is useless).
-  auto admission_deadline = kNoDeadline;
-  switch (config_.admission) {
-    case AdmissionPolicy::kBlock:
-      break;
-    case AdmissionPolicy::kBlockWithTimeout:
-      admission_deadline = now + config_.admission_timeout;
-      break;
-    case AdmissionPolicy::kRejectWhenFull:
-      admission_deadline = std::chrono::steady_clock::time_point::min();
-      break;
-  }
-  admission_deadline = std::min(admission_deadline, item.request.deadline);
+  // How long admission may block: kBlock waits for space until the
+  // request's own deadline (never past the point where the answer is
+  // useless); kRejectWhenFull does not wait at all.
+  const auto admission_deadline =
+      config_.admission == AdmissionPolicy::kRejectWhenFull
+          ? std::chrono::steady_clock::time_point::min()
+          : item.request.deadline;
 
   switch (queue_.PushUntil(item, admission_deadline)) {
     case RequestQueue::PushResult::kOk:
@@ -323,37 +312,6 @@ std::future<InferenceResult> InferenceServer::Submit(
       break;
   }
   return future;
-}
-
-void InferenceServer::OnHealthTransition(HealthState /*from*/,
-                                         HealthState to) {
-  metrics_.RecordHealthTransition(to);
-  switch (to) {
-    case HealthState::kHealthy:
-    case HealthState::kDraining:
-      // Nominal knobs; a drain also wants them — empty the queue at full
-      // batching throughput.
-      effective_max_batch_.store(config_.max_batch_size,
-                                 std::memory_order_relaxed);
-      effective_max_wait_us_.store(config_.max_wait.count(),
-                                   std::memory_order_relaxed);
-      break;
-    case HealthState::kDegraded:
-    case HealthState::kShedding: {
-      // Latency-first: close batches early and keep them small, so queued
-      // requests start executing sooner.
-      const int64_t cap =
-          config_.governor.degraded_max_batch > 0
-              ? config_.governor.degraded_max_batch
-              : std::max<int64_t>(1, config_.max_batch_size / 4);
-      effective_max_batch_.store(std::min(config_.max_batch_size, cap),
-                                 std::memory_order_relaxed);
-      effective_max_wait_us_.store(
-          config_.governor.degraded_max_wait.count(),
-          std::memory_order_relaxed);
-      break;
-    }
-  }
 }
 
 void InferenceServer::ConsumerLoop() {
@@ -382,11 +340,15 @@ void InferenceServer::ConsumerLoop() {
   for (;;) {
     std::vector<PendingRequest> items;
     {
+      // Degraded and shedding keep micro-batches small, so queued requests
+      // start executing sooner; healthy and draining batch at full size.
+      const HealthState h = health();
+      const int64_t cap =
+          h == HealthState::kDegraded || h == HealthState::kShedding
+              ? std::max<int64_t>(1, config_.max_batch_size / 4)
+              : config_.max_batch_size;
       TTREC_TRACE_SCOPE("serve.queue_wait");
-      items = queue_.PopBatch(
-          effective_max_batch_.load(std::memory_order_relaxed),
-          std::chrono::microseconds(
-              effective_max_wait_us_.load(std::memory_order_relaxed)));
+      items = queue_.PopBatch(cap);
     }
     if (items.empty()) return;  // closed and drained
 

@@ -11,12 +11,16 @@
 //                                                    ▼
 //                                        promises fulfilled, ServeMetrics
 //
+// Batching is work-conserving: a free consumer takes whatever is queued,
+// up to the micro-batch cap, and never waits for more, so a lone request
+// on an idle server is served alone and batches grow with the backlog.
+//
 // Overload safety: requests carry deadlines (expired work is failed with
 // DeadlineExceeded before the forward pass, at admission or by the
-// consumer), admission is bounded (block / block-with-timeout / reject-
-// immediately), and a LoadGovernor walks the server through
-// healthy → degraded → shedding → draining as queue depth and windowed p95
-// latency move (serve/load_governor.h).
+// consumer), admission is bounded (block until space or the request's
+// deadline / reject when full), and a LoadGovernor walks the server
+// through healthy → degraded → shedding → draining as queue depth moves
+// (serve/load_governor.h).
 //
 // Model lifecycle: the server holds a generation-tagged
 // shared_ptr<const DlrmModel>. SwapModel publishes a new generation under
@@ -59,31 +63,23 @@ namespace ttrec::serve {
 /// What Submit does when the queue is full.
 enum class AdmissionPolicy {
   /// Block until space (bounded by the request's own deadline, if any) —
-  /// classic backpressure, the historical behavior.
+  /// classic backpressure.
   kBlock,
-  /// Block up to admission_timeout, then fail with ServerOverloaded.
-  kBlockWithTimeout,
   /// Fail with ServerOverloaded immediately — the client owns the retry.
   kRejectWhenFull,
 };
 
 struct InferenceServerConfig {
-  /// Micro-batch cap in requests: a consumer closes its batch as soon as
-  /// it has gathered this many (equals samples for the common
+  /// Micro-batch cap in requests: a consumer takes at most this many of
+  /// the queued requests per batch (equals samples for the common
   /// one-sample-per-request client). 1 disables batching — the
-  /// one-request-at-a-time baseline in bench/serve_throughput. In the
-  /// degraded health state the effective cap shrinks (see governor).
+  /// one-request-at-a-time baseline in bench/serve_throughput. While the
+  /// governor reports degraded or shedding, the cap is
+  /// max(1, max_batch_size / 4), so queued requests start sooner.
   int64_t max_batch_size = 32;
-  /// How long a consumer holds an under-full batch open waiting for
-  /// stragglers. Larger values raise batch sizes (and throughput) at the
-  /// cost of per-request latency. Shrunk while degraded.
-  std::chrono::microseconds max_wait{200};
   /// Queue bound; what happens when it fills is `admission`'s call.
   size_t queue_capacity = 1024;
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Wait budget under kBlockWithTimeout (a request's earlier deadline
-  /// still wins).
-  std::chrono::microseconds admission_timeout{5000};
   /// Consumer threads, each with its own InferenceSession. One is usually
   /// right when the forward pass itself shards across the ThreadPool; more
   /// helps when batches are small and per-batch overhead dominates.
@@ -132,7 +128,8 @@ class InferenceServer {
   /// ShapeError/IndexError for malformed requests (which fail alone and
   /// never poison a micro-batch), DeadlineExceeded when request.deadline
   /// passes before the forward pass, ServerOverloaded when shedding or
-  /// when admission times out, ServerShutdown after BeginDrain/Shutdown.
+  /// when kRejectWhenFull finds the queue full, ServerShutdown after
+  /// BeginDrain/Shutdown.
   std::future<InferenceResult> Submit(InferenceRequest request);
 
   /// Atomically publishes `next` as the new serving generation under live
@@ -198,7 +195,6 @@ class InferenceServer {
                        const DlrmModel& model) const;
   void ValidateSwapCompatible(const DlrmModel& incumbent,
                               const DlrmModel& next) const;
-  void OnHealthTransition(HealthState from, HealthState to);
   void StartServing();
 
   InferenceServerConfig config_;
@@ -207,10 +203,6 @@ class InferenceServer {
   RequestQueue queue_;
   MicroBatcher batcher_;
   ServeMetrics metrics_;
-  /// Batching knobs consumers actually use; the governor rewrites them on
-  /// health transitions.
-  std::atomic<int64_t> effective_max_batch_;
-  std::atomic<int64_t> effective_max_wait_us_;
   std::unique_ptr<LoadGovernor> governor_;
   /// serve.shard.<s>.* hooks handed to every consumer's router (stable
   /// registry references; one entry per shard, empty when unsharded).

@@ -53,21 +53,14 @@ HealthState LoadGovernor::Next(HealthState cur, const Signals& s) const {
           ? static_cast<double>(s.queue_depth) /
                 static_cast<double>(s.queue_capacity)
           : 0.0;
-  const bool p95_over = config_.p95_budget_us > 0 &&
-                        s.window_p95_us >
-                            static_cast<double>(config_.p95_budget_us);
   switch (cur) {
     case HealthState::kHealthy:
       if (frac >= config_.shed_at) return HealthState::kShedding;
-      if (frac >= config_.degrade_at || p95_over) {
-        return HealthState::kDegraded;
-      }
+      if (frac >= config_.degrade_at) return HealthState::kDegraded;
       return cur;
     case HealthState::kDegraded:
       if (frac >= config_.shed_at) return HealthState::kShedding;
-      if (frac <= config_.recover_at && !p95_over) {
-        return HealthState::kHealthy;
-      }
+      if (frac <= config_.recover_at) return HealthState::kHealthy;
       return cur;
     case HealthState::kShedding:
       // Recovery from shedding steps down through degraded — the queue

@@ -1,18 +1,18 @@
 // Admission control + graceful degradation for the InferenceServer.
 //
-// A small background thread samples queue depth (against capacity) and the
-// windowed p95 request latency each tick and walks the server through the
-// explicit health states of serve_metrics.h:
+// A small background thread samples queue depth against capacity each tick
+// and walks the server through the explicit health states of
+// serve_metrics.h (depth below means depth / capacity):
 //
-//             depth/cap >= shed_at ────────────────┐
-//   healthy ──depth/cap >= degrade_at or p95 over──▶ degraded ──▶ shedding
-//      ▲        budget                                 │  ▲          │
-//      └── depth/cap <= recover_at and p95 ok ─────────┘  └──────────┘
-//                                                    depth/cap <= degrade_at
+//       ┌────────────────────── depth >= shed_at ───────────────────────┐
+//       │                                                               ▼
+//   healthy ──depth >= degrade_at──▶ degraded ──depth >= shed_at──▶ shedding
+//      ▲                               │  ▲                           │
+//      └───── depth <= recover_at ─────┘  └─── depth <= degrade_at ───┘
 //
-// Degraded mode favors latency over throughput (the server shrinks its
-// coalescing window and caps micro-batch size); shedding mode rejects at
-// admission with a retry-after hint; draining (entered only via
+// Degraded and shedding favor latency over throughput (the server caps
+// each micro-batch at max(1, max_batch_size / 4)); shedding also rejects
+// at admission with a retry-after hint; draining (entered only via
 // ForceDrain, never by sampling) is terminal. Hysteresis comes from
 // recover_at < degrade_at < shed_at — the state cannot flap on a depth
 // hovering at one threshold.
@@ -44,16 +44,8 @@ struct LoadGovernorConfig {
   double degrade_at = 0.5;
   double shed_at = 0.9;
   double recover_at = 0.25;
-  /// Windowed-p95 latency budget in µs; p95 > p95_budget_us enters (and
-  /// holds) degraded even with a shallow queue. 0 disables the latency
-  /// signal — queue depth alone governs.
-  int64_t p95_budget_us = 0;
   /// Backoff hint carried by ServerOverloaded rejections while shedding.
   std::chrono::milliseconds retry_after{50};
-  /// Degraded-mode overrides the server applies: micro-batch cap (0 means
-  /// max(1, max_batch_size / 4)) and coalescing window.
-  int64_t degraded_max_batch = 0;
-  std::chrono::microseconds degraded_max_wait{0};
 };
 
 class LoadGovernor {
@@ -62,7 +54,6 @@ class LoadGovernor {
   struct Signals {
     size_t queue_depth = 0;
     size_t queue_capacity = 1;
-    double window_p95_us = 0.0;
   };
 
   using Sampler = std::function<Signals()>;

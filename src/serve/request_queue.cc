@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "serve/serve_errors.h"
 #include "tensor/check.h"
 
 namespace ttrec::serve {
@@ -36,45 +35,14 @@ RequestQueue::PushResult RequestQueue::PushUntil(
   return PushResult::kOk;
 }
 
-RequestQueue::PushResult RequestQueue::TryPush(PendingRequest& item) {
-  return PushUntil(item, std::chrono::steady_clock::time_point::min());
-}
-
-bool RequestQueue::Push(PendingRequest item) {
-  if (PushUntil(item, kNoDeadline) == PushResult::kOk) return true;
-  item.promise.set_exception(std::make_exception_ptr(
-      ServerShutdown("InferenceServer: shut down, request rejected")));
-  return false;
-}
-
-std::vector<PendingRequest> RequestQueue::PopBatch(
-    int64_t max_items, std::chrono::microseconds max_wait) {
+std::vector<PendingRequest> RequestQueue::PopBatch(int64_t max_items) {
   std::vector<PendingRequest> out;
   if (max_items < 1) max_items = 1;
   std::unique_lock<std::mutex> lock(mu_);
   not_empty_.wait(lock, [this] { return closed_ || !items_.empty(); });
-  if (items_.empty()) return out;  // closed and drained
-
-  const auto deadline = std::chrono::steady_clock::now() + max_wait;
-  for (;;) {
-    while (!items_.empty() &&
-           static_cast<int64_t>(out.size()) < max_items) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    if (static_cast<int64_t>(out.size()) >= max_items || closed_) break;
-    // Batch not full: wake any producers blocked on the space just freed
-    // before waiting for stragglers to coalesce — a full-queue producer
-    // must not stall behind this consumer's coalescing window.
-    lock.unlock();
-    not_full_.notify_all();
-    lock.lock();
-    if (!not_empty_.wait_until(lock, deadline, [this] {
-          return closed_ || !items_.empty();
-        })) {
-      break;  // deadline passed
-    }
-    if (items_.empty()) break;  // woken by Close with nothing left
+  while (!items_.empty() && static_cast<int64_t>(out.size()) < max_items) {
+    out.push_back(std::move(items_.front()));
+    items_.pop_front();
   }
   lock.unlock();
   not_full_.notify_all();

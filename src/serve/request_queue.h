@@ -4,8 +4,8 @@
 // Thread-safety: every RequestQueue method may be called concurrently from
 // any number of producer and consumer threads. PendingRequest itself is
 // move-only (it carries a std::promise) and owned by exactly one thread at
-// a time — the producer until Push, the queue while enqueued, one consumer
-// after PopBatch.
+// a time — the producer until PushUntil returns kOk, the queue while
+// enqueued, one consumer after PopBatch.
 #pragma once
 
 #include <chrono>
@@ -85,22 +85,12 @@ class RequestQueue {
   PushResult PushUntil(PendingRequest& item,
                        std::chrono::steady_clock::time_point deadline);
 
-  /// Non-blocking admission: enqueue only if space is free right now.
-  PushResult TryPush(PendingRequest& item);
-
-  /// Legacy convenience: blocks while the queue is full. If the queue is
-  /// (or becomes) closed, fails the item's promise with ServerShutdown and
-  /// returns false.
-  bool Push(PendingRequest item);
-
   /// Takes up to `max_items` requests. Blocks until at least one is
-  /// available, then keeps collecting until `max_items` are gathered or
-  /// `max_wait` has elapsed since the first was taken — the micro-batching
-  /// policy knob: larger waits trade first-request latency for bigger
-  /// batches. Once the queue is closed, drains without waiting; an empty
+  /// queued, then takes whatever is queued, up to `max_items`, and returns
+  /// at once: it never waits for stragglers, so an idle consumer serves a
+  /// lone request alone and batches grow only with the backlog. An empty
   /// return means closed-and-drained (the consumer's exit signal).
-  std::vector<PendingRequest> PopBatch(int64_t max_items,
-                                       std::chrono::microseconds max_wait);
+  std::vector<PendingRequest> PopBatch(int64_t max_items);
 
   /// Closes the queue: subsequent pushes fail with kClosed, pushers
   /// blocked in PushUntil wake promptly, consumers drain what remains and

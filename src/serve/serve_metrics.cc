@@ -52,7 +52,6 @@ void ServeMetrics::RecordRequestOk(int64_t latency_us, int64_t queue_wait_us) {
   ok_.Add(1);
   latency_.Record(latency_us);
   queue_wait_.Record(queue_wait_us);
-  window_latency_.Record(latency_us);
 }
 
 void ServeMetrics::RecordRequestFailed(int64_t n) { failed_.Add(n); }
@@ -118,14 +117,6 @@ ServeMetrics::ShardMetrics ServeMetrics::Shard(int shard) {
                       registry_.counter(prefix + ".lookups"),
                       registry_.histogram(prefix + ".latency_us"),
                       registry_.counter(prefix + ".swaps_prepared")};
-}
-
-double ServeMetrics::WindowLatencyP95AndReset() {
-  const double p95 =
-      window_latency_.TotalCount() > 0 ? window_latency_.PercentileMicros(95.0)
-                                       : 0.0;
-  window_latency_.Reset();
-  return p95;
 }
 
 namespace {
@@ -239,16 +230,6 @@ ServeMetricsSnapshot ServeMetrics::Snapshot() const {
               return a.shard < b.shard;
             });
   return s;
-}
-
-void ServeMetrics::Reset() {
-  start_ = std::chrono::steady_clock::now();
-  registry_.Reset();
-  window_latency_.Reset();
-  model_generation_.Set(1.0);
-  for (auto& c : batch_size_hist_) c.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(gen_mu_);
-  gen_blocks_.clear();
 }
 
 std::string ToJson(const ServeMetricsSnapshot& s) {

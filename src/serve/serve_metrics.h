@@ -30,16 +30,12 @@
 
 namespace ttrec::serve {
 
-/// Historical names, now provided by the shared observability layer.
-using StripedCounter = obs::StripedCounter;
-using LatencyHistogram = obs::Histogram;
-
 /// The server's overload posture, walked by the load governor (and forced
 /// to kDraining by BeginDrain/Shutdown). Ordered by severity.
 enum class HealthState {
-  kHealthy = 0,   // nominal: configured batching knobs
-  kDegraded = 1,  // latency-first: shrunken max_wait, capped micro-batches
-  kShedding = 2,  // admission rejects with ServerOverloaded + retry-after
+  kHealthy = 0,   // nominal: micro-batches up to max_batch_size
+  kDegraded = 1,  // latency-first: micro-batches capped at max_batch_size/4
+  kShedding = 2,  // degraded's cap, and admission rejects (retry-after)
   kDraining = 3,  // admission closed for good; in-flight work finishes
 };
 
@@ -185,14 +181,7 @@ class ServeMetrics {
   /// serve.shard.<s>.{queries,lookups,latency_us,swaps_prepared}.
   ShardMetrics Shard(int shard);
 
-  /// p95 of request latency since the previous call, then starts a new
-  /// window — the governor's fresh-latency signal (the lifetime histogram
-  /// above is too sluggish to detect an overload onset). Single consumer:
-  /// the governor thread.
-  double WindowLatencyP95AndReset();
-
   ServeMetricsSnapshot Snapshot() const;
-  void Reset();
 
   /// The backing registry, for callers that want the raw named metrics
   /// (e.g. a PeriodicReporter producer). Names: serve.requests_ok,
@@ -208,7 +197,7 @@ class ServeMetrics {
   static constexpr int kBatchSizeBuckets = 16;  // up to 2^16-sample batches
 
   obs::MetricRegistry registry_;  // must precede the references below
-  std::chrono::steady_clock::time_point start_;
+  const std::chrono::steady_clock::time_point start_;
   obs::StripedCounter& ok_;
   obs::StripedCounter& failed_;
   obs::StripedCounter& shed_;
@@ -222,9 +211,6 @@ class ServeMetrics {
   obs::Gauge& model_generation_;
   obs::StripedCounter& swaps_ok_;
   obs::StripedCounter& swaps_rejected_;
-  /// Governor window; lives outside the registry so the lifetime
-  /// serve.latency_us percentiles stay monotone-sample.
-  obs::Histogram window_latency_;
   /// Per-generation blocks, keyed by generation, pruned by RecordSwapOk
   /// when a retention is set. shared_ptr so a consumer mid-batch on a
   /// pruned generation keeps recording into a live (unreported) block.

@@ -1,8 +1,9 @@
-// src/serve/ subsystem: metrics primitives, queue semantics, micro-batch
-// assembly round-trips, and the headline concurrency contract — N producer
-// threads against a batching consumer produce logits bitwise identical to a
-// sequential single-request session. Built to run clean under TSan
-// (-DTTREC_SANITIZE=thread) as well as ASan/UBSan.
+// src/serve/ subsystem: metrics primitives, queue semantics (including the
+// work-conserving PopBatch), micro-batch assembly round-trips, and the
+// headline concurrency contract — N producer threads against a batching
+// consumer produce logits bitwise identical to a sequential single-request
+// session. Built to run clean under TSan (-DTTREC_SANITIZE=thread) as well
+// as ASan/UBSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,6 +18,8 @@
 #include "dlrm/embedding_adapters.h"
 #include "dlrm/embedding_bag.h"
 #include "dlrm/model.h"
+#include "fault_injector.h"
+#include "obs/metrics.h"
 #include "serve/inference_server.h"
 #include "serve/inference_session.h"
 #include "serve/micro_batcher.h"
@@ -31,13 +34,20 @@ namespace {
 using serve::InferenceRequest;
 using serve::InferenceResult;
 using serve::PendingRequest;
+using PushResult = serve::RequestQueue::PushResult;
+
+/// Polls `done` every millisecond until it holds.
+template <typename Pred>
+void WaitUntil(Pred done) {
+  while (!done()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
 
 // ---------------------------------------------------------------------------
 // Metrics primitives
 // ---------------------------------------------------------------------------
 
 TEST(StripedCounter, AddAndTotal) {
-  serve::StripedCounter c;
+  obs::StripedCounter c;
   EXPECT_EQ(c.Total(), 0);
   c.Add(5);
   c.Add(-2);
@@ -47,7 +57,7 @@ TEST(StripedCounter, AddAndTotal) {
 }
 
 TEST(StripedCounter, ConcurrentAddsAreLossless) {
-  serve::StripedCounter c;
+  obs::StripedCounter c;
   constexpr int kThreads = 8;
   constexpr int kAddsPerThread = 10000;
   std::vector<std::thread> threads;
@@ -61,14 +71,14 @@ TEST(StripedCounter, ConcurrentAddsAreLossless) {
 }
 
 TEST(LatencyHistogram, EmptyReturnsZero) {
-  serve::LatencyHistogram h;
+  obs::Histogram h;
   EXPECT_EQ(h.TotalCount(), 0);
   EXPECT_DOUBLE_EQ(h.PercentileMicros(50), 0.0);
   EXPECT_DOUBLE_EQ(h.MeanMicros(), 0.0);
 }
 
 TEST(LatencyHistogram, PercentilesTrackKnownDistribution) {
-  serve::LatencyHistogram h;
+  obs::Histogram h;
   // 1..1000 µs, one sample each: p50 ~ 500, p99 ~ 990.
   for (int64_t v = 1; v <= 1000; ++v) h.Record(v);
   EXPECT_EQ(h.TotalCount(), 1000);
@@ -81,7 +91,7 @@ TEST(LatencyHistogram, PercentilesTrackKnownDistribution) {
 }
 
 TEST(LatencyHistogram, ConcurrentRecordsKeepTotalCount) {
-  serve::LatencyHistogram h;
+  obs::Histogram h;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 5000;
   std::vector<std::thread> threads;
@@ -127,107 +137,130 @@ PendingRequest MakePending(int64_t tag) {
   return pr;
 }
 
+/// Enqueues request `tag`, blocking for space if the queue is full.
+void PushOk(serve::RequestQueue& q, int64_t tag) {
+  PendingRequest pr = MakePending(tag);
+  ASSERT_EQ(q.PushUntil(pr, serve::kNoDeadline), PushResult::kOk);
+}
+
 TEST(RequestQueue, PopBatchRespectsMaxItemsAndOrder) {
   serve::RequestQueue q(/*capacity=*/16);
-  for (int64_t i = 0; i < 5; ++i) ASSERT_TRUE(q.Push(MakePending(i)));
+  for (int64_t i = 0; i < 5; ++i) PushOk(q, i);
   EXPECT_EQ(q.size(), 5u);
-  auto batch = q.PopBatch(3, std::chrono::microseconds(0));
+  auto batch = q.PopBatch(3);
   ASSERT_EQ(batch.size(), 3u);
   for (int64_t i = 0; i < 3; ++i) {
     EXPECT_FLOAT_EQ(batch[static_cast<size_t>(i)].request.dense[0],
                     static_cast<float>(i));
   }
-  batch = q.PopBatch(100, std::chrono::microseconds(0));
-  EXPECT_EQ(batch.size(), 2u);  // greedy drain, no waiting past the deadline
+  batch = q.PopBatch(100);
+  EXPECT_EQ(batch.size(), 2u);  // takes what is queued, never waits for more
+}
+
+TEST(RequestQueue, BlockedPopBatchReturnsFirstRequestAlone) {
+  // Work-conserving: a consumer waiting on an empty queue takes the first
+  // request as soon as it lands, and does not hold the batch open for the
+  // 31 more it has room for.
+  serve::RequestQueue q(64);
+  std::promise<std::vector<PendingRequest>> popped;
+  std::future<std::vector<PendingRequest>> batch_future = popped.get_future();
+  std::thread consumer([&] { popped.set_value(q.PopBatch(32)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  PushOk(q, 5);
+  const bool returned = batch_future.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  q.Close();  // frees a consumer that is, wrongly, still waiting
+  consumer.join();
+  ASSERT_TRUE(returned) << "PopBatch(32) held a one-request batch open";
+  const std::vector<PendingRequest> batch = batch_future.get();
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_FLOAT_EQ(batch[0].request.dense[0], 5.0f);
 }
 
 TEST(RequestQueue, CloseFailsPushAndDrainsPops) {
   serve::RequestQueue q(16);
-  ASSERT_TRUE(q.Push(MakePending(7)));
+  PushOk(q, 7);
   q.Close();
   EXPECT_TRUE(q.closed());
 
   PendingRequest late = MakePending(8);
   std::future<InferenceResult> late_future = late.promise.get_future();
-  EXPECT_FALSE(q.Push(std::move(late)));
-  EXPECT_THROW(late_future.get(), std::runtime_error);
+  EXPECT_EQ(q.PushUntil(late, serve::kNoDeadline), PushResult::kClosed);
+  // The rejected item, promise included, stays with the caller.
+  EXPECT_EQ(late_future.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
 
   // The item enqueued before Close is still drained...
-  auto batch = q.PopBatch(10, std::chrono::microseconds(0));
+  auto batch = q.PopBatch(10);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_FLOAT_EQ(batch[0].request.dense[0], 7.0f);
   // ...then empty-batch is the consumer's exit signal.
-  EXPECT_TRUE(q.PopBatch(10, std::chrono::microseconds(0)).empty());
+  EXPECT_TRUE(q.PopBatch(10).empty());
 }
 
 TEST(RequestQueue, CloseWakesBlockedProducersExactlyOnce) {
-  // Regression: producers blocked in Push on a full queue must observe
-  // Close() promptly, and each must fail its promise exactly once (the
-  // queue never touches a promise it did not accept). A double-set would
-  // throw std::future_error from Push; a missed wake-up would hang the
-  // join below.
+  // Regression: producers blocked in PushUntil on a full queue must observe
+  // Close() promptly, each with kClosed, and each must still own its
+  // pending promise (the queue never touches an item it did not accept).
+  // A missed wake-up would hang the join below; a promise the queue had
+  // taken would make the caller's set_exception throw std::future_error.
   serve::RequestQueue q(2);
-  ASSERT_TRUE(q.Push(MakePending(0)));
-  ASSERT_TRUE(q.Push(MakePending(1)));  // full from here on
+  PushOk(q, 0);
+  PushOk(q, 1);  // full from here on
 
-  constexpr int kProducers = 8;
-  std::vector<std::future<InferenceResult>> futures;
+  constexpr size_t kProducers = 8;
+  std::vector<PendingRequest> items(kProducers);
+  std::vector<std::future<InferenceResult>> futures(kProducers);
+  std::vector<PushResult> results(kProducers, PushResult::kOk);
+  for (size_t p = 0; p < kProducers; ++p) {
+    items[p] = MakePending(100 + static_cast<int64_t>(p));
+    futures[p] = items[p].promise.get_future();
+  }
   std::vector<std::thread> producers;
-  std::atomic<int> push_failed{0};
-  std::atomic<int> push_ok{0};
-  std::mutex futures_mu;
-  for (int p = 0; p < kProducers; ++p) {
+  for (size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
-      PendingRequest pr = MakePending(100 + p);
-      std::future<InferenceResult> f = pr.promise.get_future();
-      {
-        std::lock_guard<std::mutex> lock(futures_mu);
-        futures.push_back(std::move(f));
-      }
-      if (q.Push(std::move(pr))) {
-        push_ok.fetch_add(1);
-      } else {
-        push_failed.fetch_add(1);
-      }
+      results[p] = q.PushUntil(items[p], serve::kNoDeadline);
     });
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.Close();
   for (std::thread& t : producers) t.join();
-  EXPECT_EQ(push_failed.load() + push_ok.load(), kProducers);
-  EXPECT_EQ(push_failed.load(), kProducers);  // queue stayed full throughout
 
-  // Every blocked producer's future fails with the typed shutdown error —
-  // none hang, none are left unset.
-  for (auto& f : futures) {
-    EXPECT_THROW(f.get(), serve::ServerShutdown);
+  for (size_t p = 0; p < kProducers; ++p) {
+    EXPECT_EQ(results[p], PushResult::kClosed);  // queue stayed full
+    EXPECT_EQ(futures[p].wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+    EXPECT_NO_THROW(items[p].promise.set_exception(std::make_exception_ptr(
+        serve::ServerShutdown("closed while waiting for space"))));
+    EXPECT_THROW(futures[p].get(), serve::ServerShutdown);
   }
 
   // The two accepted items still drain.
-  auto batch = q.PopBatch(10, std::chrono::microseconds(0));
+  auto batch = q.PopBatch(10);
   EXPECT_EQ(batch.size(), 2u);
-  EXPECT_TRUE(q.PopBatch(10, std::chrono::microseconds(0)).empty());
+  EXPECT_TRUE(q.PopBatch(10).empty());
 }
 
 TEST(RequestQueue, PushUntilTimesOutAndLeavesItemWithCaller) {
   serve::RequestQueue q(1);
   PendingRequest first = MakePending(0);
-  ASSERT_EQ(q.PushUntil(first, serve::kNoDeadline),
-            serve::RequestQueue::PushResult::kOk);
+  ASSERT_EQ(q.PushUntil(first, serve::kNoDeadline), PushResult::kOk);
 
   PendingRequest second = MakePending(1);
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_EQ(q.PushUntil(second, t0 + std::chrono::milliseconds(5)),
-            serve::RequestQueue::PushResult::kTimedOut);
+            PushResult::kTimedOut);
   // The item (promise included) stays with the caller: its future is still
   // pending, proving the queue never touched it.
   std::future<InferenceResult> f = second.promise.get_future();
   EXPECT_EQ(f.wait_for(std::chrono::seconds(0)),
             std::future_status::timeout);
 
-  EXPECT_EQ(q.TryPush(second), serve::RequestQueue::PushResult::kTimedOut);
-  q.PopBatch(1, std::chrono::microseconds(0));
-  EXPECT_EQ(q.TryPush(second), serve::RequestQueue::PushResult::kOk);
+  // A deadline already in the past is a try-push.
+  const auto past = std::chrono::steady_clock::time_point::min();
+  EXPECT_EQ(q.PushUntil(second, past), PushResult::kTimedOut);
+  q.PopBatch(1);
+  EXPECT_EQ(q.PushUntil(second, past), PushResult::kOk);
   EXPECT_EQ(q.high_water(), 1u);
 }
 
@@ -236,7 +269,7 @@ TEST(RequestQueue, CloseWakesBlockedConsumer) {
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
     // Blocks on empty queue until Close.
-    auto batch = q.PopBatch(10, std::chrono::microseconds(1000));
+    auto batch = q.PopBatch(10);
     woke.store(batch.empty());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -334,12 +367,22 @@ DlrmConfig ServeDlrmConfig() {
 
 // Mixed backend model: dense bag + plain TT + cached TT + dense bag, so the
 // serving path exercises every ForwardInference implementation at once.
-std::unique_ptr<DlrmModel> BuildServeModel(const DatasetSpec& spec, Rng& rng,
-                                           DlrmConfig cfg) {
+// With `slow`, the first dense bag is wrapped in a SlowEmbeddingInjector
+// (returned through `slow`) that can stall the consumer mid-forward.
+std::unique_ptr<DlrmModel> BuildServeModel(
+    const DatasetSpec& spec, Rng& rng, DlrmConfig cfg,
+    testing::SlowEmbeddingInjector** slow = nullptr) {
   std::vector<std::unique_ptr<EmbeddingOp>> tables;
-  tables.push_back(std::make_unique<DenseEmbeddingBag>(
+  std::unique_ptr<EmbeddingOp> first = std::make_unique<DenseEmbeddingBag>(
       spec.table_rows[0], cfg.emb_dim, PoolingMode::kSum,
-      DenseEmbeddingInit::UniformScaled(), rng));
+      DenseEmbeddingInit::UniformScaled(), rng);
+  if (slow != nullptr) {
+    auto injector = std::make_unique<testing::SlowEmbeddingInjector>(
+        std::move(first), std::chrono::microseconds(0));
+    *slow = injector.get();
+    first = std::move(injector);
+  }
+  tables.push_back(std::move(first));
   {
     TtEmbeddingConfig tt;
     tt.shape = MakeTtShape(spec.table_rows[1], cfg.emb_dim, 3, 4);
@@ -359,6 +402,14 @@ std::unique_ptr<DlrmModel> BuildServeModel(const DatasetSpec& spec, Rng& rng,
       spec.table_rows[3], cfg.emb_dim, PoolingMode::kSum,
       DenseEmbeddingInit::UniformScaled(), rng));
   return std::make_unique<DlrmModel>(cfg, std::move(tables), rng);
+}
+
+InferenceRequest CopyRequest(const InferenceRequest& r) {
+  InferenceRequest copy;
+  copy.dense = r.dense;
+  copy.sparse = r.sparse;
+  copy.deadline = r.deadline;
+  return copy;
 }
 
 TEST(InferenceSession, ConstForwardMatchesTrainingForwardBitwise) {
@@ -384,8 +435,9 @@ TEST(InferenceSession, ConstForwardMatchesTrainingForwardBitwise) {
 TEST(InferenceServer, MultiProducerBatchedMatchesSequentialBitwise) {
   Rng rng(47);
   SyntheticCriteo data(ServeDataConfig());
+  testing::SlowEmbeddingInjector* slow = nullptr;
   std::unique_ptr<DlrmModel> model =
-      BuildServeModel(data.config().spec, rng, ServeDlrmConfig());
+      BuildServeModel(data.config().spec, rng, ServeDlrmConfig(), &slow);
   std::vector<float> warm(32);
   for (int i = 0; i < 6; ++i) {
     model->PredictLogits(data.NextBatch(32), warm.data());
@@ -408,13 +460,19 @@ TEST(InferenceServer, MultiProducerBatchedMatchesSequentialBitwise) {
     }
   }
 
-  // Concurrent: N producer threads against a batching consumer. A long
-  // max_wait forces real coalescing so the bitwise claim is tested on
-  // genuinely multi-request micro-batches.
+  // Concurrent: N closed-loop producer threads against a batching consumer.
+  // The consumer is first wedged inside the forward pass of one extra
+  // request and released only once every producer's first request is
+  // queued behind it, so the bitwise claim is tested on a genuinely
+  // multi-request micro-batch.
   serve::InferenceServerConfig cfg;
   cfg.max_batch_size = 16;
-  cfg.max_wait = std::chrono::microseconds(2000);
   serve::InferenceServer server(*model, cfg);
+  const int64_t lookups_before = slow->lookups();
+  slow->set_stalled(true);
+  std::future<InferenceResult> wedged =
+      server.Submit(CopyRequest(requests[0]));
+  WaitUntil([&] { return slow->lookups() > lookups_before; });
 
   constexpr int kProducers = 6;
   std::vector<float> served(kRequests);
@@ -424,10 +482,8 @@ TEST(InferenceServer, MultiProducerBatchedMatchesSequentialBitwise) {
     producers.emplace_back([&, p] {
       for (size_t i = static_cast<size_t>(p); i < requests.size();
            i += kProducers) {
-        InferenceRequest copy;
-        copy.dense = requests[i].dense;
-        copy.sparse = requests[i].sparse;
-        const InferenceResult res = server.Submit(std::move(copy)).get();
+        const InferenceResult res =
+            server.Submit(CopyRequest(requests[i])).get();
         ASSERT_EQ(res.logits.size(), 1u);
         served[i] = res.logits[0];
         int64_t seen = max_micro_batch.load();
@@ -438,6 +494,9 @@ TEST(InferenceServer, MultiProducerBatchedMatchesSequentialBitwise) {
       }
     });
   }
+  WaitUntil([&] { return server.queue_depth() == kProducers; });
+  slow->set_stalled(false);
+  EXPECT_EQ(wedged.get().logits, std::vector<float>{reference[0]});
   for (std::thread& t : producers) t.join();
 
   for (int64_t i = 0; i < kRequests; ++i) {
@@ -445,15 +504,110 @@ TEST(InferenceServer, MultiProducerBatchedMatchesSequentialBitwise) {
               reference[static_cast<size_t>(i)])
         << "request " << i;
   }
-  // The claim is only interesting if batching actually happened.
-  EXPECT_GT(max_micro_batch.load(), 1);
+  // The claim is only interesting if batching actually happened: the batch
+  // after the stall takes every request queued behind it.
+  EXPECT_GE(max_micro_batch.load(), kProducers);
 
   const serve::ServeMetricsSnapshot snap = server.SnapshotWithCacheStats();
-  EXPECT_EQ(snap.requests_ok, kRequests);
+  EXPECT_EQ(snap.requests_ok, kRequests + 1);
   EXPECT_EQ(snap.requests_failed, 0);
-  EXPECT_EQ(snap.samples, kRequests);
+  EXPECT_EQ(snap.samples, kRequests + 1);
   EXPECT_TRUE(snap.has_cache);  // table 2 carries the LFU cache
   server.Shutdown();
+}
+
+TEST(InferenceServer, DegradedStateCapsMicroBatches) {
+  // While the governor reports degraded or shedding, each micro-batch takes
+  // at most max(1, max_batch_size / 4) of the queued requests.
+  Rng rng(61);
+  SyntheticCriteo data(ServeDataConfig());
+  testing::SlowEmbeddingInjector* slow = nullptr;
+  std::unique_ptr<DlrmModel> model =
+      BuildServeModel(data.config().spec, rng, ServeDlrmConfig(), &slow);
+  serve::InferenceServerConfig cfg;
+  cfg.max_batch_size = 16;
+  cfg.queue_capacity = 64;
+  cfg.governor.tick = std::chrono::milliseconds(1);
+  serve::InferenceServer server(*model, cfg);
+
+  // 40 queued of 64 is past degrade_at (0.5) and short of shed_at (0.9).
+  constexpr int64_t kQueued = 40;
+  const std::vector<InferenceRequest> reqs =
+      serve::SplitSamples(data.EvalBatch(kQueued + 1));
+  slow->set_stalled(true);
+  std::vector<std::future<InferenceResult>> futures;
+  futures.push_back(server.Submit(CopyRequest(reqs[0])));
+  WaitUntil([&] { return slow->lookups() >= 1; });  // consumer wedged
+  for (int64_t i = 1; i <= kQueued; ++i) {
+    futures.push_back(
+        server.Submit(CopyRequest(reqs[static_cast<size_t>(i)])));
+  }
+  WaitUntil([&] { return server.health() != serve::HealthState::kHealthy; });
+  EXPECT_EQ(server.health(), serve::HealthState::kDegraded);
+  slow->set_stalled(false);
+
+  std::vector<InferenceResult> results;
+  for (auto& f : futures) results.push_back(f.get());
+  EXPECT_EQ(results[0].micro_batch_size, 1);
+  // The first batch after the stall starts with request 1 and is capped.
+  EXPECT_EQ(results[1].micro_batch_size, cfg.max_batch_size / 4);
+  server.Shutdown();
+}
+
+TEST(InferenceServer, ShutdownFailsProducersBlockedInSubmit) {
+  // Producers blocked in Submit on a full kBlock queue are woken by
+  // Shutdown's queue close, and each future fails with the typed
+  // ServerShutdown — none hang, and requests_failed counts every one.
+  Rng rng(67);
+  SyntheticCriteo data(ServeDataConfig());
+  testing::SlowEmbeddingInjector* slow = nullptr;
+  std::unique_ptr<DlrmModel> model =
+      BuildServeModel(data.config().spec, rng, ServeDlrmConfig(), &slow);
+  serve::InferenceServerConfig cfg;
+  cfg.max_batch_size = 1;
+  cfg.queue_capacity = 2;
+  cfg.admission = serve::AdmissionPolicy::kBlock;
+  cfg.governor.enabled = false;  // a full queue must not turn into shedding
+  serve::InferenceServer server(*model, cfg);
+
+  constexpr size_t kBlocked = 4;
+  const std::vector<InferenceRequest> reqs =
+      serve::SplitSamples(data.EvalBatch(3 + kBlocked));
+  slow->set_stalled(true);
+  std::vector<std::future<InferenceResult>> admitted;
+  admitted.push_back(server.Submit(CopyRequest(reqs[0])));
+  WaitUntil([&] { return slow->lookups() >= 1; });  // consumer wedged
+  admitted.push_back(server.Submit(CopyRequest(reqs[1])));
+  admitted.push_back(server.Submit(CopyRequest(reqs[2])));  // queue full
+
+  std::vector<std::future<InferenceResult>> blocked(kBlocked);
+  std::atomic<size_t> started{0};
+  std::atomic<size_t> returned{0};
+  std::vector<std::thread> producers;
+  for (size_t p = 0; p < kBlocked; ++p) {
+    producers.emplace_back([&, p] {
+      started.fetch_add(1);
+      blocked[p] = server.Submit(CopyRequest(reqs[3 + p]));
+      returned.fetch_add(1);
+    });
+  }
+  WaitUntil([&] { return started.load() == kBlocked; });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(returned.load(), 0u);  // all waiting for queue space
+
+  // Shutdown joins the consumer, which stays wedged until released, so it
+  // runs on its own thread; the blocked producers must return before that.
+  std::thread closer([&] { server.Shutdown(); });
+  for (std::thread& t : producers) t.join();
+  for (auto& f : blocked) EXPECT_THROW(f.get(), serve::ServerShutdown);
+  slow->set_stalled(false);
+  closer.join();
+
+  // Work admitted before the shutdown still completes.
+  for (auto& f : admitted) EXPECT_EQ(f.get().logits.size(), 1u);
+  const serve::ServeMetricsSnapshot snap = server.metrics().Snapshot();
+  EXPECT_EQ(snap.requests_failed, static_cast<int64_t>(kBlocked));
+  EXPECT_EQ(snap.requests_ok, 3);
 }
 
 TEST(InferenceServer, MalformedRequestFailsOnlyItsOwnFuture) {

@@ -427,7 +427,6 @@ TEST(ShardSwap, HammerFourShardsEveryResponseOneGeneration) {
 
   serve::InferenceServerConfig cfg;
   cfg.max_batch_size = 8;
-  cfg.max_wait = std::chrono::microseconds(500);
   cfg.governor.enabled = false;
   cfg.num_shards = 4;
   cfg.partition = PartitionStrategy::kRowRange;

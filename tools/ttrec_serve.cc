@@ -8,8 +8,8 @@
 // printed before exit — the snapshot is never torn by the signal.
 //
 //   $ ttrec_serve [--tables N] [--rows R] [--requests N] [--producers P]
-//                 [--max-batch B] [--max-wait-us W] [--consumers C]
-//                 [--shards S] [--partition table|row]
+//                 [--max-batch B] [--consumers C] [--shards S]
+//                 [--partition table|row]
 #include <atomic>
 #include <csignal>
 #include <cstdio>
@@ -48,7 +48,6 @@ struct Options {
   int64_t requests = 2000;
   int producers = 4;
   int64_t max_batch = 32;
-  int64_t max_wait_us = 200;
   int consumers = 1;
   int shards = 0;
   shard::PartitionStrategy partition = shard::PartitionStrategy::kRowRange;
@@ -65,7 +64,6 @@ int Usage(const char* prog) {
       "  --requests N     total requests to serve (default 2000)\n"
       "  --producers P    closed-loop client threads (default 4)\n"
       "  --max-batch B    micro-batch cap (default 32; 1 = no batching)\n"
-      "  --max-wait-us W  batch hold time in microseconds (default 200)\n"
       "  --consumers C    batching consumer threads (default 1)\n"
       "  --shards S       embedding shards per consumer's router (default 0 ="
       " unsharded)\n"
@@ -125,8 +123,6 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--producers") == 0 && next_i64(&v)) {
       opt.producers = static_cast<int>(v);
     } else if (std::strcmp(a, "--max-batch") == 0 && next_i64(&opt.max_batch)) {
-    } else if (std::strcmp(a, "--max-wait-us") == 0 &&
-               next_i64(&opt.max_wait_us)) {
     } else if (std::strcmp(a, "--consumers") == 0 && next_i64(&v)) {
       opt.consumers = static_cast<int>(v);
     } else if (std::strcmp(a, "--shards") == 0 && next_i64(&v)) {
@@ -172,7 +168,6 @@ int main(int argc, char** argv) {
 
     serve::InferenceServerConfig server_cfg;
     server_cfg.max_batch_size = opt.max_batch;
-    server_cfg.max_wait = std::chrono::microseconds(opt.max_wait_us);
     server_cfg.num_consumers = opt.consumers;
     server_cfg.num_shards = opt.shards;
     server_cfg.partition = opt.partition;
@@ -185,12 +180,14 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, HandleStopSignal);
 
     // Closed-loop producers: each thread submits its share one request at a
-    // time, waiting for the logit before sending the next.
-    const int64_t per_producer = opt.requests / opt.producers;
+    // time, waiting for the logit before sending the next. The first
+    // requests % producers threads send one extra, so every request is sent.
     std::vector<std::thread> producers;
     producers.reserve(static_cast<size_t>(opt.producers));
     for (int p = 0; p < opt.producers; ++p) {
-      producers.emplace_back([&, p] {
+      const int64_t per_producer = opt.requests / opt.producers +
+                                   (p < opt.requests % opt.producers ? 1 : 0);
+      producers.emplace_back([&, p, per_producer] {
         // Same config seed as the warm-up stream — the Zipf rank->row
         // shuffle is seed-derived, so a different seed would request a
         // disjoint hot set and defeat the frozen cache. Per-producer

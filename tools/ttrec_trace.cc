@@ -178,7 +178,6 @@ int RunServe(const Options& opt) {
   {
     serve::InferenceServerConfig scfg;
     scfg.max_batch_size = 32;
-    scfg.max_wait = std::chrono::microseconds(100);
     serve::InferenceServer server(*model, scfg);
     std::vector<std::future<serve::InferenceResult>> futures;
     uint64_t eval_seed = opt.seed + 1;
