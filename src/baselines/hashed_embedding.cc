@@ -31,9 +31,10 @@ CsrBatch HashedEmbeddingBag::Remap(const CsrBatch& batch) const {
   return mapped;
 }
 
-void HashedEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
+void HashedEmbeddingBag::ForwardInference(const CsrBatch& batch,
+                                          float* output) const {
   batch.Validate(num_rows_);
-  inner_.Forward(Remap(batch), output);
+  inner_.ForwardInference(Remap(batch), output);
 }
 
 void HashedEmbeddingBag::Backward(const CsrBatch& batch,

@@ -19,7 +19,10 @@ class HashedEmbeddingBag : public EmbeddingOp {
   HashedEmbeddingBag(int64_t num_rows, int64_t num_buckets, int64_t emb_dim,
                      PoolingMode pooling, Rng& rng);
 
-  void Forward(const CsrBatch& batch, float* output) override;
+  void Forward(const CsrBatch& batch, float* output) override {
+    ForwardInference(batch, output);
+  }
+  void ForwardInference(const CsrBatch& batch, float* output) const override;
   void Backward(const CsrBatch& batch, const float* grad_output) override;
   void ApplySgd(float lr) override { inner_.ApplySgd(lr); }
   void ApplyUpdate(const OptimizerConfig& opt) override {

@@ -41,7 +41,8 @@ LowRankEmbeddingBag::LowRankEmbeddingBag(Tensor a, Tensor b,
                     "LowRankEmbeddingBag: factor shapes incompatible");
 }
 
-void LowRankEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
+void LowRankEmbeddingBag::ForwardInference(const CsrBatch& batch,
+                                           float* output) const {
   batch.Validate(num_rows());
   const int64_t N = emb_dim();
   const int64_t r = rank();
@@ -54,11 +55,7 @@ void LowRankEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
     const int64_t bag_size = end - begin;
     float* dst = output + b * N;
     for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
+      const float w = batch.LookupWeight(l, bag_size, pooling_);
       const int64_t idx = batch.indices[static_cast<size_t>(l)];
       // row = A[idx] (1 x r) * B (r x N).
       Gemv(Trans::kYes, r, N, 1.0f, b_.data(), N, a_.data() + idx * r, 0.0f,
@@ -79,11 +76,7 @@ void LowRankEmbeddingBag::Backward(const CsrBatch& batch,
     const int64_t bag_size = end - begin;
     const float* g = grad_output + b * N;
     for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
+      const float w = batch.LookupWeight(l, bag_size, pooling_);
       const int64_t idx = batch.indices[static_cast<size_t>(l)];
       // dA[idx] += w * g * B^T  (1 x r).
       auto [it, inserted] =

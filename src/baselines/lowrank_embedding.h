@@ -24,7 +24,10 @@ class LowRankEmbeddingBag : public EmbeddingOp {
   /// table): a is rows x rank, b is rank x dim.
   LowRankEmbeddingBag(Tensor a, Tensor b, PoolingMode pooling);
 
-  void Forward(const CsrBatch& batch, float* output) override;
+  void Forward(const CsrBatch& batch, float* output) override {
+    ForwardInference(batch, output);
+  }
+  void ForwardInference(const CsrBatch& batch, float* output) const override;
   void Backward(const CsrBatch& batch, const float* grad_output) override;
   void ApplySgd(float lr) override;
 

@@ -71,7 +71,8 @@ void QuantizedEmbeddingBag::DequantizeRow(int64_t row, float* out) const {
   }
 }
 
-void QuantizedEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
+void QuantizedEmbeddingBag::ForwardInference(const CsrBatch& batch,
+                                             float* output) const {
   batch.Validate(num_rows_);
   const int64_t N = emb_dim_;
   const int64_t n_bags = batch.num_bags();
@@ -83,11 +84,7 @@ void QuantizedEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
     const int64_t bag_size = end - begin;
     float* dst = output + b * N;
     for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
+      const float w = batch.LookupWeight(l, bag_size, pooling_);
       DequantizeRow(batch.indices[static_cast<size_t>(l)], row.data());
       for (int64_t j = 0; j < N; ++j) dst[j] += w * row[static_cast<size_t>(j)];
     }

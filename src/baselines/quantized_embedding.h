@@ -21,7 +21,10 @@ class QuantizedEmbeddingBag : public EmbeddingOp {
   /// min/max-range affine quantization: q = round((x - min) / scale).
   QuantizedEmbeddingBag(const Tensor& table, int bits, PoolingMode pooling);
 
-  void Forward(const CsrBatch& batch, float* output) override;
+  void Forward(const CsrBatch& batch, float* output) override {
+    ForwardInference(batch, output);
+  }
+  void ForwardInference(const CsrBatch& batch, float* output) const override;
 
   /// Inference-only: training a quantized table is out of scope (the paper
   /// notes "quantization for training is more challenging").

@@ -10,7 +10,8 @@ T3nsorEmbeddingBag::T3nsorEmbeddingBag(TtEmbeddingConfig config, TtInit init,
                                        Rng& rng)
     : tt_(config, init, rng), pooling_(config.pooling) {}
 
-void T3nsorEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
+void T3nsorEmbeddingBag::ForwardInference(const CsrBatch& batch,
+                                          float* output) const {
   batch.Validate(num_rows());
   const int64_t N = emb_dim();
   // Full on-the-fly decompression: this allocation IS the baseline's
@@ -25,11 +26,7 @@ void T3nsorEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
     const int64_t bag_size = end - begin;
     float* dst = output + b * N;
     for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
+      const float w = batch.LookupWeight(l, bag_size, pooling_);
       const float* src =
           full.data() + batch.indices[static_cast<size_t>(l)] * N;
       for (int64_t j = 0; j < N; ++j) dst[j] += w * src[j];

@@ -23,7 +23,10 @@ class T3nsorEmbeddingBag : public EmbeddingOp {
 
   /// Materializes the full table, then gathers and pools — the defining
   /// behaviour this baseline reproduces.
-  void Forward(const CsrBatch& batch, float* output) override;
+  void Forward(const CsrBatch& batch, float* output) override {
+    ForwardInference(batch, output);
+  }
+  void ForwardInference(const CsrBatch& batch, float* output) const override;
 
   void Backward(const CsrBatch& batch, const float* grad_output) override;
   void ApplySgd(float lr) override;

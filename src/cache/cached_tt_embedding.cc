@@ -41,9 +41,9 @@ CachedTtEmbeddingBag::CachedTtEmbeddingBag(CachedTtConfig config, TtInit init,
                      "rewarm_period must be >= 0");
 }
 
-template <typename OnHit>
+template <typename OnLookup>
 CsrBatch CachedTtEmbeddingBag::Partition(const CsrBatch& batch,
-                                         OnHit&& on_hit) const {
+                                         OnLookup&& on_lookup) const {
   const int64_t n_bags = batch.num_bags();
   CsrBatch tt_batch;
   tt_batch.offsets.reserve(static_cast<size_t>(n_bags) + 1);
@@ -57,21 +57,43 @@ CsrBatch CachedTtEmbeddingBag::Partition(const CsrBatch& batch,
     const int64_t bag_size = end - begin;
     for (int64_t l = begin; l < end; ++l) {
       const int64_t row = batch.indices[static_cast<size_t>(l)];
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (config_.tt.pooling == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
-      if (const float* cached = cache_.Find(row)) {
-        on_hit(b, row, w, cached);
-      } else {
+      const float w = batch.LookupWeight(l, bag_size, config_.tt.pooling);
+      const float* cached = cache_.Find(row);
+      if (cached == nullptr) {
         tt_batch.indices.push_back(row);
         tt_batch.weights.push_back(w);
       }
+      on_lookup(b, l, w, cached);
     }
     tt_batch.offsets.push_back(static_cast<int64_t>(tt_batch.indices.size()));
   }
   return tt_batch;
+}
+
+template <typename PoolMisses>
+void CachedTtEmbeddingBag::SplitAndFold(const CsrBatch& batch,
+                                        const float* rows, float* output,
+                                        std::vector<CacheHit>& hits,
+                                        PoolMisses&& pool_misses) const {
+  const int64_t N = emb_dim();
+  hits.clear();
+  std::vector<float> miss_rows;
+  const CsrBatch misses = Partition(
+      batch, [&](int64_t bag, int64_t l, float w, const float* cached) {
+        const float* row = rows != nullptr ? rows + l * N : cached;
+        if (cached != nullptr) {
+          hits.push_back(CacheHit{bag, w, row});
+        } else if (rows != nullptr) {
+          miss_rows.insert(miss_rows.end(), row, row + N);
+        }
+      });
+  // The TT op zero-fills `output` and pools the misses; the cached
+  // contributions fold on top — no extra bag-sized buffer or second pass.
+  pool_misses(misses, rows != nullptr ? miss_rows.data() : nullptr, output);
+  for (const CacheHit& hit : hits) {
+    float* dst = output + hit.bag * N;
+    for (int64_t j = 0; j < N; ++j) dst[j] += hit.weight * hit.vec[j];
+  }
 }
 
 void CachedTtEmbeddingBag::RefreshCache() {
@@ -218,7 +240,6 @@ void CachedTtEmbeddingBag::ResizeCache(int64_t new_capacity) {
 
 void CachedTtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
   batch.Validate(num_rows());
-  const int64_t N = emb_dim();
 
   const bool in_warmup = iteration_ < config_.warmup_iterations;
   // Optional periodic re-warm: decay the counts (age out the previous
@@ -248,88 +269,34 @@ void CachedTtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
   }
   ++iteration_;
 
-  // Collect hits first, run the TT forward straight into `output` (it
-  // zero-fills), then fold the cached contributions on top — no extra
-  // bag-sized scratch buffer or second pass.
-  hit_scratch_.clear();
-  CsrBatch tt_batch = Partition(
-      batch, [&](int64_t bag, int64_t /*row*/, float w, const float* vec) {
-        hit_scratch_.push_back(CacheHit{bag, w, vec});
-      });
-  tt_.Forward(tt_batch, output);
-  for (const CacheHit& hit : hit_scratch_) {
-    float* dst = output + hit.bag * N;
-    for (int64_t j = 0; j < N; ++j) dst[j] += hit.weight * hit.vec[j];
-  }
+  SplitAndFold(batch, nullptr, output, hit_scratch_,
+               [this](const CsrBatch& misses, const float*, float* out) {
+                 tt_.Forward(misses, out);
+               });
 }
 
 void CachedTtEmbeddingBag::ForwardInference(const CsrBatch& batch,
                                             float* output) const {
   batch.Validate(num_rows());
-  const int64_t N = emb_dim();
-
-  // Same hit/miss split and fold order as Forward, but with call-local
-  // scratch (no shared hit_scratch_) and zero control-plane side effects:
-  // no iteration advance, no frequency tracking, no refresh.
+  // Call-local hit list: no shared scratch, and no control-plane side
+  // effects (no iteration advance, no frequency tracking, no refresh).
   std::vector<CacheHit> hits;
-  const CsrBatch tt_batch = Partition(
-      batch, [&](int64_t bag, int64_t /*row*/, float w, const float* vec) {
-        hits.push_back(CacheHit{bag, w, vec});
-      });
-  tt_.ForwardInference(tt_batch, output);
-  for (const CacheHit& hit : hits) {
-    float* dst = output + hit.bag * N;
-    for (int64_t j = 0; j < N; ++j) dst[j] += hit.weight * hit.vec[j];
-  }
+  SplitAndFold(batch, nullptr, output, hits,
+               [this](const CsrBatch& misses, const float*, float* out) {
+                 tt_.ForwardInference(misses, out);
+               });
 }
 
 void CachedTtEmbeddingBag::PoolPrefetchedRows(const CsrBatch& batch,
                                               const float* rows,
                                               float* output) const {
   batch.Validate(num_rows());
-  const int64_t N = emb_dim();
-  const int64_t n_bags = batch.num_bags();
-
-  // Same hit/miss classification and weight arithmetic as Partition, but
-  // keeping each lookup's original position so the row data can come from
-  // `rows` instead of the cache/TT chain.
-  struct Pooled {
-    int64_t bag;
-    float weight;
-    int64_t lookup;
-  };
-  std::vector<Pooled> hits;
-  std::vector<Pooled> misses;
-  for (int64_t b = 0; b < n_bags; ++b) {
-    const int64_t begin = batch.offsets[static_cast<size_t>(b)];
-    const int64_t end = batch.offsets[static_cast<size_t>(b) + 1];
-    const int64_t bag_size = end - begin;
-    for (int64_t l = begin; l < end; ++l) {
-      const int64_t row = batch.indices[static_cast<size_t>(l)];
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (config_.tt.pooling == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
-      if (cache_.Find(row) != nullptr) {
-        hits.push_back(Pooled{b, w, l});
-      } else {
-        misses.push_back(Pooled{b, w, l});
-      }
-    }
-  }
-
-  // ForwardInference's accumulation order: the inner TT op zero-fills and
-  // Axpy's the misses in lookup order, then the hit fold runs on top.
-  std::fill(output, output + n_bags * N, 0.0f);
-  for (const Pooled& m : misses) {
-    Axpy(N, m.weight, rows + m.lookup * N, output + m.bag * N);
-  }
-  for (const Pooled& h : hits) {
-    float* dst = output + h.bag * N;
-    const float* src = rows + h.lookup * N;
-    for (int64_t j = 0; j < N; ++j) dst[j] += h.weight * src[j];
-  }
+  std::vector<CacheHit> hits;
+  SplitAndFold(batch, rows, output, hits,
+               [this](const CsrBatch& misses, const float* miss_rows,
+                      float* out) {
+                 tt_.PoolPrefetchedRows(misses, miss_rows, out);
+               });
 }
 
 void CachedTtEmbeddingBag::Backward(const CsrBatch& batch,
@@ -338,8 +305,9 @@ void CachedTtEmbeddingBag::Backward(const CsrBatch& batch,
   const int64_t N = emb_dim();
 
   CsrBatch tt_batch = Partition(
-      batch, [&](int64_t bag, int64_t row, float w, const float* /*vec*/) {
-        float* g = cache_.GradFor(row);
+      batch, [&](int64_t bag, int64_t l, float w, const float* cached) {
+        if (cached == nullptr) return;
+        float* g = cache_.GradFor(batch.indices[static_cast<size_t>(l)]);
         TTREC_CHECK_INTERNAL(g != nullptr,
                              "cache partition changed between fwd/bwd");
         const float* src = grad_output + bag * N;

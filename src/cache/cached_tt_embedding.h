@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "cache/freq_tracker.h"
 #include "cache/lfu_cache.h"
@@ -66,8 +67,13 @@ class CachedTtEmbeddingBag {
   int64_t iteration() const { return iteration_; }
   bool warmed_up() const { return iteration_ >= config_.warmup_iterations; }
 
+  // Forward, ForwardInference and PoolPrefetchedRows share one
+  // split-and-fold path: lookups that hit the cache fold on top of the TT
+  // op's pooling of the misses. They differ only in what runs around it.
+
   /// Pools the batch into output (num_bags x emb_dim). Advances the
-  /// iteration counter and performs warm-up cache refreshes.
+  /// iteration counter, tracks frequencies and performs warm-up cache
+  /// refreshes first; misses run the TT op's training Forward.
   void Forward(const CsrBatch& batch, float* output);
 
   /// Read-only serving forward: pools the batch like Forward but does NOT
@@ -83,13 +89,13 @@ class CachedTtEmbeddingBag {
   /// same operator require external phasing.
   void ForwardInference(const CsrBatch& batch, float* output) const;
 
-  /// Pools pre-fetched rows (one per lookup of `batch`, lookup order) with
-  /// exactly ForwardInference's hit/miss split and accumulation order:
-  /// misses Axpy first in lookup order, then cache hits fold on top. The
-  /// indices must be the global row ids (the hit/miss split keys on them);
-  /// the row data comes from `rows` — for hits those bytes equal the cached
-  /// vector, for misses the TT-decoded row, so results are bitwise equal to
-  /// a local ForwardInference. Const, safe for concurrent callers.
+  /// Pools pre-fetched rows (one per lookup of `batch`, lookup order)
+  /// through ForwardInference's split and fold, with every lookup's data —
+  /// hits included — taken from `rows`. The indices must be the global row
+  /// ids (the hit/miss split keys on them); for hits the bytes in `rows`
+  /// equal the cached vector, for misses the TT-decoded row, so results are
+  /// bitwise equal to a local ForwardInference. Const, safe for concurrent
+  /// callers.
   void PoolPrefetchedRows(const CsrBatch& batch, const float* rows,
                           float* output) const;
 
@@ -202,17 +208,30 @@ class CachedTtEmbeddingBag {
   }
 
  private:
-  /// Splits `batch` into cache hits (applied immediately via `on_hit`) and
-  /// a TT sub-batch carrying explicit per-lookup weights. Const (and safe
-  /// for concurrent callers): only reads the cache through Find const.
-  template <typename OnHit>
-  CsrBatch Partition(const CsrBatch& batch, OnHit&& on_hit) const;
-
   struct CacheHit {
     int64_t bag;
     float weight;
     const float* vec;
   };
+
+  /// Splits `batch` into cache hits and a TT sub-batch of the misses (in
+  /// lookup order, with explicit per-lookup weights), calling
+  /// `on_lookup(bag, lookup, weight, cached)` for every lookup; `cached` is
+  /// null for a miss. Const (and safe for concurrent callers): only reads
+  /// the cache through Find const.
+  template <typename OnLookup>
+  CsrBatch Partition(const CsrBatch& batch, OnLookup&& on_lookup) const;
+
+  /// The split-and-fold path of all three forwards: partitions `batch`,
+  /// has `pool_misses(misses, miss_rows, output)` pool the TT sub-batch
+  /// into `output` (overwriting it), then folds the hits on top. With
+  /// `rows`, every lookup's data comes from there and `miss_rows` holds the
+  /// misses' rows in sub-batch order; without, hits read the cache and
+  /// `miss_rows` is null. `hits` is caller-owned scratch.
+  template <typename PoolMisses>
+  void SplitAndFold(const CsrBatch& batch, const float* rows, float* output,
+                    std::vector<CacheHit>& hits,
+                    PoolMisses&& pool_misses) const;
 
   CachedTtConfig config_;
   TtEmbeddingBag tt_;

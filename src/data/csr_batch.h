@@ -33,6 +33,17 @@ struct CsrBatch {
   }
   int64_t num_lookups() const { return static_cast<int64_t>(indices.size()); }
 
+  /// Effective weight of lookup `l` in a bag of `bag_size` lookups: its
+  /// per-sample weight (1 when unweighted), divided by the bag size under
+  /// mean pooling — what every operator pools and differentiates with.
+  float LookupWeight(int64_t l, int64_t bag_size, PoolingMode pooling) const {
+    float w = weights.empty() ? 1.0f : weights[static_cast<size_t>(l)];
+    if (pooling == PoolingMode::kMean && bag_size > 0) {
+      w /= static_cast<float>(bag_size);
+    }
+    return w;
+  }
+
   /// Validates offsets/weights consistency without looking at index values
   /// — what a serving frontend can check before it knows (or cares) which
   /// IndexPolicy the model applies. Throws ShapeError on violation.

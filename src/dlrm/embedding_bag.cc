@@ -40,7 +40,8 @@ DenseEmbeddingBag::DenseEmbeddingBag(Tensor table, PoolingMode pooling)
                     "DenseEmbeddingBag: table must be 2-d");
 }
 
-void DenseEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
+void DenseEmbeddingBag::Pool(const CsrBatch& batch, const float* rows,
+                             float* output) const {
   batch.Validate(num_rows());
   const int64_t N = emb_dim();
   const int64_t n_bags = batch.num_bags();
@@ -51,61 +52,11 @@ void DenseEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
     const int64_t bag_size = end - begin;
     float* dst = output + b * N;
     for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
+      const float w = batch.LookupWeight(l, bag_size, pooling_);
       const float* src =
-          table_.data() + batch.indices[static_cast<size_t>(l)] * N;
-      for (int64_t j = 0; j < N; ++j) dst[j] += w * src[j];
-    }
-  }
-}
-
-void DenseEmbeddingBag::ForwardInference(const CsrBatch& batch,
-                                         float* output) const {
-  batch.Validate(num_rows());
-  const int64_t N = emb_dim();
-  const int64_t n_bags = batch.num_bags();
-  std::fill(output, output + n_bags * N, 0.0f);
-  for (int64_t b = 0; b < n_bags; ++b) {
-    const int64_t begin = batch.offsets[static_cast<size_t>(b)];
-    const int64_t end = batch.offsets[static_cast<size_t>(b) + 1];
-    const int64_t bag_size = end - begin;
-    float* dst = output + b * N;
-    for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
-      const float* src =
-          table_.data() + batch.indices[static_cast<size_t>(l)] * N;
-      for (int64_t j = 0; j < N; ++j) dst[j] += w * src[j];
-    }
-  }
-}
-
-void DenseEmbeddingBag::PoolPrefetchedRows(const CsrBatch& batch,
-                                           const float* rows,
-                                           float* output) const {
-  batch.Validate(num_rows());
-  const int64_t N = emb_dim();
-  const int64_t n_bags = batch.num_bags();
-  std::fill(output, output + n_bags * N, 0.0f);
-  for (int64_t b = 0; b < n_bags; ++b) {
-    const int64_t begin = batch.offsets[static_cast<size_t>(b)];
-    const int64_t end = batch.offsets[static_cast<size_t>(b) + 1];
-    const int64_t bag_size = end - begin;
-    float* dst = output + b * N;
-    for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
-      const float* src = rows + l * N;
+          rows != nullptr
+              ? rows + l * N
+              : table_.data() + batch.indices[static_cast<size_t>(l)] * N;
       for (int64_t j = 0; j < N; ++j) dst[j] += w * src[j];
     }
   }
@@ -121,11 +72,7 @@ void DenseEmbeddingBag::Backward(const CsrBatch& batch,
     const int64_t bag_size = end - begin;
     const float* g = grad_output + b * N;
     for (int64_t l = begin; l < end; ++l) {
-      float w = batch.weights.empty() ? 1.0f
-                                      : batch.weights[static_cast<size_t>(l)];
-      if (pooling_ == PoolingMode::kMean && bag_size > 0) {
-        w /= static_cast<float>(bag_size);
-      }
+      const float w = batch.LookupWeight(l, bag_size, pooling_);
       auto [it, inserted] = grads_.try_emplace(
           batch.indices[static_cast<size_t>(l)],
           std::vector<float>(static_cast<size_t>(N), 0.0f));

@@ -43,16 +43,22 @@ class DenseEmbeddingBag : public EmbeddingOp {
   /// Adopts an existing table (e.g. for tests or cache comparisons).
   DenseEmbeddingBag(Tensor table, PoolingMode pooling);
 
-  void Forward(const CsrBatch& batch, float* output) override;
-  /// The dense gather/pool has no forward side effects, so the serving
-  /// path is the same loop, const. Safe for concurrent readers as long as
-  /// no thread mutates the table (ApplySgd/ApplyUpdate/LoadState).
-  void ForwardInference(const CsrBatch& batch, float* output) const override;
-  /// Same pooling loop as ForwardInference with the row data taken from
-  /// `rows` (lookup-ordered) instead of the table — bitwise identical, so
-  /// the shard router can pool remotely-fetched rows (see EmbeddingOp).
+  /// The dense gather/pool has no forward side effects, so training and
+  /// serving run the same const loop. Safe for concurrent readers as long
+  /// as no thread mutates the table (ApplySgd/ApplyUpdate/LoadState).
+  void Forward(const CsrBatch& batch, float* output) override {
+    Pool(batch, nullptr, output);
+  }
+  void ForwardInference(const CsrBatch& batch, float* output) const override {
+    Pool(batch, nullptr, output);
+  }
+  /// The same loop with the row data taken from `rows` (lookup-ordered)
+  /// instead of the table — bitwise identical, so the shard router can pool
+  /// remotely-fetched rows (see EmbeddingOp).
   void PoolPrefetchedRows(const CsrBatch& batch, const float* rows,
-                          float* output) const override;
+                          float* output) const override {
+    Pool(batch, rows, output);
+  }
   void Backward(const CsrBatch& batch, const float* grad_output) override;
   void ApplySgd(float lr) override;
 
@@ -93,6 +99,10 @@ class DenseEmbeddingBag : public EmbeddingOp {
   }
 
  private:
+  /// The one pooling loop: each lookup's row comes from `rows` (one per
+  /// lookup, lookup order) when given, else from the table.
+  void Pool(const CsrBatch& batch, const float* rows, float* output) const;
+
   Tensor table_;  // num_rows x emb_dim
   PoolingMode pooling_;
   std::unordered_map<int64_t, std::vector<float>> grads_;

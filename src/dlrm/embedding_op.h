@@ -26,13 +26,14 @@ class EmbeddingOp {
   /// Pools `batch` into `output` (num_bags x emb_dim, overwritten).
   virtual void Forward(const CsrBatch& batch, float* output) = 0;
 
-  /// Read-only forward for the serving path (src/serve/): must not mutate
-  /// any operator state (no gradient buffers, no iteration counters, no
-  /// cache refreshes) and must be safe for concurrent callers; output must
-  /// be bitwise identical whether lookups arrive one request at a time or
-  /// micro-batched. Operators the serving layer supports (dense, TT,
-  /// cached TT) override; the default rejects so an unsupported operator
-  /// fails loudly rather than racing.
+  /// Read-only forward for serving and DlrmModel::Evaluate: Forward's
+  /// pooling path without its training side effects. Must not mutate any
+  /// operator state (no gradient buffers, no iteration counters, no cache
+  /// refreshes) and must be safe for concurrent callers. Its output must
+  /// be bitwise identical to what Forward pools from the same state, and
+  /// whether lookups arrive one request at a time or micro-batched. Every
+  /// operator in src/ overrides; the default rejects so an unsupported
+  /// operator fails loudly rather than racing.
   virtual void ForwardInference(const CsrBatch& /*batch*/,
                                 float* /*output*/) const {
     throw ConfigError(Name() + " does not implement ForwardInference");

@@ -4,6 +4,9 @@
 // batch x d), the interaction emits, per sample, the concatenation of z_0
 // and the (m+1 choose 2) pairwise dot products <z_i, z_j> for i < j — the
 // standard MLPerf-DLRM "dot" interaction feeding the top MLP.
+//
+// Interact is the one forward, const, shared by training and serving; it
+// reads the feature blocks in place, and Backward reads the same blocks.
 #pragma once
 
 #include <cstdint>
@@ -26,26 +29,31 @@ class DotInteraction {
   int64_t out_dim() const { return dim_ + num_pairs(); }
 
   /// features[f] points at a (batch x dim) block; features[0] is the bottom
-  /// MLP output. Writes out (batch x out_dim) and caches the inputs.
+  /// MLP output. Writes out (batch x out_dim). Const and safe for
+  /// concurrent callers.
+  void Interact(const std::vector<const float*>& features, int64_t batch,
+                float* out) const;
+
+  /// Backward of the Interact that read `features`: grads[f] receives
+  /// dL/d(features[f]) (batch x dim, overwritten).
+  void Backward(const std::vector<const float*>& features,
+                const float* grad_out, int64_t batch,
+                const std::vector<float*>& grads) const;
+
+  /// The same pair for callers that keep no activations: Forward remembers
+  /// the feature pointers, whose blocks must stay unchanged until Backward,
+  /// which must pass the same batch.
   void Forward(const std::vector<const float*>& features, int64_t batch,
                float* out);
-
-  /// Forward without caching (Backward may not follow): same arithmetic in
-  /// the same order, so the output is bitwise identical to Forward. Const
-  /// and safe for concurrent callers.
-  void ForwardInference(const std::vector<const float*>& features,
-                        int64_t batch, float* out) const;
-
-  /// grads[f] receives dL/d(features[f]) (batch x dim, overwritten). Must
-  /// follow Forward with the same batch.
   void Backward(const float* grad_out, int64_t batch,
-                const std::vector<float*>& grads);
+                const std::vector<float*>& grads) const;
 
  private:
   int num_features_;
   int64_t dim_;
-  std::vector<float> cached_;  // batch x F x dim
-  int64_t cached_batch_ = 0;
+  // The last Forward's feature blocks and batch.
+  std::vector<const float*> last_features_;
+  int64_t last_batch_ = 0;
 };
 
 }  // namespace ttrec

@@ -28,10 +28,8 @@ LinearLayer::LinearLayer(int64_t in_dim, int64_t out_dim, bool relu, Rng& rng)
   }
 }
 
-void LinearLayer::Forward(const float* x, int64_t batch, float* y) {
+void LinearLayer::Forward(const float* x, int64_t batch, float* y) const {
   TTREC_CHECK(batch >= 0, "negative batch");
-  cached_batch_ = batch;
-  cached_x_.assign(x, x + batch * in_dim_);
   // y = x * W^T.
   Gemm(Trans::kNo, Trans::kYes, batch, out_dim_, in_dim_, 1.0f, x, in_dim_,
        weight_.data(), in_dim_, 0.0f, y, out_dim_);
@@ -42,42 +40,23 @@ void LinearLayer::Forward(const float* x, int64_t batch, float* y) {
       if (relu_ && yb[j] < 0.0f) yb[j] = 0.0f;
     }
   }
-  cached_y_.assign(y, y + batch * out_dim_);
 }
 
-void LinearLayer::ForwardInference(const float* x, int64_t batch,
-                                   float* y) const {
-  TTREC_CHECK(batch >= 0, "negative batch");
-  // Same kernel and epilogue as Forward, minus the activation caching.
-  Gemm(Trans::kNo, Trans::kYes, batch, out_dim_, in_dim_, 1.0f, x, in_dim_,
-       weight_.data(), in_dim_, 0.0f, y, out_dim_);
-  for (int64_t b = 0; b < batch; ++b) {
-    float* yb = y + b * out_dim_;
-    for (int64_t j = 0; j < out_dim_; ++j) {
-      yb[j] += bias_.data()[j];
-      if (relu_ && yb[j] < 0.0f) yb[j] = 0.0f;
-    }
-  }
-}
-
-void LinearLayer::Backward(const float* dy, int64_t batch, float* dx) {
-  TTREC_CHECK(batch == cached_batch_,
-              "Backward batch size does not match the preceding Forward");
+void LinearLayer::Backward(const float* x, const float* y, const float* dy,
+                           int64_t batch, float* dx) {
   // ReLU gate: dy_eff = dy * 1[y > 0]. (y == 0 treats the unit as off.)
   std::vector<float> dy_eff;
   const float* g = dy;
   if (relu_) {
     dy_eff.assign(dy, dy + batch * out_dim_);
     for (int64_t i = 0; i < batch * out_dim_; ++i) {
-      if (cached_y_[static_cast<size_t>(i)] <= 0.0f) {
-        dy_eff[static_cast<size_t>(i)] = 0.0f;
-      }
+      if (y[i] <= 0.0f) dy_eff[static_cast<size_t>(i)] = 0.0f;
     }
     g = dy_eff.data();
   }
   // dW += g^T x : (out x in).
   Gemm(Trans::kYes, Trans::kNo, out_dim_, in_dim_, batch, 1.0f, g, out_dim_,
-       cached_x_.data(), in_dim_, 1.0f, dweight_.data(), in_dim_);
+       x, in_dim_, 1.0f, dweight_.data(), in_dim_);
   // db += column sums of g.
   for (int64_t b = 0; b < batch; ++b) {
     const float* gb = g + b * out_dim_;
@@ -178,27 +157,11 @@ Mlp::Mlp(std::vector<int64_t> dims, bool final_relu, Rng& rng) {
     const bool relu = (i + 2 < dims.size()) || final_relu;
     layers_.emplace_back(dims[i], dims[i + 1], relu, rng);
   }
-  act_.resize(layers_.size());
 }
 
-void Mlp::Forward(const float* x, int64_t batch, float* y) {
-  const float* cur = x;
-  for (size_t i = 0; i < layers_.size(); ++i) {
-    float* out = (i + 1 == layers_.size())
-                     ? y
-                     : (act_[i].assign(
-                            static_cast<size_t>(batch *
-                                                layers_[i].out_dim()),
-                            0.0f),
-                        act_[i].data());
-    layers_[i].Forward(cur, batch, out);
-    cur = out;
-  }
-}
-
-void Mlp::ForwardInference(const float* x, int64_t batch, float* y,
-                           std::vector<std::vector<float>>& act) const {
-  act.resize(layers_.size());
+void Mlp::Forward(const float* x, int64_t batch, float* y,
+                  std::vector<std::vector<float>>& act) const {
+  act.resize(layers_.size() - 1);
   const float* cur = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     float* out;
@@ -208,25 +171,41 @@ void Mlp::ForwardInference(const float* x, int64_t batch, float* y,
       act[i].assign(static_cast<size_t>(batch * layers_[i].out_dim()), 0.0f);
       out = act[i].data();
     }
-    layers_[i].ForwardInference(cur, batch, out);
+    layers_[i].Forward(cur, batch, out);
     cur = out;
   }
 }
 
-void Mlp::Backward(const float* dy, int64_t batch, float* dx) {
+void Mlp::Backward(const float* x, const std::vector<std::vector<float>>& act,
+                   const float* y, const float* dy, int64_t batch, float* dx) {
   std::vector<float> grad_buf;
   const float* cur = dy;
   for (size_t i = layers_.size(); i-- > 0;) {
+    const float* in = i == 0 ? x : act[i - 1].data();
+    const float* out = i + 1 == layers_.size() ? y : act[i].data();
     if (i == 0) {
-      layers_[0].Backward(cur, batch, dx);
+      layers_[0].Backward(in, out, cur, batch, dx);
     } else {
       std::vector<float> next(
           static_cast<size_t>(batch * layers_[i].in_dim()));
-      layers_[i].Backward(cur, batch, next.data());
+      layers_[i].Backward(in, out, cur, batch, next.data());
       grad_buf = std::move(next);
       cur = grad_buf.data();
     }
   }
+}
+
+void Mlp::Forward(const float* x, int64_t batch, float* y) {
+  Forward(x, batch, y, act_);
+  last_x_ = x;
+  last_y_ = y;
+  last_batch_ = batch;
+}
+
+void Mlp::Backward(const float* dy, int64_t batch, float* dx) {
+  TTREC_CHECK(last_x_ != nullptr && batch == last_batch_,
+              "Backward batch size does not match the preceding Forward");
+  Backward(last_x_, act_, last_y_, dy, batch, dx);
 }
 
 void Mlp::ApplySgd(float lr) {

@@ -1,6 +1,11 @@
 // Multi-layer perceptron for the DLRM's bottom (dense-feature) and top
 // (post-interaction) towers, with manual backprop and SGD.
 //
+// Each layer has one forward, const, which training and serving share. The
+// caller keeps the activations it writes (DlrmModel keeps them in its
+// InferenceScratch) and hands them back to Backward, so no layer holds a
+// copy of its input or output.
+//
 // Layers are Linear (+ optional ReLU). Weights use the DLRM reference
 // initialization: W ~ N(0, sqrt(2/(fan_in + fan_out))), b ~ N(0, sqrt(1/out)).
 #pragma once
@@ -14,7 +19,8 @@
 
 namespace ttrec {
 
-/// One fully-connected layer; caches activations for backward.
+/// One fully-connected layer. Forward is const; Backward reads the
+/// activations of the forward it differentiates from its caller.
 class LinearLayer {
  public:
   LinearLayer(int64_t in_dim, int64_t out_dim, bool relu, Rng& rng);
@@ -23,17 +29,14 @@ class LinearLayer {
   int64_t out_dim() const { return out_dim_; }
   bool relu() const { return relu_; }
 
-  /// y (batch x out) = act(x (batch x in) * W^T + b). Caches x and y.
-  void Forward(const float* x, int64_t batch, float* y);
+  /// y (batch x out) = act(x (batch x in) * W^T + b). Const and safe for
+  /// concurrent callers.
+  void Forward(const float* x, int64_t batch, float* y) const;
 
-  /// Forward without caching activations: same arithmetic (bitwise
-  /// identical output), const, safe for concurrent callers. Backward may
-  /// not follow this call.
-  void ForwardInference(const float* x, int64_t batch, float* y) const;
-
-  /// Accumulates dW/db from dy (batch x out); writes dx (batch x in) unless
-  /// null. Must follow a Forward with the same batch size.
-  void Backward(const float* dy, int64_t batch, float* dx);
+  /// Backward of the Forward that read `x` and wrote `y`: accumulates dW/db
+  /// from dy (batch x out); writes dx (batch x in) unless null.
+  void Backward(const float* x, const float* y, const float* dy,
+                int64_t batch, float* dx);
 
   void ApplySgd(float lr);
   /// Elementwise Adagrad; the accumulator is allocated on first use.
@@ -71,9 +74,6 @@ class LinearLayer {
   Tensor dbias_;
   Tensor adagrad_weight_;  // lazily allocated by ApplyAdagrad
   Tensor adagrad_bias_;
-  std::vector<float> cached_x_;  // batch x in
-  std::vector<float> cached_y_;  // batch x out (post-activation)
-  int64_t cached_batch_ = 0;
 };
 
 /// A stack of LinearLayers. `dims` = {in, h1, ..., out}; ReLU after every
@@ -90,17 +90,24 @@ class Mlp {
     return layers_[static_cast<size_t>(i)];
   }
 
-  /// y (batch x out_dim); caches per-layer activations.
+  /// The tower's forward: y (batch x out_dim) from x (batch x in_dim),
+  /// with the hidden layers' outputs written into the caller-owned `act`
+  /// (resized to num_layers() - 1 buffers). Const and safe for concurrent
+  /// callers, each with its own `act`.
+  void Forward(const float* x, int64_t batch, float* y,
+               std::vector<std::vector<float>>& act) const;
+
+  /// Backward of the Forward that read `x` and wrote `act` and `y`:
+  /// accumulates every layer's gradients from dy and writes dx
+  /// (batch x in_dim) unless null.
+  void Backward(const float* x, const std::vector<std::vector<float>>& act,
+                const float* y, const float* dy, int64_t batch, float* dx);
+
+  /// The same pair for callers that keep no activations: Forward writes
+  /// the hidden outputs into the tower and remembers where x and y live,
+  /// so both must stay unchanged until Backward, which must pass the same
+  /// batch.
   void Forward(const float* x, int64_t batch, float* y);
-
-  /// Forward without touching the tower's own activation buffers: the
-  /// caller provides `act` (resized to num_layers() - 1 inter-layer
-  /// buffers). Const and safe for concurrent callers, each with its own
-  /// `act`; output is bitwise identical to Forward.
-  void ForwardInference(const float* x, int64_t batch, float* y,
-                        std::vector<std::vector<float>>& act) const;
-
-  /// Propagates dy back; writes dx (batch x in_dim) unless null.
   void Backward(const float* dy, int64_t batch, float* dx);
 
   void ApplySgd(float lr);
@@ -120,7 +127,11 @@ class Mlp {
 
  private:
   std::vector<LinearLayer> layers_;
-  std::vector<std::vector<float>> act_;  // inter-layer activation buffers
+  // The last 3-argument Forward's hidden outputs, input, output and batch.
+  std::vector<std::vector<float>> act_;
+  const float* last_x_ = nullptr;
+  const float* last_y_ = nullptr;
+  int64_t last_batch_ = 0;
 };
 
 }  // namespace ttrec

@@ -31,6 +31,26 @@ std::vector<int64_t> TopDims(const DlrmConfig& c, int64_t inter_dim) {
   return dims;
 }
 
+/// One table's step of either embedding loop: checks the bag count, sizes
+/// `out` and runs `lookup(cb, out)`, re-throwing an IndexError with the
+/// table identified — a bare "index out of range" from a 26-table model is
+/// undebuggable.
+template <typename Lookup>
+void LookupTable(int t, const EmbeddingOp& op, const CsrBatch& cb,
+                 int64_t batch_size, std::vector<float>& out,
+                 Lookup&& lookup) {
+  TTREC_CHECK_SHAPE(cb.num_bags() == batch_size, "table ", t, " has ",
+                    cb.num_bags(), " bags for batch size ", batch_size);
+  out.assign(static_cast<size_t>(batch_size * op.emb_dim()), 0.0f);
+  try {
+    lookup(cb, out.data());
+  } catch (const IndexError& e) {
+    throw IndexError("embedding table " + std::to_string(t) + " ('" +
+                     op.Name() + "', " + std::to_string(op.num_rows()) +
+                     " rows): " + e.what());
+  }
+}
+
 }  // namespace
 
 DlrmModel::DlrmModel(const DlrmConfig& config,
@@ -52,73 +72,24 @@ DlrmModel::DlrmModel(const DlrmConfig& config,
                        "DlrmModel: table ", t->Name(), " has emb_dim ",
                        t->emb_dim(), ", model expects ", config_.emb_dim);
   }
-  emb_out_.resize(tables_.size());
-}
-
-void DlrmModel::ForwardInternal(const MiniBatch& batch, float* logits) {
-  TTREC_CHECK_SHAPE(static_cast<int>(batch.sparse.size()) == num_tables(),
-                    "MiniBatch has ", batch.sparse.size(),
-                    " sparse features, model has ", num_tables(), " tables");
-  const int64_t B = batch.batch_size();
-  const int64_t d = config_.emb_dim;
-  TTREC_CHECK_SHAPE(batch.dense.ndim() == 2 && batch.dense.dim(0) == B &&
-                        batch.dense.dim(1) == config_.num_dense,
-                    "MiniBatch dense feature shape mismatch");
-
-  bottom_out_.assign(static_cast<size_t>(B * d), 0.0f);
-  {
-    TTREC_TRACE_SCOPE("dlrm.fwd.bottom_mlp");
-    bottom_.Forward(batch.dense.data(), B, bottom_out_.data());
-  }
-
-  if (config_.index_policy == IndexPolicy::kClampToZero) {
-    sanitized_sparse_.assign(batch.sparse.begin(), batch.sparse.end());
-    for (int t = 0; t < num_tables(); ++t) {
-      clamped_lookups_ +=
-          sanitized_sparse_[static_cast<size_t>(t)].ApplyIndexPolicy(
-              tables_[static_cast<size_t>(t)]->num_rows(),
-              IndexPolicy::kClampToZero,
-              tables_[static_cast<size_t>(t)]->Name());
-    }
-  }
-
-  std::vector<const float*> features;
-  features.reserve(tables_.size() + 1);
-  features.push_back(bottom_out_.data());
-  {
-    TTREC_TRACE_SCOPE("dlrm.fwd.embedding");
-    for (int t = 0; t < num_tables(); ++t) {
-      const CsrBatch& cb = SparseFor(batch, t);
-      TTREC_CHECK_SHAPE(cb.num_bags() == B, "table ", t, " has ",
-                        cb.num_bags(), " bags for batch size ", B);
-      auto& out = emb_out_[static_cast<size_t>(t)];
-      out.assign(static_cast<size_t>(B * d), 0.0f);
-      try {
-        tables_[static_cast<size_t>(t)]->Forward(cb, out.data());
-      } catch (const IndexError& e) {
-        // Re-throw with the table identified — a bare "index out of range"
-        // from a 26-table model is undebuggable.
-        throw IndexError("embedding table " + std::to_string(t) + " ('" +
-                         tables_[static_cast<size_t>(t)]->Name() + "', " +
-                         std::to_string(tables_[static_cast<size_t>(t)]
-                                            ->num_rows()) +
-                         " rows): " + e.what());
-      }
-      features.push_back(out.data());
-    }
-  }
-
-  inter_out_.assign(static_cast<size_t>(B * interaction_.out_dim()), 0.0f);
-  {
-    TTREC_TRACE_SCOPE("dlrm.fwd.interaction");
-    interaction_.Forward(features, B, inter_out_.data());
-  }
-  TTREC_TRACE_SCOPE("dlrm.fwd.top_mlp");
-  top_.Forward(inter_out_.data(), B, logits);
 }
 
 void DlrmModel::PredictLogits(const MiniBatch& batch, float* logits) {
-  ForwardInternal(batch, logits);
+  InferenceScratch& s = scratch_;
+  ForwardDenseInference(batch, s);
+  {
+    TTREC_TRACE_SCOPE("dlrm.fwd.embedding");
+    s.emb_out.resize(tables_.size());
+    for (int t = 0; t < num_tables(); ++t) {
+      EmbeddingOp& op = *tables_[static_cast<size_t>(t)];
+      LookupTable(t, op, SparseForInference(batch, t, s), batch.batch_size(),
+                  s.emb_out[static_cast<size_t>(t)],
+                  [&op](const CsrBatch& cb, float* out) {
+                    op.Forward(cb, out);
+                  });
+    }
+  }
+  ForwardTailInference(batch.batch_size(), logits, s);
 }
 
 void DlrmModel::PredictLogits(const MiniBatch& batch, float* logits,
@@ -140,8 +111,10 @@ void DlrmModel::ForwardDenseInference(const MiniBatch& batch,
                     "MiniBatch dense feature shape mismatch");
 
   s.bottom_out.assign(static_cast<size_t>(B * d), 0.0f);
-  bottom_.ForwardInference(batch.dense.data(), B, s.bottom_out.data(),
-                           s.bottom_act);
+  {
+    TTREC_TRACE_SCOPE("dlrm.fwd.bottom_mlp");
+    bottom_.Forward(batch.dense.data(), B, s.bottom_out.data(), s.bottom_act);
+  }
 
   // Sanitization happens serially up front so the parallel embedding stage
   // only reads.
@@ -159,8 +132,7 @@ void DlrmModel::ForwardDenseInference(const MiniBatch& batch,
 
 void DlrmModel::ForwardEmbeddingsInference(const MiniBatch& batch,
                                            InferenceScratch& s) const {
-  const int64_t B = batch.batch_size();
-  const int64_t d = config_.emb_dim;
+  TTREC_TRACE_SCOPE("dlrm.fwd.embedding");
   // Shard the table lookups across the pool, one table per chunk. Inner
   // kernels (BatchedGemm) also call ParallelFor; those nested calls run
   // inline on the worker, so a 26-table model keeps every core busy on
@@ -170,21 +142,13 @@ void DlrmModel::ForwardEmbeddingsInference(const MiniBatch& batch,
       num_tables(),
       [&](int64_t t_begin, int64_t t_end) {
         for (int64_t t = t_begin; t < t_end; ++t) {
-          const CsrBatch& cb =
-              SparseForInference(batch, static_cast<int>(t), s);
-          TTREC_CHECK_SHAPE(cb.num_bags() == B, "table ", t, " has ",
-                            cb.num_bags(), " bags for batch size ", B);
-          auto& out = s.emb_out[static_cast<size_t>(t)];
-          out.assign(static_cast<size_t>(B * d), 0.0f);
-          try {
-            tables_[static_cast<size_t>(t)]->ForwardInference(cb, out.data());
-          } catch (const IndexError& e) {
-            throw IndexError(
-                "embedding table " + std::to_string(t) + " ('" +
-                tables_[static_cast<size_t>(t)]->Name() + "', " +
-                std::to_string(tables_[static_cast<size_t>(t)]->num_rows()) +
-                " rows): " + e.what());
-          }
+          const EmbeddingOp& op = *tables_[static_cast<size_t>(t)];
+          LookupTable(static_cast<int>(t), op,
+                      SparseForInference(batch, static_cast<int>(t), s),
+                      batch.batch_size(), s.emb_out[static_cast<size_t>(t)],
+                      [&op](const CsrBatch& cb, float* out) {
+                        op.ForwardInference(cb, out);
+                      });
         }
       },
       /*grain=*/1);
@@ -193,23 +157,24 @@ void DlrmModel::ForwardEmbeddingsInference(const MiniBatch& batch,
 void DlrmModel::ForwardTailInference(int64_t batch_size, float* logits,
                                      InferenceScratch& s) const {
   const int64_t B = batch_size;
+  s.inter_out.assign(static_cast<size_t>(B * interaction_.out_dim()), 0.0f);
+  {
+    TTREC_TRACE_SCOPE("dlrm.fwd.interaction");
+    interaction_.Interact(Features(s), B, s.inter_out.data());
+  }
+  TTREC_TRACE_SCOPE("dlrm.fwd.top_mlp");
+  top_.Forward(s.inter_out.data(), B, logits, s.top_act);
+}
+
+std::vector<const float*> DlrmModel::Features(
+    const InferenceScratch& s) const {
   std::vector<const float*> features;
   features.reserve(tables_.size() + 1);
   features.push_back(s.bottom_out.data());
   for (int t = 0; t < num_tables(); ++t) {
     features.push_back(s.emb_out[static_cast<size_t>(t)].data());
   }
-
-  s.inter_out.assign(static_cast<size_t>(B * interaction_.out_dim()), 0.0f);
-  interaction_.ForwardInference(features, B, s.inter_out.data());
-  top_.ForwardInference(s.inter_out.data(), B, logits, s.top_act);
-}
-
-const CsrBatch& DlrmModel::SparseFor(const MiniBatch& batch, int t) const {
-  if (config_.index_policy == IndexPolicy::kClampToZero) {
-    return sanitized_sparse_[static_cast<size_t>(t)];
-  }
-  return batch.sparse[static_cast<size_t>(t)];
+  return features;
 }
 
 double DlrmModel::TrainStep(const MiniBatch& batch, float lr) {
@@ -229,7 +194,8 @@ StepOutcome DlrmModel::TrainStepGuarded(const MiniBatch& batch,
   StepOutcome out;
 
   std::vector<float> logits(static_cast<size_t>(B));
-  ForwardInternal(batch, logits.data());
+  PredictLogits(batch, logits.data());
+  const InferenceScratch& s = scratch_;
 
   std::vector<float> dlogits(static_cast<size_t>(B));
   out.loss = BceWithLogits(logits, batch.labels, dlogits.data());
@@ -247,12 +213,13 @@ StepOutcome DlrmModel::TrainStepGuarded(const MiniBatch& batch,
     return out;
   }
 
-  // Top MLP.
+  // Backward reads the forward's activations from scratch_. Top MLP.
   std::vector<float> dinter(
       static_cast<size_t>(B * interaction_.out_dim()));
   {
     TTREC_TRACE_SCOPE("dlrm.bwd.top_mlp");
-    top_.Backward(dlogits.data(), B, dinter.data());
+    top_.Backward(s.inter_out.data(), s.top_act, logits.data(),
+                  dlogits.data(), B, dinter.data());
   }
 
   // Interaction.
@@ -267,7 +234,7 @@ StepOutcome DlrmModel::TrainStepGuarded(const MiniBatch& batch,
   }
   {
     TTREC_TRACE_SCOPE("dlrm.bwd.interaction");
-    interaction_.Backward(dinter.data(), B, grads);
+    interaction_.Backward(Features(s), dinter.data(), B, grads);
   }
 
   // Embeddings and bottom MLP.
@@ -275,12 +242,13 @@ StepOutcome DlrmModel::TrainStepGuarded(const MiniBatch& batch,
     TTREC_TRACE_SCOPE("dlrm.bwd.embedding");
     for (int t = 0; t < num_tables(); ++t) {
       tables_[static_cast<size_t>(t)]->Backward(
-          SparseFor(batch, t), demb[static_cast<size_t>(t)].data());
+          SparseForInference(batch, t, s), demb[static_cast<size_t>(t)].data());
     }
   }
   {
     TTREC_TRACE_SCOPE("dlrm.bwd.bottom_mlp");
-    bottom_.Backward(dbottom.data(), B, nullptr);
+    bottom_.Backward(batch.dense.data(), s.bottom_act, s.bottom_out.data(),
+                     dbottom.data(), B, nullptr);
   }
 
   // Gradient guards fire after backward but before the optimizer touches
@@ -327,9 +295,10 @@ void DlrmModel::ZeroGrad() {
   for (auto& t : tables_) t->ZeroGrad();
 }
 
-EvalMetrics DlrmModel::Evaluate(const MiniBatch& batch) {
+EvalMetrics DlrmModel::Evaluate(const MiniBatch& batch) const {
+  InferenceScratch scratch;
   std::vector<float> logits(static_cast<size_t>(batch.batch_size()));
-  ForwardInternal(batch, logits.data());
+  PredictLogits(batch, logits.data(), scratch);
   EvalMetrics m;
   m.loss = BceWithLogits(logits, batch.labels, nullptr);
   m.accuracy = BinaryAccuracy(logits, batch.labels);
@@ -337,7 +306,7 @@ EvalMetrics DlrmModel::Evaluate(const MiniBatch& batch) {
   return m;
 }
 
-EvalMetrics DlrmModel::Evaluate(const std::vector<MiniBatch>& batches) {
+EvalMetrics DlrmModel::Evaluate(const std::vector<MiniBatch>& batches) const {
   TTREC_CHECK_CONFIG(!batches.empty(), "Evaluate: no batches");
   EvalMetrics acc;
   acc.auc = 0.0;

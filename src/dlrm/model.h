@@ -66,10 +66,12 @@ struct EvalMetrics {
   double auc = 0.5;
 };
 
-/// Caller-owned working memory for the const PredictLogits overload. The
-/// serving layer keeps one per session so concurrent inference threads never
-/// share mutable buffers; reusing an instance across calls avoids
-/// per-request allocation churn.
+/// The activations of one forward, and its working memory. The const
+/// PredictLogits overload and its three stages write into a caller-owned
+/// instance: the serving layer keeps one per session, so concurrent
+/// inference threads never share mutable buffers, and reusing an instance
+/// across calls avoids per-request allocation churn. The training forward
+/// writes into one the model owns, which backward then reads.
 struct InferenceScratch {
   std::vector<float> bottom_out;                  // B x d
   std::vector<std::vector<float>> bottom_act;     // bottom-MLP hidden layers
@@ -101,13 +103,17 @@ class DlrmModel {
   /// re-evaluate). The replacement must match emb_dim and num_rows.
   void ReplaceTable(int t, std::unique_ptr<EmbeddingOp> op);
 
-  /// Forward only; writes one logit per sample into `logits`.
+  /// The training forward: writes one logit per sample into `logits`. It
+  /// runs the dense and tail stages below around each table's mutating
+  /// Forward (cache warm-up, frequency tracking, stats), all on the model's
+  /// own scratch, whose activations TrainStep's backward then reads.
   void PredictLogits(const MiniBatch& batch, float* logits);
 
-  /// Read-only forward for serving: same arithmetic as PredictLogits (the
-  /// logits are bitwise identical for any micro-batching of the same
-  /// requests), but const — no activation caching, no cache refresh, no
-  /// table state mutation. All working memory lives in the caller-owned
+  /// Read-only forward for serving and evaluation: the same stages and
+  /// arithmetic as the training forward (the logits are bitwise identical,
+  /// also for any micro-batching of the same requests), but const — each
+  /// table runs its ForwardInference, so no cache refresh and no table
+  /// state mutation. All working memory lives in the caller-owned
   /// `scratch`, so concurrent callers with distinct scratches are safe as
   /// long as nothing mutates the model (no TrainStep / LoadCheckpoint /
   /// ReplaceTable in flight). Table lookups are sharded across the global
@@ -117,10 +123,11 @@ class DlrmModel {
 
   // Staged const forward — PredictLogits(const) split at the embedding
   // boundary so the shard router (src/shard/) can substitute its fan-out/
-  // join for the local table loop while reusing the dense tower, the
-  // sanitize pass, and the interaction/top tower unchanged. Calling the
-  // three stages in order on one scratch is bitwise identical to
-  // PredictLogits(const).
+  // join for the local table loop, and the training forward its mutating
+  // table loop, while both reuse the dense tower, the sanitize pass, and
+  // the interaction/top tower unchanged. Calling the three stages in order
+  // on one scratch is bitwise identical to PredictLogits(const). Each stage
+  // records its dlrm.fwd.* trace span.
 
   /// Stage 1: shape checks, bottom MLP into scratch.bottom_out, and (under
   /// kClampToZero) the serial sanitize pass into scratch.sanitized_sparse.
@@ -135,9 +142,9 @@ class DlrmModel {
   void ForwardTailInference(int64_t batch_size, float* logits,
                             InferenceScratch& scratch) const;
 
-  /// The lookup batch table `t` sees in the staged const forward: the
-  /// sanitized copy in `scratch` when the model clamps, `batch.sparse[t]`
-  /// otherwise. Valid after ForwardDenseInference.
+  /// The lookup batch table `t` sees in the staged forward: the sanitized
+  /// copy in `scratch` when the model clamps, `batch.sparse[t]` otherwise.
+  /// Valid after ForwardDenseInference.
   const CsrBatch& SparseForInference(const MiniBatch& batch, int t,
                                      const InferenceScratch& scratch) const {
     return config_.index_policy == IndexPolicy::kClampToZero
@@ -161,11 +168,12 @@ class DlrmModel {
                                const OptimizerConfig& opt,
                                const StepGuard& guard);
 
-  /// Forward + metrics on a held-out batch (no parameter updates).
-  EvalMetrics Evaluate(const MiniBatch& batch);
+  /// Metrics on a held-out batch through the const forward: no parameter
+  /// updates, and no cache warm-up, frequency tracking or refresh.
+  EvalMetrics Evaluate(const MiniBatch& batch) const;
 
   /// Averaged metrics over several evaluation batches.
-  EvalMetrics Evaluate(const std::vector<MiniBatch>& batches);
+  EvalMetrics Evaluate(const std::vector<MiniBatch>& batches) const;
 
   /// Serializes MLP towers and every table's learned parameters into a
   /// versioned, checksummed checkpoint. Optimizer state is not persisted
@@ -194,8 +202,9 @@ class DlrmModel {
   /// Discards all pending gradients (towers and tables).
   void ZeroGrad();
 
-  /// Lookups rewritten to zero-vectors under IndexPolicy::kClampToZero.
-  int64_t clamped_lookups() const { return clamped_lookups_; }
+  /// Lookups the training forward rewrote to zero-vectors under
+  /// IndexPolicy::kClampToZero.
+  int64_t clamped_lookups() const { return scratch_.clamped_lookups; }
 
   int64_t EmbeddingMemoryBytes() const;
   int64_t MlpMemoryBytes() const {
@@ -206,25 +215,16 @@ class DlrmModel {
   }
 
  private:
-  /// Runs the forward pass and leaves activations cached for backward.
-  void ForwardInternal(const MiniBatch& batch, float* logits);
-
-  /// The lookup batch table `t` actually sees: the sanitized copy under
-  /// IndexPolicy::kClampToZero, the caller's batch otherwise.
-  const CsrBatch& SparseFor(const MiniBatch& batch, int t) const;
+  /// The interaction's feature blocks in `s`: the bottom MLP's output, then
+  /// every table's.
+  std::vector<const float*> Features(const InferenceScratch& s) const;
 
   DlrmConfig config_;
   std::vector<std::unique_ptr<EmbeddingOp>> tables_;
   Mlp bottom_;
   Mlp top_;
   DotInteraction interaction_;
-
-  // Forward activations reused by backward.
-  std::vector<float> bottom_out_;            // B x d
-  std::vector<std::vector<float>> emb_out_;  // per table, B x d
-  std::vector<float> inter_out_;             // B x inter_dim
-  std::vector<CsrBatch> sanitized_sparse_;   // only used under kClampToZero
-  int64_t clamped_lookups_ = 0;
+  InferenceScratch scratch_;  // the training forward's activations
 };
 
 /// Convenience factory: builds a DLRM over `spec` where every table is an

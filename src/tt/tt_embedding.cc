@@ -39,13 +39,10 @@ std::vector<int64_t> LookupBags(const CsrBatch& batch) {
 /// mean pooling.
 float LookupWeight(const CsrBatch& batch, PoolingMode pooling, int64_t l,
                    int64_t bag) {
-  float w =
-      batch.weights.empty() ? 1.0f : batch.weights[static_cast<size_t>(l)];
-  if (pooling == PoolingMode::kMean) {
-    w /= static_cast<float>(batch.offsets[static_cast<size_t>(bag) + 1] -
-                            batch.offsets[static_cast<size_t>(bag)]);
-  }
-  return w;
+  return batch.LookupWeight(l,
+                            batch.offsets[static_cast<size_t>(bag) + 1] -
+                                batch.offsets[static_cast<size_t>(bag)],
+                            pooling);
 }
 
 /// Effective weight of every lookup.
@@ -386,56 +383,68 @@ void TtEmbeddingBag::ForwardBlock(std::span<const int64_t> indices,
   }
 }
 
-void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
-                                   std::span<const int64_t> bags,
-                                   std::span<const float> w, float* output,
-                                   bool dedup) const {
+void TtEmbeddingBag::PooledForward(const CsrBatch& batch, const float* rows,
+                                   float* output, bool dedup) const {
+  batch.Validate(num_rows());
   const int64_t N = emb_dim();
   const int64_t n_lookups = batch.num_lookups();
+  std::fill(output, output + batch.num_bags() * N, 0.0f);
   if (n_lookups == 0) return;
+
+  const std::vector<int64_t> bags = LookupBags(batch);
+  const std::vector<float> w = EffectiveWeights(batch, config_.pooling, bags);
 
   const int64_t bs = config_.block_size;
   ThreadPool& pool = ThreadPool::Global();
-  const int64_t round_blocks = std::max<int64_t>(
-      1, kRoundBlocksPerThread * static_cast<int64_t>(pool.num_threads()));
-  const int64_t round_lookups = round_blocks * bs;
-
-  // Reconstructed rows for one round, indexed by (lookup - round_begin).
-  float* rows = Grow(ThreadWorkspace().round_rows,
-                     std::min(n_lookups, round_lookups) * N);
+  // Given rows are one round that covers every lookup. Otherwise each round
+  // reconstructs its rows into the calling thread's workspace, indexed by
+  // (lookup - round_begin).
+  const int64_t round_lookups =
+      rows != nullptr
+          ? n_lookups
+          : std::max<int64_t>(1, kRoundBlocksPerThread *
+                                     static_cast<int64_t>(pool.num_threads())) *
+                bs;
+  float* decoded = rows != nullptr
+                       ? nullptr
+                       : Grow(ThreadWorkspace().round_rows,
+                              std::min(n_lookups, round_lookups) * N);
 
   for (int64_t r0 = 0; r0 < n_lookups; r0 += round_lookups) {
     const int64_t r1 = std::min(n_lookups, r0 + round_lookups);
     const int64_t blocks = (r1 - r0 + bs - 1) / bs;
 
     // Phase 1: reconstruct rows, block-parallel. Each block writes a
-    // disjoint range of `rows`, so tasks never overlap.
-    pool.ParallelFor(blocks, 1, [&](int64_t c0, int64_t c1) {
-      Workspace& ws = ThreadWorkspace();
-      for (int64_t blk = c0; blk < c1; ++blk) {
-        const int64_t begin = r0 + blk * bs;
-        const int64_t end = std::min(r1, begin + bs);
-        float* out_rows = rows + (begin - r0) * N;
-        if (dedup) {
-          GroupByRow(batch.indices, begin, end, ws.dedup_keys, ws.unique,
-                     ws.lookup_to_unique);
-          const int64_t num_unique = static_cast<int64_t>(ws.unique.size());
-          float* unique_rows = Grow(ws.unique_rows, num_unique * N);
-          ForwardBlock(ws.unique, 0, num_unique, unique_rows, ws);
-          for (int64_t l = begin; l < end; ++l) {
-            const float* src =
-                unique_rows +
-                static_cast<int64_t>(
-                    ws.lookup_to_unique[static_cast<size_t>(l - begin)]) *
-                    N;
-            std::memcpy(out_rows + (l - begin) * N, src,
-                        static_cast<size_t>(N) * sizeof(float));
+    // disjoint range of `decoded`, so tasks never overlap.
+    if (rows == nullptr) {
+      pool.ParallelFor(blocks, 1, [&](int64_t c0, int64_t c1) {
+        Workspace& ws = ThreadWorkspace();
+        for (int64_t blk = c0; blk < c1; ++blk) {
+          const int64_t begin = r0 + blk * bs;
+          const int64_t end = std::min(r1, begin + bs);
+          float* out_rows = decoded + (begin - r0) * N;
+          if (dedup) {
+            GroupByRow(batch.indices, begin, end, ws.dedup_keys, ws.unique,
+                       ws.lookup_to_unique);
+            const int64_t num_unique = static_cast<int64_t>(ws.unique.size());
+            float* unique_rows = Grow(ws.unique_rows, num_unique * N);
+            ForwardBlock(ws.unique, 0, num_unique, unique_rows, ws);
+            for (int64_t l = begin; l < end; ++l) {
+              const float* src =
+                  unique_rows +
+                  static_cast<int64_t>(
+                      ws.lookup_to_unique[static_cast<size_t>(l - begin)]) *
+                      N;
+              std::memcpy(out_rows + (l - begin) * N, src,
+                          static_cast<size_t>(N) * sizeof(float));
+            }
+          } else {
+            ForwardBlock(batch.indices, begin, end, out_rows, ws);
           }
-        } else {
-          ForwardBlock(batch.indices, begin, end, out_rows, ws);
         }
-      }
-    });
+      });
+    }
+    const float* round_rows = rows != nullptr ? rows : decoded;
 
     // Phase 2: pool this round's rows into bags. Every bag is owned by
     // exactly one chunk (bags partition the lookup range), and a bag's
@@ -452,7 +461,7 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
             std::min(r1, batch.offsets[static_cast<size_t>(bag) + 1]);
         float* dst = output + bag * N;
         for (int64_t l = lo; l < hi; ++l) {
-          Axpy(N, w[static_cast<size_t>(l)], rows + (l - r0) * N, dst);
+          Axpy(N, w[static_cast<size_t>(l)], round_rows + (l - r0) * N, dst);
         }
       }
     });
@@ -460,17 +469,8 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch,
 }
 
 void TtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
-  batch.Validate(num_rows());
-  const int64_t N = emb_dim();
+  PooledForward(batch, nullptr, output, config_.deduplicate);
   const int64_t n_lookups = batch.num_lookups();
-  const int64_t n_bags = batch.num_bags();
-
-  std::fill(output, output + n_bags * N, 0.0f);
-
-  const std::vector<int64_t> bags = LookupBags(batch);
-  const std::vector<float> w = EffectiveWeights(batch, config_.pooling, bags);
-
-  PooledForward(batch, bags, w, output, config_.deduplicate);
   ++stats_.forward_calls;
   stats_.lookups += n_lookups;
   stats_.forward_flops += n_lookups * fwd_flops_per_lookup_;
@@ -478,40 +478,16 @@ void TtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
 
 void TtEmbeddingBag::ForwardInference(const CsrBatch& batch,
                                       float* output) const {
-  batch.Validate(num_rows());
-  const int64_t N = emb_dim();
-  const int64_t n_bags = batch.num_bags();
-
-  std::fill(output, output + n_bags * N, 0.0f);
-
-  const std::vector<int64_t> bags = LookupBags(batch);
-  const std::vector<float> w = EffectiveWeights(batch, config_.pooling, bags);
-
   // Always the per-lookup path (no dedup): each lookup's TT chain is an
   // independent GEMM problem, so pooled outputs are bitwise identical no
   // matter how requests were micro-batched together.
-  PooledForward(batch, bags, w, output, /*dedup=*/false);
+  PooledForward(batch, nullptr, output, /*dedup=*/false);
 }
 
 void TtEmbeddingBag::PoolPrefetchedRows(const CsrBatch& batch,
                                         const float* rows,
                                         float* output) const {
-  batch.Validate(num_rows());
-  const int64_t N = emb_dim();
-  const int64_t n_bags = batch.num_bags();
-
-  std::fill(output, output + n_bags * N, 0.0f);
-
-  const std::vector<int64_t> bags = LookupBags(batch);
-  const std::vector<float> w = EffectiveWeights(batch, config_.pooling, bags);
-
-  // Lookup order, same Axpy kernel as PooledForward's pooling phase — each
-  // bag's lookups are contiguous, so this serial sweep accumulates every
-  // bag in exactly the order the block-parallel phase-2 scatter would.
-  for (int64_t l = 0; l < batch.num_lookups(); ++l) {
-    Axpy(N, w[static_cast<size_t>(l)], rows + l * N,
-         output + bags[static_cast<size_t>(l)] * N);
-  }
+  PooledForward(batch, rows, output, /*dedup=*/false);
 }
 
 void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices, float* out) {

@@ -9,7 +9,9 @@
 // rows are then pooled into bags with optional per-sample weights (Eq. 6/7);
 // every bag is owned by exactly one pooling task and accumulates its lookups
 // in lookup order, so pooled outputs are bitwise independent of the thread
-// count.
+// count. Forward, ForwardInference and PoolPrefetchedRows share this one
+// pooling path; they differ in the dedup choice, the stats counters, and
+// whether the rows are reconstructed or given.
 //
 // Backward (Algorithm 2, Eq. 4/5) is a per-core gather-reduce that
 // recomputes the intermediates (the paper's default; §4.2's stash trades
@@ -94,18 +96,17 @@ class TtEmbeddingBag {
   /// for any thread count.
   void Forward(const CsrBatch& batch, float* output);
 
-  /// Read-only forward for serving: identical arithmetic to Forward (minus
-  /// dedup, so per-lookup results are independent of how requests are
-  /// batched), but const and thread-safe for concurrent callers — no
-  /// gradient buffers and no stats counters are touched. Serving telemetry
-  /// lives in serve/ServeMetrics instead.
+  /// Read-only forward for serving: Forward's pooling path minus dedup (so
+  /// per-lookup results are independent of how requests are batched) and
+  /// minus the stats counters; const and thread-safe for concurrent
+  /// callers. Serving telemetry lives in serve/ServeMetrics instead.
   void ForwardInference(const CsrBatch& batch, float* output) const;
 
   /// Pools pre-decoded rows (one emb_dim row per lookup of `batch`, lookup
-  /// order) into `output` with exactly ForwardInference's weighting and
-  /// Axpy accumulation order — the decode is skipped, the pooling phase is
-  /// bit-for-bit the same. Lets the shard router pool rows fetched from
-  /// remote shards identically to a local lookup.
+  /// order) into `output` through the same pooling phase as
+  /// ForwardInference, with the decode skipped — bit for bit the same. Lets
+  /// the shard router pool rows fetched from remote shards identically to a
+  /// local lookup.
   void PoolPrefetchedRows(const CsrBatch& batch, const float* rows,
                           float* output) const;
 
@@ -173,11 +174,13 @@ class TtEmbeddingBag {
   void ForwardBlock(std::span<const int64_t> indices, int64_t begin,
                     int64_t end, float* rows_out, Workspace& ws) const;
 
-  /// Shared engine of Forward / ForwardInference: reconstructs rows block-
-  /// parallel, then pools them into `output` with per-bag ownership. Rounds
-  /// of blocks bound the row buffer; round boundaries never change results.
-  void PooledForward(const CsrBatch& batch, std::span<const int64_t> bags,
-                     std::span<const float> w, float* output,
+  /// The one pooling path of Forward, ForwardInference and
+  /// PoolPrefetchedRows: validates the batch and overwrites `output`. Per
+  /// round of blocks, phase 1 reconstructs the rows block-parallel (skipped
+  /// when `rows` already holds them, one per lookup in lookup order), and
+  /// phase 2 pools them bag by bag in lookup order, one owner per bag.
+  /// Rounds bound the row buffer; round boundaries never change results.
+  void PooledForward(const CsrBatch& batch, const float* rows, float* output,
                      bool dedup) const;
 
   /// Backward for lookups [begin, end): the per-core gather-reduce of

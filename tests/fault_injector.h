@@ -117,6 +117,10 @@ class NanGradInjector : public EmbeddingOp {
   void Forward(const CsrBatch& batch, float* output) override {
     inner_->Forward(batch, output);
   }
+  void ForwardInference(const CsrBatch& batch,
+                        float* output) const override {
+    inner_->ForwardInference(batch, output);
+  }
   void Backward(const CsrBatch& batch, const float* grad_output) override {
     if (backward_calls_++ == fault_on_call_) {
       const std::vector<float> poisoned(

@@ -7,6 +7,7 @@
 
 #include "dlrm/embedding_adapters.h"
 #include "dlrm/embedding_bag.h"
+#include "dlrm/loss.h"
 #include "dlrm/model.h"
 #include "dlrm/trainer.h"
 #include "tensor/check.h"
@@ -208,6 +209,52 @@ TEST(DlrmModel, CachedTtRecTrainsAndHitsCache) {
     EXPECT_TRUE(t->op().warmed_up());
     EXPECT_GT(t->op().HitRate(), 0.05) << "Zipf-hot rows should hit";
   }
+}
+
+TEST(DlrmModel, EvaluateLeavesCacheWarmUpAlone) {
+  // Held-out batches run the const forward: they must not advance a cached
+  // table's warm-up clock, feed its frequency tracker or trigger a refresh.
+  Rng rng(33);
+  SyntheticCriteo data(TinyDataConfig(1));
+  CachedTtConfig ccfg;
+  ccfg.tt.shape = MakeTtShape(200, 8, 3, 4);
+  ccfg.cache_capacity = 16;
+  ccfg.warmup_iterations = 10;
+  ccfg.refresh_interval = 2;
+  auto table = std::make_unique<CachedTtEmbeddingAdapter>(
+      ccfg, TtInit::kSampledGaussian, rng);
+  const CachedTtEmbeddingBag& cached = table->op();
+  std::vector<std::unique_ptr<EmbeddingOp>> tables;
+  tables.push_back(std::move(table));
+  DlrmModel model(TinyDlrmConfig(), std::move(tables), rng);
+  for (int step = 0; step < 3; ++step) {
+    (void)model.TrainStep(data.NextBatch(32), 0.1f);
+  }
+  ASSERT_EQ(cached.iteration(), 3);
+  const int64_t refreshes = cached.refreshes();
+
+  std::vector<MiniBatch> held_out;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    held_out.push_back(data.EvalBatch(64, seed));
+  }
+  const EvalMetrics m = model.Evaluate(held_out);
+  EXPECT_EQ(cached.iteration(), 3);
+  EXPECT_EQ(cached.refreshes(), refreshes);
+
+  // The metrics are those of the const forward's logits.
+  EvalMetrics want;
+  want.auc = 0.0;
+  InferenceScratch scratch;
+  for (const MiniBatch& b : held_out) {
+    std::vector<float> logits(static_cast<size_t>(b.batch_size()));
+    model.PredictLogits(b, logits.data(), scratch);
+    want.loss += BceWithLogits(logits, b.labels, nullptr);
+    want.accuracy += BinaryAccuracy(logits, b.labels);
+    want.auc += AucRoc(logits, b.labels);
+  }
+  EXPECT_EQ(m.loss, want.loss / 4.0);
+  EXPECT_EQ(m.accuracy, want.accuracy / 4.0);
+  EXPECT_EQ(m.auc, want.auc / 4.0);
 }
 
 TEST(DlrmModel, Validation) {

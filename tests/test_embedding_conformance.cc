@@ -4,6 +4,7 @@
 // trainable ops) loss reduction under its optimizer.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <ostream>
@@ -26,7 +27,15 @@ constexpr int64_t kDim = 8;
 struct OpFactory {
   std::string name;
   bool trainable;
-  std::function<std::unique_ptr<EmbeddingOp>(uint64_t seed)> make;
+  bool pools_prefetched_rows;  // implements PoolPrefetchedRows
+  std::function<std::unique_ptr<EmbeddingOp>(uint64_t seed,
+                                             PoolingMode pooling)>
+      build;
+
+  std::unique_ptr<EmbeddingOp> make(
+      uint64_t seed, PoolingMode pooling = PoolingMode::kSum) const {
+    return build(seed, pooling);
+  }
 };
 
 // gtest_discover_tests puts the printed parameter into each CTest name. The
@@ -36,58 +45,71 @@ void PrintTo(const OpFactory& f, std::ostream* os) { *os << f.name; }
 
 std::vector<OpFactory> AllFactories() {
   std::vector<OpFactory> fs;
-  fs.push_back({"dense", true, [](uint64_t seed) -> std::unique_ptr<EmbeddingOp> {
+  fs.push_back({"dense", true, true,
+                [](uint64_t seed,
+                   PoolingMode pooling) -> std::unique_ptr<EmbeddingOp> {
                   Rng rng(seed);
                   return std::make_unique<DenseEmbeddingBag>(
-                      kRows, kDim, PoolingMode::kSum,
+                      kRows, kDim, pooling,
                       DenseEmbeddingInit::UniformScaled(), rng);
                 }});
-  fs.push_back({"tt", true, [](uint64_t seed) -> std::unique_ptr<EmbeddingOp> {
+  fs.push_back({"tt", true, true,
+                [](uint64_t seed,
+                   PoolingMode pooling) -> std::unique_ptr<EmbeddingOp> {
                   Rng rng(seed);
                   TtEmbeddingConfig cfg;
                   cfg.shape = MakeTtShape(kRows, kDim, 3, 4);
+                  cfg.pooling = pooling;
                   return std::make_unique<TtEmbeddingAdapter>(
                       cfg, TtInit::kGaussian, rng);
                 }});
-  fs.push_back({"tt_dedup", true,
-                [](uint64_t seed) -> std::unique_ptr<EmbeddingOp> {
+  fs.push_back({"tt_dedup", true, true,
+                [](uint64_t seed,
+                   PoolingMode pooling) -> std::unique_ptr<EmbeddingOp> {
                   Rng rng(seed);
                   TtEmbeddingConfig cfg;
                   cfg.shape = MakeTtShape(kRows, kDim, 3, 4);
+                  cfg.pooling = pooling;
                   cfg.deduplicate = true;
                   return std::make_unique<TtEmbeddingAdapter>(
                       cfg, TtInit::kGaussian, rng);
                 }});
-  fs.push_back({"cached_tt", true,
-                [](uint64_t seed) -> std::unique_ptr<EmbeddingOp> {
+  fs.push_back({"cached_tt", true, true,
+                [](uint64_t seed,
+                   PoolingMode pooling) -> std::unique_ptr<EmbeddingOp> {
                   Rng rng(seed);
                   CachedTtConfig cfg;
                   cfg.tt.shape = MakeTtShape(kRows, kDim, 3, 4);
+                  cfg.tt.pooling = pooling;
                   cfg.cache_capacity = 8;
                   cfg.warmup_iterations = 2;
                   cfg.refresh_interval = 1;
                   return std::make_unique<CachedTtEmbeddingAdapter>(
                       cfg, TtInit::kGaussian, rng);
                 }});
-  fs.push_back({"t3nsor", true,
-                [](uint64_t seed) -> std::unique_ptr<EmbeddingOp> {
+  fs.push_back({"t3nsor", true, false,
+                [](uint64_t seed,
+                   PoolingMode pooling) -> std::unique_ptr<EmbeddingOp> {
                   Rng rng(seed);
                   TtEmbeddingConfig cfg;
                   cfg.shape = MakeTtShape(kRows, kDim, 3, 4);
+                  cfg.pooling = pooling;
                   return std::make_unique<T3nsorEmbeddingBag>(
                       cfg, TtInit::kGaussian, rng);
                 }});
-  fs.push_back({"hashed", true,
-                [](uint64_t seed) -> std::unique_ptr<EmbeddingOp> {
+  fs.push_back({"hashed", true, false,
+                [](uint64_t seed,
+                   PoolingMode pooling) -> std::unique_ptr<EmbeddingOp> {
                   Rng rng(seed);
                   return std::make_unique<HashedEmbeddingBag>(
-                      kRows, 16, kDim, PoolingMode::kSum, rng);
+                      kRows, 16, kDim, pooling, rng);
                 }});
-  fs.push_back({"lowrank", true,
-                [](uint64_t seed) -> std::unique_ptr<EmbeddingOp> {
+  fs.push_back({"lowrank", true, false,
+                [](uint64_t seed,
+                   PoolingMode pooling) -> std::unique_ptr<EmbeddingOp> {
                   Rng rng(seed);
                   return std::make_unique<LowRankEmbeddingBag>(
-                      kRows, kDim, 3, PoolingMode::kSum, rng);
+                      kRows, kDim, 3, pooling, rng);
                 }});
   return fs;
 }
@@ -175,6 +197,66 @@ TEST_P(EmbeddingConformance, SgdTrainingReducesRegressionLoss) {
     op->ApplySgd(0.3f);
   }
   EXPECT_LT(last, 0.05 * first + 1e-9) << GetParam().name;
+}
+
+void ExpectBitwiseEqual(const std::vector<float>& want,
+                        const std::vector<float>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(float)), 0)
+        << what << " differs at " << i << ": " << want[i] << " vs "
+        << got[i];
+  }
+}
+
+// Training and serving run one pooling path per family: Forward,
+// ForwardInference and PoolPrefetchedRows must agree bitwise on a batch
+// with duplicate ids and empty bags, under sum and mean pooling, with and
+// without weights. Cached TT is compared after its warm-up, with both cache
+// hits and misses in the batch; TT with dedup is compared against the
+// serving path, which never dedups. The prefetched rows come from one
+// single-id ForwardInference per lookup.
+TEST_P(EmbeddingConformance, ForwardPathsAgreeBitwise) {
+  const CsrBatch warm = CsrBatch::FromIndices({3, 7, 11, 3, 7, 3});
+  CsrBatch batch;
+  batch.indices = {3, 7, 3, 11, 42, 7, 0, 59, 42, 42, 3};
+  batch.offsets = {0, 3, 3, 6, 7, 7, 11};  // bags 1 and 4 empty
+  const std::vector<float> weights = {0.5f, -1.25f, 2.0f, 0.75f, 1.5f, -0.5f,
+                                      3.0f, 0.25f, -2.0f, 1.0f, 0.125f};
+  const size_t out_size = static_cast<size_t>(batch.num_bags() * kDim);
+  for (PoolingMode pooling : {PoolingMode::kSum, PoolingMode::kMean}) {
+    for (bool weighted : {false, true}) {
+      SCOPED_TRACE(std::string(pooling == PoolingMode::kSum ? "sum" : "mean") +
+                   (weighted ? ", weighted" : ", unweighted"));
+      batch.weights = weighted ? weights : std::vector<float>{};
+      auto op = GetParam().make(8, pooling);
+      std::vector<float> train(out_size), serve(out_size), pooled(out_size);
+      // Past the cached family's warm-up: its cache is frozen from here.
+      std::vector<float> warm_out(static_cast<size_t>(warm.num_bags() * kDim));
+      for (int i = 0; i < 3; ++i) op->Forward(warm, warm_out.data());
+      if (auto* c = dynamic_cast<CachedTtEmbeddingAdapter*>(op.get())) {
+        ASSERT_TRUE(c->op().warmed_up());
+        ASSERT_TRUE(c->op().cache().Contains(3));    // a hit
+        ASSERT_FALSE(c->op().cache().Contains(42));  // a miss
+      }
+      op->Forward(batch, train.data());
+      try {
+        op->ForwardInference(batch, serve.data());
+      } catch (const ConfigError&) {
+        GTEST_SKIP() << GetParam().name << " has no ForwardInference";
+      }
+      ExpectBitwiseEqual(train, serve, "ForwardInference vs Forward");
+      if (!GetParam().pools_prefetched_rows) continue;
+
+      std::vector<float> rows(batch.indices.size() * static_cast<size_t>(kDim));
+      for (size_t l = 0; l < batch.indices.size(); ++l) {
+        op->ForwardInference(CsrBatch::FromIndices({batch.indices[l]}),
+                             rows.data() + l * static_cast<size_t>(kDim));
+      }
+      op->PoolPrefetchedRows(batch, rows.data(), pooled.data());
+      ExpectBitwiseEqual(train, pooled, "PoolPrefetchedRows vs Forward");
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

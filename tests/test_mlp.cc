@@ -52,7 +52,7 @@ TEST(LinearLayer, ReluClampsAndGates) {
   EXPECT_FLOAT_EQ(y[0], 0.0f);
   // Gradient through a dead unit is zero.
   std::vector<float> dy = {1.0f}, dx(1, -9.0f);
-  layer.Backward(dy.data(), 1, dx.data());
+  layer.Backward(x.data(), y.data(), dy.data(), 1, dx.data());
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(layer.weight_grad()[0], 0.0f);
 }
@@ -60,23 +60,26 @@ TEST(LinearLayer, ReluClampsAndGates) {
 class MlpGradSweep : public ::testing::TestWithParam<
                          std::tuple<int64_t, int64_t, int64_t, bool>> {};
 
+// Runs the forward and backward DlrmModel calls: the const Forward writes
+// the hidden activations into caller-owned buffers, and Backward reads them.
 TEST_P(MlpGradSweep, FiniteDifferenceCheck) {
   const auto [in_dim, hidden, batch, final_relu] = GetParam();
   Rng rng(static_cast<uint64_t>(in_dim * 13 + hidden * 7 + batch));
   Mlp mlp({in_dim, hidden, 3}, final_relu, rng);
   std::vector<float> x = RandomVec(rng, batch * in_dim);
   std::vector<float> g = RandomVec(rng, batch * 3);
+  std::vector<float> y(static_cast<size_t>(batch * 3));
+  std::vector<std::vector<float>> act;
 
   auto loss = [&]() {
-    std::vector<float> y(static_cast<size_t>(batch * 3));
-    mlp.Forward(x.data(), batch, y.data());
+    mlp.Forward(x.data(), batch, y.data(), act);
     double s = 0.0;
     for (size_t i = 0; i < y.size(); ++i) s += static_cast<double>(g[i]) * y[i];
     return s;
   };
-  (void)loss();  // prime caches
+  (void)loss();  // fills y and act for Backward
   std::vector<float> dx(static_cast<size_t>(batch * in_dim));
-  mlp.Backward(g.data(), batch, dx.data());
+  mlp.Backward(x.data(), act, y.data(), g.data(), batch, dx.data());
 
   const double eps = 1e-3;
   // Check dX entries.
@@ -95,7 +98,7 @@ TEST_P(MlpGradSweep, FiniteDifferenceCheck) {
   // Check a few weight entries of each layer.
   (void)loss();
   mlp.ZeroGrad();
-  mlp.Backward(g.data(), batch, nullptr);
+  mlp.Backward(x.data(), act, y.data(), g.data(), batch, nullptr);
   for (int l = 0; l < mlp.num_layers(); ++l) {
     Tensor& w = mlp.layer(l).weight();
     const Tensor& dw = mlp.layer(l).weight_grad();
@@ -179,6 +182,8 @@ TEST(DotInteraction, ForwardHandComputed) {
   EXPECT_FLOAT_EQ(out[4], -3.0f);  // z1.z2
 }
 
+// Runs Interact and the Backward that reads the feature blocks, the pair
+// DlrmModel calls.
 TEST(DotInteraction, BackwardFiniteDifference) {
   const int F = 4;
   const int64_t d = 3, B = 2;
@@ -194,7 +199,7 @@ TEST(DotInteraction, BackwardFiniteDifference) {
 
   auto loss = [&]() {
     std::vector<float> out(static_cast<size_t>(B * inter.out_dim()));
-    inter.Forward(fptrs, B, out.data());
+    inter.Interact(fptrs, B, out.data());
     double s = 0.0;
     for (size_t i = 0; i < out.size(); ++i) {
       s += static_cast<double>(g[i]) * out[i];
@@ -208,7 +213,7 @@ TEST(DotInteraction, BackwardFiniteDifference) {
     grads[static_cast<size_t>(f)].resize(static_cast<size_t>(B * d));
     gptrs.push_back(grads[static_cast<size_t>(f)].data());
   }
-  inter.Backward(g.data(), B, gptrs);
+  inter.Backward(fptrs, g.data(), B, gptrs);
 
   const double eps = 1e-3;
   Rng pick(10);
@@ -227,6 +232,37 @@ TEST(DotInteraction, BackwardFiniteDifference) {
                   5e-2 * (std::abs(fd) + 1.0));
     }
   }
+}
+
+TEST(DotInteraction, ForwardBackwardPairMatchesInteract) {
+  const int F = 3;
+  const int64_t d = 4, B = 3;
+  DotInteraction inter(F, d);
+  Rng rng(12);
+  std::vector<std::vector<float>> feats;
+  std::vector<const float*> fptrs;
+  for (int f = 0; f < F; ++f) feats.push_back(RandomVec(rng, B * d));
+  for (const auto& f : feats) fptrs.push_back(f.data());
+  const std::vector<float> g = RandomVec(rng, B * inter.out_dim());
+
+  std::vector<float> out_a(static_cast<size_t>(B * inter.out_dim()));
+  std::vector<float> out_b(out_a.size());
+  inter.Forward(fptrs, B, out_a.data());
+  inter.Interact(fptrs, B, out_b.data());
+  EXPECT_EQ(out_a, out_b);
+
+  std::vector<std::vector<float>> ga(
+      F, std::vector<float>(static_cast<size_t>(B * d)));
+  std::vector<std::vector<float>> gb = ga;
+  std::vector<float*> pa, pb;
+  for (int f = 0; f < F; ++f) {
+    pa.push_back(ga[static_cast<size_t>(f)].data());
+    pb.push_back(gb[static_cast<size_t>(f)].data());
+  }
+  inter.Backward(g.data(), B, pa);
+  inter.Backward(fptrs, g.data(), B, pb);
+  EXPECT_EQ(ga, gb);
+  EXPECT_THROW(inter.Backward(g.data(), B - 1, pa), TtRecError);
 }
 
 TEST(DotInteraction, Validation) {
