@@ -361,8 +361,11 @@ int RunKernelJsonSweep(const std::string& path) {
       TierRow row;
       row.tier = tier;
 
+      // Forward runs the same per-lookup chain, so its FLOP count per call
+      // is the chain's (pooling adds are not counted). LookupRows itself
+      // leaves stats() alone, so one Forward's delta supplies both rates.
       const int64_t flops0 = emb.stats().forward_flops;
-      emb.LookupRows(indices, chain_out.data());
+      emb.Forward(lookup, out.data());
       const int64_t chain_flops = emb.stats().forward_flops - flops0;
       row.chain_ms = min_ms([&] { emb.LookupRows(indices, chain_out.data()); });
       row.chain_gflops =
@@ -371,8 +374,6 @@ int RunKernelJsonSweep(const std::string& path) {
           static_cast<double>(chain_bytes) / (row.chain_ms * 1e6);
 
       row.fwd_ms = min_ms([&] { emb.Forward(lookup, out.data()); });
-      // Forward runs the same per-lookup chain, so its FLOP count per call
-      // equals the LookupRows count (pooling adds are not counted).
       row.fwd_gflops = static_cast<double>(chain_flops) / (row.fwd_ms * 1e6);
       row.fwd_lookups_per_s = static_cast<double>(batch) / (row.fwd_ms * 1e-3);
       tiers.push_back(row);

@@ -93,13 +93,9 @@ std::vector<int64_t> ApportionCacheRows(
   return rows;
 }
 
-CacheManager::CacheManager(CacheManagerConfig config)
-    : config_(config),
-      profiler_(MrcProfilerConfig{config.num_mrc_points}) {
+CacheManager::CacheManager(CacheManagerConfig config) : config_(config) {
   TTREC_CHECK_CONFIG(config_.budget_bytes >= 1,
                      "CacheManager: budget_bytes must be >= 1");
-  TTREC_CHECK_CONFIG(config_.min_rows_per_table >= 1,
-                     "CacheManager: min_rows_per_table must be >= 1");
   TTREC_CHECK_CONFIG(config_.chunk_rows >= 0,
                      "CacheManager: chunk_rows must be >= 0");
 }
@@ -123,14 +119,14 @@ ApportionmentPlan CacheManager::Plan() const {
   inputs.reserve(tables_.size());
   for (const Entry& e : tables_) {
     CacheApportionInput in;
-    in.mrc = profiler_.Profile(e.bag->tracker(), e.bag->num_rows());
+    in.mrc = MissRatioCurve::FromTracker(e.bag->tracker(), e.bag->num_rows());
     in.max_rows = e.bag->num_rows();
     in.bytes_per_row = LfuRowCache::BytesPerRow(e.bag->emb_dim());
     inputs.push_back(std::move(in));
   }
   const std::vector<int64_t> rows =
-      ApportionCacheRows(inputs, config_.budget_bytes,
-                         config_.min_rows_per_table, config_.chunk_rows);
+      ApportionCacheRows(inputs, config_.budget_bytes, /*min_rows=*/1,
+                         config_.chunk_rows);
 
   double total_traffic = 0.0;
   for (const CacheApportionInput& in : inputs) {

@@ -7,10 +7,10 @@
 // its hit-rate curve is still climbing at the current capacity. The
 // CacheManager closes that loop: it profiles each registered table's
 // miss-ratio curve from the frequency counts the cache layer already keeps
-// (MrcProfiler), then waterfills the global byte budget by marginal miss
-// reduction — every chunk of bytes goes to the table where it removes the
-// most traffic-weighted misses. Because LFU prefix-share curves are
-// concave, the greedy chunk allocation is optimal up to one chunk of
+// (MissRatioCurve::FromTracker), then waterfills the global byte budget by
+// marginal miss reduction — every chunk of bytes goes to the table where it
+// removes the most traffic-weighted misses. Because LFU prefix-share curves
+// are concave, the greedy chunk allocation is optimal up to one chunk of
 // granularity.
 //
 // Retune() pushes the plan into the live operators through
@@ -25,20 +25,17 @@
 #include <vector>
 
 #include "cache/cached_tt_embedding.h"
-#include "cache/mrc_profiler.h"
+#include "cache/miss_ratio_curve.h"
 #include "obs/metrics.h"
 
 namespace ttrec {
 
 struct CacheManagerConfig {
   /// Global cache budget across all registered tables, in bytes (costed via
-  /// LfuRowCache::BytesPerRow). Must cover min_rows_per_table for every
-  /// registered table at plan time.
+  /// LfuRowCache::BytesPerRow). Must cover one row — the floor, since
+  /// LfuRowCache requires capacity >= 1 — for every registered table at
+  /// plan time.
   int64_t budget_bytes = 0;
-  /// Floor per table (LfuRowCache requires capacity >= 1).
-  int64_t min_rows_per_table = 1;
-  /// MRC grid resolution (see MrcProfilerConfig).
-  int num_mrc_points = 24;
   /// Waterfilling granularity in rows. 0 = auto: ~1/256 of the budget, so a
   /// plan costs at most a few thousand heap operations regardless of scale.
   int64_t chunk_rows = 0;
@@ -115,7 +112,6 @@ class CacheManager {
   };
 
   CacheManagerConfig config_;
-  MrcProfiler profiler_;
   std::vector<Entry> tables_;
   int64_t retunes_ = 0;
   ApportionmentPlan last_plan_;

@@ -6,7 +6,6 @@
 
 #include "obs/trace.h"
 #include "tensor/check.h"
-#include "tensor/gemm.h"
 #include "tt/tt_io.h"
 
 namespace ttrec {
@@ -20,6 +19,15 @@ TtEmbeddingConfig InnerTtConfig(const CachedTtConfig& config) {
   TtEmbeddingConfig tt = config.tt;
   tt.pooling = PoolingMode::kSum;
   return tt;
+}
+
+/// Decodes `rows` from the TT cores (rows.size() x emb_dim, row-major)
+/// through the staged kernel: the one engine behind every admission.
+std::vector<float> DecodeRows(const TtEmbeddingBag& tt,
+                              std::span<const int64_t> rows) {
+  std::vector<float> out(rows.size() * static_cast<size_t>(tt.emb_dim()));
+  tt.LookupRows(rows, out.data());
+  return out;
 }
 
 }  // namespace
@@ -100,8 +108,7 @@ void CachedTtEmbeddingBag::RefreshCache() {
   TTREC_TRACE_SCOPE("cache.refresh");
   const std::vector<int64_t> top = tracker_.TopK(cache_.capacity());
   if (top.empty()) return;
-  const Tensor values = tt_.cores().MaterializeRows(top);
-  cache_.Populate(top, values.data());
+  cache_.Populate(top, DecodeRows(tt_, top).data());
   ++refreshes_;
 }
 
@@ -125,12 +132,12 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(std::span<const int64_t> rows) {
   if (missing.empty()) return 0;
 
   // Make room by evicting the coldest residents that the plan does not
-  // want. (count, row) ordering makes the victim set deterministic; a
-  // frozen post-warm-up tracker gives every resident count 0, so victims
-  // fall back to ascending row id — still deterministic, still rows the
-  // upcoming batch will not touch.
+  // want, in ascending (tracker count, row id) order. The order matters as
+  // much as the set: Erase moves the last slot into the hole, so it fixes
+  // CachedRows() order and with it checkpoint bytes. A frozen tracker still
+  // holds its warm-up counts, so those rows outlast the never-counted ones.
   const int64_t free_slots = cache_.capacity() - cache_.size();
-  int64_t need = static_cast<int64_t>(missing.size()) - free_slots;
+  const int64_t need = static_cast<int64_t>(missing.size()) - free_slots;
   if (need > 0) {
     std::vector<std::pair<int64_t, int64_t>> victims;  // (count, row)
     for (const int64_t row : cache_.CachedRows()) {
@@ -138,12 +145,13 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(std::span<const int64_t> rows) {
         victims.emplace_back(tracker_.Count(row), row);
       }
     }
-    std::sort(victims.begin(), victims.end());
-    const size_t evict = std::min(static_cast<size_t>(need), victims.size());
-    for (size_t v = 0; v < evict; ++v) {
-      cache_.Erase(victims[v].second);
-      ++prefetch_evictions_;
-    }
+    // Only the `need` coldest leave: select them, then sort just those.
+    const auto last =
+        victims.begin() +
+        std::min(need, static_cast<int64_t>(victims.size()));
+    std::nth_element(victims.begin(), last, victims.end());
+    std::sort(victims.begin(), last);
+    for (auto v = victims.begin(); v != last; ++v) cache_.Erase(v->second);
   }
 
   // Admit whatever now fits, hottest-independent (sorted row order — the
@@ -154,10 +162,10 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(std::span<const int64_t> rows) {
   if (static_cast<int64_t>(missing.size()) > budget) {
     missing.resize(static_cast<size_t>(budget));
   }
-  const Tensor values = tt_.cores().MaterializeRows(missing);
-  const int64_t N = emb_dim();
+  const std::vector<float> values = DecodeRows(tt_, missing);
+  const size_t N = static_cast<size_t>(emb_dim());
   for (size_t i = 0; i < missing.size(); ++i) {
-    cache_.Insert(missing[i], values.data() + static_cast<int64_t>(i) * N);
+    cache_.Insert(missing[i], values.data() + i * N);
   }
   prefetch_inserts_ += static_cast<int64_t>(missing.size());
   return static_cast<int64_t>(missing.size());
@@ -177,7 +185,6 @@ void CachedTtEmbeddingBag::CollectStats(obs::MetricRegistry& reg) const {
   p.Counter(reg, "cache.resizes", resizes_);
   p.Counter(reg, "cache.prefetch_calls", prefetch_calls_);
   p.Counter(reg, "cache.prefetch_inserts", prefetch_inserts_);
-  p.Counter(reg, "cache.prefetch_evictions", prefetch_evictions_);
   p.Gauge(reg, "cache.rows_resident", static_cast<double>(cache_.size()));
   p.Gauge(reg, "cache.rows_capacity", static_cast<double>(cache_.capacity()));
   const TtEmbeddingStats& tt = tt_.stats();
@@ -197,11 +204,12 @@ void CachedTtEmbeddingBag::ResizeCache(int64_t new_capacity) {
   if (new_capacity == cache_.capacity()) return;
   TTREC_TRACE_SCOPE("cache.resize");
 
-  // Pick the new hot set: the tracker's current view when it has counts,
-  // otherwise the resident rows hottest-first is the best available guess
-  // (a frozen post-warm-up cache with tracking off still resizes sensibly —
-  // growth keeps everything, shrinkage keeps the head of the old top-K,
-  // which Populate stored in descending-frequency order).
+  // Pick the new hot set: the tracker's current view when it has counts.
+  // An empty tracker (after LoadState, or with no warm-up and no tracking)
+  // falls back to the resident rows in slot order: growth keeps everything,
+  // shrinkage keeps a prefix. Populate stores its top-K hottest-first, but
+  // prefetch erasures (the last slot fills each hole) and admissions
+  // (appended) reshuffle that order since.
   std::vector<int64_t> keep = tracker_.TopK(new_capacity);
   if (keep.empty()) {
     keep = cache_.CachedRows();
@@ -210,26 +218,13 @@ void CachedTtEmbeddingBag::ResizeCache(int64_t new_capacity) {
     }
   }
 
-  // Carry learned uncompressed values across the resize; only rows new to
-  // the set fall back to TT materialization. Peek keeps HitRate() honest.
-  const int64_t N = emb_dim();
-  std::vector<float> values(keep.size() * static_cast<size_t>(N));
-  std::vector<int64_t> missing;
-  std::vector<size_t> missing_pos;
+  // Decode every kept row, then carry the survivors' learned uncompressed
+  // values over their decodes. Peek keeps HitRate() honest.
+  std::vector<float> values = DecodeRows(tt_, keep);
+  const size_t N = static_cast<size_t>(emb_dim());
   for (size_t i = 0; i < keep.size(); ++i) {
     if (const float* vec = cache_.Peek(keep[i])) {
-      std::copy(vec, vec + N, values.data() + i * static_cast<size_t>(N));
-    } else {
-      missing.push_back(keep[i]);
-      missing_pos.push_back(i);
-    }
-  }
-  if (!missing.empty()) {
-    const Tensor fresh = tt_.cores().MaterializeRows(missing);
-    for (size_t m = 0; m < missing.size(); ++m) {
-      const float* src = fresh.data() + m * static_cast<size_t>(N);
-      std::copy(src, src + N,
-                values.data() + missing_pos[m] * static_cast<size_t>(N));
+      std::copy(vec, vec + N, values.data() + i * N);
     }
   }
 

@@ -4,7 +4,9 @@
 // Training starts with the TT cores only. During a warm-up window the
 // open-addressing frequency tracker counts every index; every
 // `refresh_interval` iterations the cache is repopulated with the top-K
-// most-frequent rows, *materialized from the TT cores*. When the warm-up
+// most-frequent rows, *materialized from the TT cores* — decoded by the same
+// staged kernel as a TT lookup (TtEmbeddingBag::LookupRows), so an admitted
+// row equals the pure-TT row bit for bit. When the warm-up
 // ends the cached set freezes (the paper observes the hot set is stable,
 // Figure 9). From then on:
 //   - cache hits read/update the uncompressed cached vector directly
@@ -126,20 +128,21 @@ class CachedTtEmbeddingBag {
   void LoadOptState(BinaryReader& r);
 
   /// Forces a cache refresh from the current frequency counts (top-K rows
-  /// materialized from the TT cores). Normally driven by Forward.
+  /// decoded from the TT cores). Normally driven by Forward.
   void RefreshCache();
 
   /// Lookahead admission (BagPipe-style; the DeepRec add_to_prefetch_list
   /// shape): makes the given rows resident ahead of the batch that will
   /// touch them, so that batch's lookups hit instead of decoding TT chains.
   /// Rows already resident are left exactly as they are (learned values
-  /// intact). Missing rows are materialized from the TT cores in one batch
-  /// and admitted into free slots; when the cache is full, the coldest
-  /// resident rows *not in `rows`* (by tracker count, ties on smaller row
-  /// id — fully deterministic) are evicted to make room, never more than
+  /// intact). Missing rows are decoded from the TT cores in one LookupRows
+  /// call and admitted into free slots in ascending row order; when the
+  /// cache is full, the coldest resident rows *not in `rows`* are evicted
+  /// first, in ascending (tracker count, row id) order, never more than
   /// needed. Rows the victim scan cannot make room for are skipped. The
   /// tracker is NOT fed here — prefetch is a hint about the future, not an
-  /// observed access. Returns the number of rows admitted.
+  /// observed access. Returns the number of rows admitted; the evictions
+  /// count in cache().evictions() like any other.
   ///
   /// Determinism: given the same cache/tracker state and the same `rows`,
   /// the resulting resident set and values are identical — the pipelined
@@ -150,21 +153,21 @@ class CachedTtEmbeddingBag {
   /// Throws IndexError (before any mutation) if a row is out of range.
   int64_t PrefetchRows(std::span<const int64_t> rows);
 
-  /// PrefetchRows calls / rows admitted / rows evicted to make room.
+  /// PrefetchRows calls / rows admitted.
   int64_t prefetch_calls() const { return prefetch_calls_; }
   int64_t prefetch_inserts() const { return prefetch_inserts_; }
-  int64_t prefetch_evictions() const { return prefetch_evictions_; }
 
   /// Changes the cache capacity in place — the CacheManager's global
   /// re-apportionment path. The new row set is the frequency tracker's
-  /// top-`new_capacity` (falling back to the currently resident rows,
-  /// hottest-first, when the tracker is empty — e.g. frozen post-warm-up
-  /// with track_after_warmup off). Rows that survive keep their *learned*
-  /// uncompressed values (read via Peek, so stats stay honest); rows that
-  /// are new to the set are materialized from the TT cores. Shrinking drops
-  /// the coldest rows (counted as evictions). Adagrad state for the cached
-  /// rows is reset at the new size — checkpoints of optimizer state pair
-  /// with a same-capacity construction. No-op when new_capacity matches.
+  /// top-`new_capacity` (falling back to the currently resident rows in
+  /// slot order when the tracker is empty — after LoadState, or with no
+  /// warm-up and track_after_warmup off; a frozen tracker keeps its
+  /// warm-up counts). Every kept row is decoded from the TT cores; rows
+  /// that survive then keep their *learned* uncompressed values (read via
+  /// Peek, so stats stay honest). Dropped rows count as evictions. Adagrad
+  /// state for the cached rows is reset at the new size — checkpoints of
+  /// optimizer state pair with a same-capacity construction. No-op when
+  /// new_capacity matches.
   void ResizeCache(int64_t new_capacity);
 
   /// ResizeCache calls that actually changed the capacity.
@@ -243,7 +246,6 @@ class CachedTtEmbeddingBag {
   int64_t resizes_ = 0;
   int64_t prefetch_calls_ = 0;
   int64_t prefetch_inserts_ = 0;
-  int64_t prefetch_evictions_ = 0;
   obs::StatPublisher stats_publisher_;
   std::vector<CacheHit> hit_scratch_;
 };

@@ -128,8 +128,9 @@ class LfuRowCache {
   // can count without synchronizing).
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
-  /// Rows dropped across all Populate() calls: previously resident rows
-  /// absent from the new set (their learned weights are discarded).
+  /// Rows that left the cache: removed by Erase, or previously resident
+  /// rows absent from a Populate/Resize's new set. Their learned weights
+  /// are discarded.
   int64_t evictions() const { return evictions_; }
   /// Populate() calls so far.
   int64_t populates() const { return populates_; }
@@ -153,7 +154,7 @@ class LfuRowCache {
   std::vector<int64_t> map_slots_;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
-  // Mutated only inside Populate (exclusive by contract), so plain ints.
+  // Mutated only in the exclusive-access phase, so plain ints.
   int64_t evictions_ = 0;
   int64_t populates_ = 0;
 };

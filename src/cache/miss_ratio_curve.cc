@@ -1,4 +1,4 @@
-#include "cache/mrc_profiler.h"
+#include "cache/miss_ratio_curve.h"
 
 #include <algorithm>
 #include <cmath>
@@ -88,19 +88,13 @@ double MissRatioCurve::HitRateAt(int64_t capacity) const {
   return points_.back().hit_rate;
 }
 
-MrcProfiler::MrcProfiler(MrcProfilerConfig config) : config_(config) {
-  TTREC_CHECK_CONFIG(config_.num_points >= 2,
-                     "MrcProfiler: num_points must be >= 2");
-}
-
-MissRatioCurve MrcProfiler::Profile(const FreqTracker& tracker,
-                                    int64_t max_capacity) const {
+MissRatioCurve MissRatioCurve::FromTracker(const FreqTracker& tracker,
+                                           int64_t max_capacity) {
   std::vector<int64_t> counts;
   counts.reserve(static_cast<size_t>(tracker.size()));
   for (const auto& [key, count] : tracker.Items()) counts.push_back(count);
   if (counts.empty()) return MissRatioCurve{};
-  return MissRatioCurve::FromCounts(std::move(counts), config_.num_points,
-                                    max_capacity);
+  return FromCounts(std::move(counts), /*num_points=*/24, max_capacity);
 }
 
 }  // namespace ttrec

@@ -12,11 +12,12 @@
 //
 //   hit_rate(c) = (sum of the top-c counts) / (total accesses).
 //
-// MrcProfiler evaluates that prefix-share exactly on a geometric capacity
-// grid (the curve is concave, so a sparse grid plus linear interpolation
-// loses little) and returns a MissRatioCurve the CacheManager waterfills
-// over. Counts come straight from the existing FreqTracker — profiling
-// adds no per-lookup work beyond the tracking the cache already does.
+// MissRatioCurve evaluates that prefix-share exactly on a geometric
+// capacity grid (the curve is concave, so a sparse grid plus linear
+// interpolation loses little); the CacheManager waterfills over the curves.
+// FromTracker reads the counts straight from the existing FreqTracker —
+// profiling adds no per-lookup work beyond the tracking the cache already
+// does.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +49,14 @@ class MissRatioCurve {
   static MissRatioCurve FromCounts(std::vector<int64_t> counts,
                                    int num_points, int64_t max_capacity);
 
+  /// The curve of one table's tracked counts, evaluated up to
+  /// `max_capacity` rows (typically the table's row count — no cache can
+  /// usefully exceed it) on a 24-point grid: ~2x steps over 1..10^7 rows,
+  /// where concavity keeps the interpolation error well under a percent of
+  /// hit rate for Zipf-like traffic. Empty for an empty tracker.
+  static MissRatioCurve FromTracker(const FreqTracker& tracker,
+                                    int64_t max_capacity);
+
   /// Hit rate at `capacity`, linearly interpolated between grid points and
   /// clamped to the curve's range (0 below the first point's share of
   /// course: capacity 0 -> 0; beyond the last point the curve is flat).
@@ -66,28 +75,6 @@ class MissRatioCurve {
   std::vector<MrcPoint> points_;  // ascending capacity, capacity >= 1
   int64_t total_accesses_ = 0;
   int64_t distinct_keys_ = 0;
-};
-
-struct MrcProfilerConfig {
-  /// Geometric grid resolution. 24 points cover 1..10^7 rows at ~2x steps;
-  /// concavity keeps the interpolation error well under a percent of hit
-  /// rate for Zipf-like traffic.
-  int num_points = 24;
-};
-
-/// Estimates per-table miss-ratio curves from the FreqTracker the cached
-/// operator already maintains.
-class MrcProfiler {
- public:
-  explicit MrcProfiler(MrcProfilerConfig config = {});
-
-  /// Curve for one table, evaluated up to `max_capacity` rows (typically
-  /// the table's row count — no cache can usefully exceed it).
-  MissRatioCurve Profile(const FreqTracker& tracker,
-                         int64_t max_capacity) const;
-
- private:
-  MrcProfilerConfig config_;
 };
 
 }  // namespace ttrec

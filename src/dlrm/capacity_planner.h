@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/mrc_profiler.h"
+#include "cache/miss_ratio_curve.h"
 #include "data/table_specs.h"
 #include "tt/tt_shapes.h"
 

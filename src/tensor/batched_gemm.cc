@@ -15,8 +15,7 @@ void CheckShape(const BatchedGemmShape& s) {
 }  // namespace
 
 void BatchedGemm(const BatchedGemmShape& shape, std::span<const float* const> a,
-                 std::span<const float* const> b, std::span<float* const> c,
-                 bool deterministic) {
+                 std::span<const float* const> b, std::span<float* const> c) {
   CheckShape(shape);
   TTREC_CHECK_SHAPE(a.size() == b.size() && b.size() == c.size(),
                     "BatchedGemm: pointer array sizes differ: ", a.size(), "/",
@@ -33,13 +32,13 @@ void BatchedGemm(const BatchedGemmShape& shape, std::span<const float* const> a,
          shape.n);
   };
 
-  // Deterministic mode runs the batch in order on this thread. Nested calls
-  // (issued from inside a ParallelFor chunk — e.g. a TT block task) also go
-  // inline explicitly: the pool's re-entrancy would run them inline anyway,
-  // but taking the branch here skips queue bookkeeping and documents that a
-  // batched GEMM inside an outer parallel region is sequential-in-order,
-  // which the TT kernels' determinism contract relies on.
-  if (deterministic || ThreadPool::InParallelRegion()) {
+  // Nested calls (issued from inside a ParallelFor chunk — e.g. a TT block
+  // task) go inline explicitly: the pool's re-entrancy would run them inline
+  // anyway, but taking the branch here skips queue bookkeeping and documents
+  // that a batched GEMM inside an outer parallel region is
+  // sequential-in-order, which the TT kernels' determinism contract relies
+  // on.
+  if (ThreadPool::InParallelRegion()) {
     for (int64_t i = 0; i < count; ++i) run_one(i);
     return;
   }
@@ -51,35 +50,6 @@ void BatchedGemm(const BatchedGemmShape& shape, std::span<const float* const> a,
       count,
       [&](int64_t begin, int64_t end) {
         for (int64_t i = begin; i < end; ++i) run_one(i);
-      },
-      grain);
-}
-
-void StridedBatchedGemm(const BatchedGemmShape& shape, const float* a,
-                        int64_t stride_a, const float* b, int64_t stride_b,
-                        float* c, int64_t stride_c, int64_t count) {
-  CheckShape(shape);
-  TTREC_CHECK_SHAPE(count >= 0, "StridedBatchedGemm: negative count");
-  if (ThreadPool::InParallelRegion()) {
-    for (int64_t i = 0; i < count; ++i) {
-      Gemm(shape.ta, shape.tb, shape.m, shape.n, shape.k, shape.alpha,
-           a + i * stride_a, (shape.ta == Trans::kNo) ? shape.k : shape.m,
-           b + i * stride_b, (shape.tb == Trans::kNo) ? shape.n : shape.k,
-           shape.beta, c + i * stride_c, shape.n);
-    }
-    return;
-  }
-  const int64_t flops = std::max<int64_t>(1, shape.m * shape.n * shape.k);
-  const int64_t grain = std::max<int64_t>(1, 16384 / flops);
-  ParallelFor(
-      count,
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          Gemm(shape.ta, shape.tb, shape.m, shape.n, shape.k, shape.alpha,
-               a + i * stride_a, (shape.ta == Trans::kNo) ? shape.k : shape.m,
-               b + i * stride_b, (shape.tb == Trans::kNo) ? shape.n : shape.k,
-               shape.beta, c + i * stride_c, shape.n);
-        }
       },
       grain);
 }

@@ -28,11 +28,9 @@ struct BatchedGemmShape {
 
 /// For each i in [0, count): C[i] = alpha * op(A[i]) * op(B[i]) + beta * C[i].
 /// All matrices contiguous (lda = op-cols as in the Gemm overload).
-/// Preconditions: the three spans have equal size; pointers non-null.
-///
-/// Safe to call with C pointers that alias *across* problems only when
-/// beta == 1 and `deterministic` is true (accumulation runs single-threaded
-/// in batch order); otherwise behaviour is undefined, matching cuBLAS.
+/// Preconditions: the three spans have equal size; pointers non-null; C
+/// pointers do not alias across problems (undefined otherwise, matching
+/// cuBLAS).
 ///
 /// When called from inside an outer ParallelFor chunk (a nested call — e.g.
 /// from a block-parallel TT kernel task) the batch runs inline on the
@@ -40,14 +38,6 @@ struct BatchedGemmShape {
 /// the pool, inner batches never re-enter it.
 void BatchedGemm(const BatchedGemmShape& shape,
                  std::span<const float* const> a,
-                 std::span<const float* const> b, std::span<float* const> c,
-                 bool deterministic = false);
-
-/// Strided flavor: problem i uses a + i*stride_a etc. Matches
-/// cublasGemmStridedBatchedEx; used when intermediates live in one big
-/// contiguous buffer.
-void StridedBatchedGemm(const BatchedGemmShape& shape, const float* a,
-                        int64_t stride_a, const float* b, int64_t stride_b,
-                        float* c, int64_t stride_c, int64_t count);
+                 std::span<const float* const> b, std::span<float* const> c);
 
 }  // namespace ttrec

@@ -79,24 +79,6 @@ void TtCores::MaterializeRow(int64_t row, float* out) const {
   std::copy(cur.begin(), cur.end(), out);
 }
 
-Tensor TtCores::MaterializeRows(std::span<const int64_t> rows) const {
-  // Rows are independent TT chains writing disjoint output ranges, so this
-  // parallelizes trivially and deterministically. Keeps the LFU cache's
-  // refresh (CachedTtEmbedding::RefreshCache materializes the whole hot
-  // set) off the critical path on multi-core hosts.
-  Tensor out({static_cast<int64_t>(rows.size()), emb_dim()});
-  ParallelFor(
-      static_cast<int64_t>(rows.size()),
-      [&](int64_t begin, int64_t end) {
-        for (int64_t i = begin; i < end; ++i) {
-          MaterializeRow(rows[static_cast<size_t>(i)],
-                         out.data() + i * emb_dim());
-        }
-      },
-      /*grain=*/8);
-  return out;
-}
-
 Tensor TtCores::MaterializeFull() const {
   Tensor out({num_rows(), emb_dim()});
   ParallelFor(

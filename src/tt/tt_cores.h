@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "tensor/random.h"
@@ -41,13 +40,11 @@ class TtCores {
   int64_t SliceSize(int k) const { return SliceRows(k) * SliceCols(k); }
 
   /// Reconstructs embedding row `row` (length emb_dim) by chaining the
-  /// per-core slice products of Eq. (3). Scalar path — used by the LFU cache
-  /// to populate entries and by tests; the batched path lives in
-  /// TtEmbeddingBag.
+  /// per-core slice products of Eq. (3), one row at a time: the tests'
+  /// reference, and the decode of TtReconstructionError and MaterializeFull.
+  /// Lookups and cache admission decode through TtEmbeddingBag's staged
+  /// kernel instead.
   void MaterializeRow(int64_t row, float* out) const;
-
-  /// Reconstructs a set of rows into a (rows.size() x emb_dim) tensor.
-  Tensor MaterializeRows(std::span<const int64_t> rows) const;
 
   /// Reconstructs the entire logical table (num_rows x emb_dim).
   /// Memory-heavy by design — this is what the T3nsor baseline does.

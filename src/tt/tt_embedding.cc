@@ -490,7 +490,8 @@ void TtEmbeddingBag::PoolPrefetchedRows(const CsrBatch& batch,
   PooledForward(batch, rows, output, /*dedup=*/false);
 }
 
-void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices, float* out) {
+void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices,
+                                float* out) const {
   for (int64_t idx : indices) {
     TTREC_CHECK_INDEX(idx >= 0 && idx < num_rows(), "LookupRows: index ", idx,
                       " out of range [0, ", num_rows(), ")");
@@ -509,8 +510,6 @@ void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices, float* out) {
       ForwardBlock(indices, begin, end, out + begin * N, ws);
     }
   });
-  stats_.lookups += n;
-  stats_.forward_flops += n * fwd_flops_per_lookup_;
 }
 
 void TtEmbeddingBag::SortUnitsByDigit(int c, int64_t units,

@@ -112,8 +112,11 @@ class TtEmbeddingBag {
 
   /// Reconstructs individual rows without pooling into `out`
   /// (indices.size() x emb_dim). Uses the same batched kernel; blocks run
-  /// concurrently (disjoint output ranges, no accumulation).
-  void LookupRows(std::span<const int64_t> indices, float* out);
+  /// concurrently (disjoint output ranges, no accumulation). Bitwise equal
+  /// to TtCores::MaterializeRow per row. Const and uncounted in stats(): the
+  /// cache decodes its admitted rows here, and those are not TT forward
+  /// traffic.
+  void LookupRows(std::span<const int64_t> indices, float* out) const;
 
   /// Accumulates core gradients for `batch` given `grad_output`
   /// (num_bags x emb_dim), recomputing the forward intermediates.

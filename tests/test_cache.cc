@@ -6,12 +6,15 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/cached_tt_embedding.h"
 #include "cache/freq_tracker.h"
 #include "cache/lfu_cache.h"
+#include "obs/metrics.h"
+#include "simd_tiers.h"
 #include "tensor/check.h"
 
 namespace ttrec {
@@ -651,13 +654,14 @@ TEST(CachedTtEmbeddingBag, PrefetchAdmitsPlannedRowsDeterministically) {
   // what prefetch admitted.
   CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/4, /*warmup=*/0),
                            TtInit::kGaussian, rng);
+  const int64_t evictions0 = emb.cache().evictions();
   const std::vector<int64_t> plan = {1, 5, 9, 3, 5, 1};  // dups welcome
   EXPECT_EQ(emb.PrefetchRows(plan), 4);
   for (const int64_t r : {1, 3, 5, 9}) EXPECT_TRUE(emb.cache().Contains(r));
   EXPECT_EQ(emb.PrefetchRows(plan), 0);  // idempotent on a satisfied plan
   EXPECT_EQ(emb.prefetch_calls(), 2);
   EXPECT_EQ(emb.prefetch_inserts(), 4);
-  EXPECT_EQ(emb.prefetch_evictions(), 0);
+  EXPECT_EQ(emb.cache().evictions() - evictions0, 0);
 
   // Full cache: planned residents {1,3} are protected; the other residents
   // {5,9} are the victims (tracker is empty, ties break on row id) — and a
@@ -666,7 +670,92 @@ TEST(CachedTtEmbeddingBag, PrefetchAdmitsPlannedRowsDeterministically) {
   const auto rows = emb.cache().CachedRows();
   EXPECT_EQ(std::set<int64_t>(rows.begin(), rows.end()),
             (std::set<int64_t>{1, 3, 20, 21}));
-  EXPECT_EQ(emb.prefetch_evictions(), 2);
+  EXPECT_EQ(emb.cache().evictions() - evictions0, 2);
+}
+
+TEST(CachedTtEmbeddingBag, PrefetchEvictsInCountThenRowOrder) {
+  // Victims leave in ascending (tracker count, row id) order, and Erase
+  // moves the last slot into each hole, so the erase order fixes the slot
+  // order that checkpoints serialize. Residents 10..15 fill slots in row
+  // order; the forward below gives 12 a count of 2 and 10, 14 a count of 1.
+  Rng rng(21);
+  CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/6, /*warmup=*/0);
+  cfg.track_after_warmup = true;
+  CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+  ASSERT_EQ(emb.PrefetchRows(std::vector<int64_t>{10, 11, 12, 13, 14, 15}),
+            6);
+  std::vector<float> out(4 * 8);
+  emb.Forward(CsrBatch::FromIndices({12, 12, 14, 10}), out.data());
+  ASSERT_EQ(emb.tracker().Count(12), 2);
+
+  // Four victims: 11, 13, 15 (count 0, by row id), then 10 (count 1, and
+  // 10 < 14). Slots: [10 11 12 13 14 15] -> erase 11 -> [10 15 12 13 14]
+  // -> erase 13 -> [10 15 12 14] -> erase 15 -> [10 14 12] -> erase 10 ->
+  // [12 14], then the admissions append in row order.
+  EXPECT_EQ(emb.PrefetchRows(std::vector<int64_t>{20, 21, 22, 23}), 4);
+  EXPECT_EQ(emb.cache().CachedRows(),
+            (std::vector<int64_t>{12, 14, 20, 21, 22, 23}));
+}
+
+TEST(CachedTtEmbeddingBag, PrefetchEvictionOrderHoldsForLargeVictimSets) {
+  // Half of 64 residents leave, with counts 0..4 full of ties — enough that
+  // selecting the victims alone leaves them out of order. The expected
+  // slots replay the erasures in (count, row) order on a copy.
+  Rng rng(22);
+  CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/64, /*warmup=*/0);
+  cfg.tt.shape = MakeTtShape(/*num_rows=*/1000, /*emb_dim=*/8,
+                             /*num_cores=*/3, /*rank=*/4);
+  cfg.track_after_warmup = true;
+  CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+  std::vector<int64_t> residents;
+  for (int64_t r = 0; r < 64; ++r) residents.push_back(r);
+  ASSERT_EQ(emb.PrefetchRows(residents), 64);
+  std::vector<int64_t> touched;
+  for (const int64_t r : residents) {
+    for (int64_t k = 0; k < (r * 7) % 5; ++k) touched.push_back(r);
+  }
+  std::vector<float> out(touched.size() * 8);
+  emb.Forward(CsrBatch::FromIndices(touched), out.data());
+
+  std::vector<std::pair<int64_t, int64_t>> by_count;  // (count, row)
+  for (const int64_t r : residents) by_count.emplace_back((r * 7) % 5, r);
+  std::sort(by_count.begin(), by_count.end());
+  std::vector<int64_t> expected = emb.cache().CachedRows();
+  for (size_t v = 0; v < 32; ++v) {
+    const auto hole =
+        std::find(expected.begin(), expected.end(), by_count[v].second);
+    *hole = expected.back();
+    expected.pop_back();
+  }
+  std::vector<int64_t> plan;
+  for (int64_t r = 500; r < 532; ++r) plan.push_back(r);
+  expected.insert(expected.end(), plan.begin(), plan.end());
+
+  EXPECT_EQ(emb.PrefetchRows(plan), 32);
+  EXPECT_EQ(emb.cache().CachedRows(), expected);
+}
+
+TEST(CachedTtEmbeddingBag, PrefetchEvictionsPublishOnce) {
+  // cache.evictions is the one count of rows that left the cache; no second
+  // counter repeats the prefetch's share of it.
+  Rng rng(8);
+  CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/4, /*warmup=*/0),
+                           TtInit::kGaussian, rng);
+  emb.PrefetchRows(std::vector<int64_t>{1, 2, 3, 4});
+  obs::MetricRegistry reg;
+  const auto evictions_published = [&] {
+    emb.CollectStats(reg);
+    int64_t total = 0;
+    for (const char* name : {"cache.evictions", "cache.prefetch_evictions"}) {
+      if (const obs::StripedCounter* c = reg.FindCounter(name)) {
+        total += c->Total();
+      }
+    }
+    return total;
+  };
+  const int64_t before = evictions_published();
+  EXPECT_EQ(emb.PrefetchRows(std::vector<int64_t>{10, 11, 12}), 3);
+  EXPECT_EQ(evictions_published() - before, 3);
 }
 
 TEST(CachedTtEmbeddingBag, PrefetchedRowsServeAsExactCacheHits) {
@@ -680,12 +769,12 @@ TEST(CachedTtEmbeddingBag, PrefetchedRowsServeAsExactCacheHits) {
   CsrBatch batch = CsrBatch::FromIndices({20, 21});
   std::vector<float> a(static_cast<size_t>(2 * 8)), b(a.size());
   emb.Forward(batch, a.data());
-  plain.Forward(batch, b.data());
+  plain.ForwardInference(batch, b.data());
   EXPECT_EQ(emb.cache().hits(), 2);
   EXPECT_EQ(emb.cache().misses(), 0);
-  // The prefetched vectors were materialized from the TT cores, so the
-  // hit path reproduces the pure-TT output.
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-5f);
+  // The prefetched vectors were decoded by the kernel the pure-TT forward
+  // runs, so the hit path reproduces its output bit for bit.
+  EXPECT_EQ(a, b);
 }
 
 TEST(CachedTtEmbeddingBag, PrefetchValidatesBeforeMutatingAndSkipsTracker) {
@@ -699,6 +788,72 @@ TEST(CachedTtEmbeddingBag, PrefetchValidatesBeforeMutatingAndSkipsTracker) {
   emb.PrefetchRows(std::vector<int64_t>{7});
   // Prefetch is a hint about the future, not an observed access.
   EXPECT_EQ(emb.tracker().Count(7), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Cache admission decodes through the staged TT kernel, in every SIMD tier
+// ---------------------------------------------------------------------------
+
+/// Expects every resident row of `emb` to equal TtCores::MaterializeRow bit
+/// for bit. Valid while no optimizer step has touched the cached values.
+void ExpectResidentsMatchMaterializeRow(const CachedTtEmbeddingBag& emb,
+                                        const char* stage) {
+  SCOPED_TRACE(stage);
+  std::vector<float> ref(static_cast<size_t>(emb.emb_dim()));
+  for (const int64_t row : emb.cache().CachedRows()) {
+    emb.tt().cores().MaterializeRow(row, ref.data());
+    const float* got = emb.cache().Peek(row);
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(std::vector<float>(got, got + emb.emb_dim()), ref)
+        << "row " << row;
+  }
+}
+
+TEST(CachedTtAdmissionTiers, AdmittedRowsMatchMaterializeRowInEveryTier) {
+  // The shape of the cached tables in train_cached_shift (rank 32,
+  // emb_dim 16), with blocks small enough that every admission spans
+  // several of them.
+  TierGuard tier_guard;
+  for (SimdTier tier : TestableTiers()) {
+    SetSimdTier(tier);
+    SCOPED_TRACE(std::string("tier=") + SimdTierName(tier));
+    CachedTtConfig cfg;
+    cfg.tt.shape = MakeTtShape(/*num_rows=*/3000, /*emb_dim=*/16,
+                               /*num_cores=*/3, /*rank=*/32);
+    cfg.tt.block_size = 24;
+    cfg.cache_capacity = 64;
+    cfg.warmup_iterations = 2;
+    cfg.refresh_interval = 1;
+    Rng rng(77);
+    CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+
+    // Warm-up: iterations 1 and 2 refresh the cache from the tracker.
+    Rng data(5);
+    std::vector<float> out;
+    for (int it = 0; it < 3; ++it) {
+      std::vector<int64_t> idx;
+      // Rows from 2800 up stay untracked, so the plan below is all new.
+      for (int i = 0; i < 200; ++i) idx.push_back(data.RandInt(2800));
+      const CsrBatch batch = CsrBatch::FromIndices(std::move(idx));
+      out.resize(static_cast<size_t>(batch.num_bags() * emb.emb_dim()));
+      emb.Forward(batch, out.data());
+    }
+    ASSERT_EQ(emb.refreshes(), 2);
+    ExpectResidentsMatchMaterializeRow(emb, "RefreshCache");
+
+    std::vector<int64_t> plan;
+    for (int64_t r = 2900; r < 2940; ++r) plan.push_back(r);
+    ASSERT_EQ(emb.PrefetchRows(plan), 40);
+    ExpectResidentsMatchMaterializeRow(emb, "PrefetchRows");
+
+    // Growing past the resident set admits tracker rows the cache never
+    // held; shrinking keeps a subset.
+    emb.ResizeCache(160);
+    ASSERT_EQ(emb.cache().size(), 160);
+    ExpectResidentsMatchMaterializeRow(emb, "ResizeCache grow");
+    emb.ResizeCache(48);
+    ExpectResidentsMatchMaterializeRow(emb, "ResizeCache shrink");
+  }
 }
 
 }  // namespace

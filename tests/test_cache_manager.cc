@@ -1,4 +1,4 @@
-// Cache autotuning stack: miss-ratio-curve estimation (MrcProfiler),
+// Cache autotuning stack: miss-ratio-curve estimation (MissRatioCurve),
 // budget waterfilling + live retuning (CacheManager), the capacity-change
 // path (LfuRowCache::Resize / CachedTtEmbeddingBag::ResizeCache), the
 // cache-aware capacity planner, and the idempotent CollectStats contract
@@ -17,7 +17,7 @@
 #include "baselines/t3nsor_embedding.h"
 #include "cache/cache_manager.h"
 #include "cache/cached_tt_embedding.h"
-#include "cache/mrc_profiler.h"
+#include "cache/miss_ratio_curve.h"
 #include "data/csr_batch.h"
 #include "data/skew_shift.h"
 #include "dlrm/capacity_planner.h"
@@ -33,7 +33,7 @@ namespace ttrec {
 namespace {
 
 // ---------------------------------------------------------------------------
-// MissRatioCurve / MrcProfiler
+// MissRatioCurve
 // ---------------------------------------------------------------------------
 
 TEST(MissRatioCurve, ExactPrefixSharesAtGridPoints) {
@@ -94,14 +94,14 @@ TEST(MissRatioCurve, RejectsBadInputs) {
   EXPECT_DOUBLE_EQ(empty.HitRateAt(5), 0.0);
 }
 
-TEST(MrcProfiler, MatchesTrackerPrefixShares) {
+TEST(MissRatioCurve, FromTrackerMatchesTrackerPrefixShares) {
   FreqTracker t;
   t.Increment(100, 60);
   t.Increment(200, 25);
   t.Increment(300, 10);
   t.Increment(400, 5);
-  const MrcProfiler profiler;
-  const MissRatioCurve curve = profiler.Profile(t, /*max_capacity=*/1000);
+  const MissRatioCurve curve =
+      MissRatioCurve::FromTracker(t, /*max_capacity=*/1000);
   EXPECT_EQ(curve.total_accesses(), t.total());
   EXPECT_EQ(curve.distinct_keys(), t.size());
   EXPECT_DOUBLE_EQ(curve.HitRateAt(1), 0.60);
@@ -109,9 +109,9 @@ TEST(MrcProfiler, MatchesTrackerPrefixShares) {
   EXPECT_DOUBLE_EQ(curve.HitRateAt(4), 1.00);
 }
 
-TEST(MrcProfiler, EmptyTrackerGivesEmptyCurve) {
+TEST(MissRatioCurve, EmptyTrackerGivesEmptyCurve) {
   FreqTracker t;
-  const MissRatioCurve curve = MrcProfiler().Profile(t, 100);
+  const MissRatioCurve curve = MissRatioCurve::FromTracker(t, 100);
   EXPECT_TRUE(curve.empty());
   EXPECT_EQ(curve.total_accesses(), 0);
 }

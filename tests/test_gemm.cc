@@ -13,6 +13,7 @@
 #include <tuple>
 #include <vector>
 
+#include "simd_tiers.h"
 #include "tensor/batched_gemm.h"
 #include "tensor/check.h"
 #include "tensor/cpu_features.h"
@@ -148,50 +149,6 @@ TEST(BatchedGemm, RejectsMismatchedArraysAndNulls) {
   EXPECT_THROW(BatchedGemm(shape, two, one, mut_two), ShapeError);
   std::vector<const float*> with_null = {buf.data(), nullptr};
   EXPECT_THROW(BatchedGemm(shape, two, with_null, mut_two), IndexError);
-}
-
-TEST(StridedBatchedGemm, MatchesPointerVersion) {
-  Rng rng(21);
-  const int64_t count = 9, m = 3, n = 4, k = 2;
-  std::vector<float> a = RandomVec(rng, count * m * k);
-  std::vector<float> b = RandomVec(rng, count * k * n);
-  std::vector<float> c(static_cast<size_t>(count * m * n), 0.0f);
-  std::vector<float> c_ref(static_cast<size_t>(count * m * n), 0.0f);
-  BatchedGemmShape shape;
-  shape.m = m;
-  shape.n = n;
-  shape.k = k;
-  StridedBatchedGemm(shape, a.data(), m * k, b.data(), k * n, c.data(), m * n,
-                     count);
-  for (int64_t i = 0; i < count; ++i) {
-    GemmRef(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data() + i * m * k, k,
-            b.data() + i * k * n, n, 0.0f, c_ref.data() + i * m * n, n);
-  }
-  for (size_t i = 0; i < c.size(); ++i) EXPECT_NEAR(c[i], c_ref[i], 1e-5f);
-}
-
-// Restores the forced dispatch tier on scope exit, so a failing test can't
-// leak its tier into the rest of the binary.
-class TierGuard {
- public:
-  TierGuard() : saved_(ActiveSimdTier()) {}
-  ~TierGuard() { SetSimdTier(saved_); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-
- private:
-  SimdTier saved_;
-};
-
-// Every tier this machine can actually execute: scalar is always present,
-// vector tiers only when CPUID reports them (SetSimdTier would clamp an
-// unsupported request anyway, which would silently re-test a lower tier).
-std::vector<SimdTier> TestableTiers() {
-  std::vector<SimdTier> tiers;
-  for (int t = 0; t <= static_cast<int>(DetectedSimdTier()); ++t) {
-    tiers.push_back(static_cast<SimdTier>(t));
-  }
-  return tiers;
 }
 
 // Exhaustive small-shape conformance of the dispatched kernels against

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "data/csr_batch.h"
+#include "simd_tiers.h"
 #include "tensor/check.h"
 #include "tensor/cpu_features.h"
 #include "tensor/parallel.h"
@@ -35,26 +36,6 @@ class PoolGuard {
  private:
   int saved_;
 };
-
-/// Restores the forced SIMD dispatch tier on scope exit.
-class TierGuard {
- public:
-  TierGuard() : saved_(ActiveSimdTier()) {}
-  ~TierGuard() { SetSimdTier(saved_); }
-  TierGuard(const TierGuard&) = delete;
-  TierGuard& operator=(const TierGuard&) = delete;
-
- private:
-  SimdTier saved_;
-};
-
-std::vector<SimdTier> TestableTiers() {
-  std::vector<SimdTier> tiers;
-  for (int t = 0; t <= static_cast<int>(DetectedSimdTier()); ++t) {
-    tiers.push_back(static_cast<SimdTier>(t));
-  }
-  return tiers;
-}
 
 TtEmbeddingConfig BaseConfig() {
   TtEmbeddingConfig cfg;

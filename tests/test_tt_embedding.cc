@@ -164,10 +164,10 @@ TEST(TtEmbeddingBag, LookupRowsMatchesMaterialization) {
   std::vector<float> row(8);
   for (size_t i = 0; i < idx.size(); ++i) {
     emb.cores().MaterializeRow(idx[i], row.data());
-    for (int64_t j = 0; j < 8; ++j) {
-      EXPECT_NEAR(out[i * 8 + static_cast<size_t>(j)],
-                  row[static_cast<size_t>(j)], 1e-4f);
-    }
+    // Same GEMM shapes in the same order: bit for bit.
+    EXPECT_EQ(std::vector<float>(out.begin() + static_cast<long>(i * 8),
+                                 out.begin() + static_cast<long>(i * 8 + 8)),
+              row);
   }
 }
 
