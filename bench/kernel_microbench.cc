@@ -8,8 +8,10 @@
 // BENCH_kernels.json artifact CI uploads: a thread-count sweep of the
 // block-parallel TT kernels (GFLOP/s and lookups/s per pool size, plus a
 // cross-thread determinism check) and a SIMD-tier sweep (scalar vs AVX2 vs
-// AVX-512 on the TT GEMM chain and the pooled forward, with speedups over
-// the scalar tier).
+// AVX-512 on the TT GEMM chain, the pooled forward, the DLRM dot
+// interaction's forward plus backward at a training batch and at one
+// serving sample, and the top MLP's NT GEMM, with speedups over the scalar
+// tier).
 // The envelope stamps the CPU model and dispatch tier so the numbers are
 // attributable. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
@@ -243,13 +245,23 @@ double MsSince(Clock::time_point t0) {
 }
 
 // One SIMD tier's measurements at a fixed thread count: the raw TT GEMM
-// chain (LookupRows — decode + per-row GEMMs, no pooling) and the pooled
-// forward.
+// chain (LookupRows — decode + per-row GEMMs, no pooling), the pooled
+// forward, the dot interaction (PairwiseDots + PairwiseDotsBackward) at
+// two batch sizes, and the top MLP's first-layer forward GEMM (NT).
 struct TierRow {
   SimdTier tier = SimdTier::kScalar;
   double chain_ms = 0.0, chain_gflops = 0.0, chain_gbytes = 0.0;
   double fwd_ms = 0.0, fwd_gflops = 0.0, fwd_lookups_per_s = 0.0;
+  double inter_batch_us = 0.0, inter_one_us = 0.0;
+  double nt_us = 0.0, nt_gflops = 0.0;
 };
+
+// The train_tt interaction (26 tables + the bottom MLP, emb_dim 16) and the
+// top MLP's first layer (interaction width 16 + 351 = 367 -> 64).
+constexpr int64_t kInterFeatures = 27;
+constexpr int64_t kInterDim = 16;
+constexpr int64_t kInterBatch = 512;
+constexpr int64_t kNtM = 512, kNtN = 64, kNtK = 367;
 
 // --json mode: the Criteo-shape sweeps described in the file comment.
 int RunKernelJsonSweep(const std::string& path) {
@@ -354,6 +366,42 @@ int RunKernelJsonSweep(const std::string& path) {
       return best;
     };
 
+    // Interaction operands: feature blocks, its output and output
+    // gradient, and the feature gradients; the one-sample series reads
+    // sample 0 of the same blocks.
+    Rng rng(29);
+    const auto random_vec = [&rng](int64_t n) {
+      std::vector<float> v(static_cast<size_t>(n));
+      for (float& x : v) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+      return v;
+    };
+    const int64_t inter_out_dim =
+        kInterDim + kInterFeatures * (kInterFeatures - 1) / 2;
+    std::vector<std::vector<float>> feats, feat_grads;
+    std::vector<const float*> feat_ptrs;
+    std::vector<float*> grad_ptrs;
+    for (int64_t f = 0; f < kInterFeatures; ++f) {
+      feats.push_back(random_vec(kInterBatch * kInterDim));
+      feat_grads.emplace_back(static_cast<size_t>(kInterBatch * kInterDim));
+    }
+    for (int64_t f = 0; f < kInterFeatures; ++f) {
+      feat_ptrs.push_back(feats[static_cast<size_t>(f)].data());
+      grad_ptrs.push_back(feat_grads[static_cast<size_t>(f)].data());
+    }
+    std::vector<float> inter_out(
+        static_cast<size_t>(kInterBatch * inter_out_dim));
+    const std::vector<float> inter_grad =
+        random_vec(kInterBatch * inter_out_dim);
+    const auto interaction = [&](int64_t b) {
+      PairwiseDots(kInterFeatures, kInterDim, feat_ptrs.data(), b,
+                   inter_out.data());
+      PairwiseDotsBackward(kInterFeatures, kInterDim, feat_ptrs.data(),
+                           inter_grad.data(), b, grad_ptrs.data());
+    };
+    const std::vector<float> nt_a = random_vec(kNtM * kNtK);
+    const std::vector<float> nt_b = random_vec(kNtN * kNtK);
+    std::vector<float> nt_c(static_cast<size_t>(kNtM * kNtN));
+
     const int detected = static_cast<int>(DetectedSimdTier());
     for (int t = 0; t <= detected; ++t) {
       const SimdTier tier = static_cast<SimdTier>(t);
@@ -376,12 +424,24 @@ int RunKernelJsonSweep(const std::string& path) {
       row.fwd_ms = min_ms([&] { emb.Forward(lookup, out.data()); });
       row.fwd_gflops = static_cast<double>(chain_flops) / (row.fwd_ms * 1e6);
       row.fwd_lookups_per_s = static_cast<double>(batch) / (row.fwd_ms * 1e-3);
+
+      row.inter_batch_us = 1e3 * min_ms([&] { interaction(kInterBatch); });
+      row.inter_one_us = 1e3 * min_ms([&] { interaction(1); });
+      row.nt_us = 1e3 * min_ms([&] {
+        Gemm(Trans::kNo, Trans::kYes, kNtM, kNtN, kNtK, 1.0f, nt_a.data(),
+             nt_b.data(), 0.0f, nt_c.data());
+      });
+      row.nt_gflops = 2.0 * kNtM * kNtN * kNtK / (row.nt_us * 1e3);
       tiers.push_back(row);
 
       std::printf(
-          "tier=%-6s  chain %.2f ms (%.2f GFLOP/s, %.2f GB/s)  fwd %.2f ms\n",
+          "tier=%-6s  chain %.2f ms (%.2f GFLOP/s, %.2f GB/s)  fwd %.2f ms  "
+          "interaction fwd+bwd %.1f us (B=%lld) %.3f us (B=1)  "
+          "NT %.1f us (%.1f GFLOP/s)\n",
           SimdTierName(tier), row.chain_ms, row.chain_gflops,
-          row.chain_gbytes, row.fwd_ms);
+          row.chain_gbytes, row.fwd_ms, row.inter_batch_us,
+          static_cast<long long>(kInterBatch), row.inter_one_us, row.nt_us,
+          row.nt_gflops);
     }
     SetSimdTier(sweep_tier);  // restore whatever the process started with
   }
@@ -421,6 +481,13 @@ int RunKernelJsonSweep(const std::string& path) {
   w.Kv("batch", batch);
   w.Kv("timing", "min_of_reps");
   w.Kv("reps", tier_reps);
+  w.Key("interaction").BeginObject();
+  w.Kv("num_features", kInterFeatures).Kv("dim", kInterDim);
+  w.Kv("batch", kInterBatch);
+  w.EndObject();
+  w.Key("gemm_nt").BeginObject();
+  w.Kv("m", kNtM).Kv("n", kNtN).Kv("k", kNtK);
+  w.EndObject();
   w.Key("results").BeginArray();
   for (const TierRow& r : tiers) {
     w.BeginObject();
@@ -433,6 +500,15 @@ int RunKernelJsonSweep(const std::string& path) {
     w.Kv("forward_lookups_per_s", r.fwd_lookups_per_s, 1);
     w.Kv("gemm_chain_speedup_vs_scalar", tiers[0].chain_ms / r.chain_ms, 3);
     w.Kv("forward_speedup_vs_scalar", tiers[0].fwd_ms / r.fwd_ms, 3);
+    w.Kv("interaction_fwdbwd_batch_us", r.inter_batch_us, 3);
+    w.Kv("interaction_fwdbwd_batch_speedup_vs_scalar",
+         tiers[0].inter_batch_us / r.inter_batch_us, 3);
+    w.Kv("interaction_fwdbwd_one_us", r.inter_one_us, 4);
+    w.Kv("interaction_fwdbwd_one_speedup_vs_scalar",
+         tiers[0].inter_one_us / r.inter_one_us, 3);
+    w.Kv("gemm_nt_us", r.nt_us, 3);
+    w.Kv("gemm_nt_gflops", r.nt_gflops, 3);
+    w.Kv("gemm_nt_speedup_vs_scalar", tiers[0].nt_us / r.nt_us, 3);
     w.EndObject();
   }
   w.EndArray().EndObject();

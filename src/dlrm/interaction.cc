@@ -1,8 +1,7 @@
 #include "dlrm/interaction.h"
 
-#include <cstring>
-
 #include "tensor/check.h"
+#include "tensor/gemm.h"
 
 namespace ttrec {
 
@@ -17,28 +16,7 @@ void DotInteraction::Interact(const std::vector<const float*>& features,
   TTREC_CHECK_SHAPE(static_cast<int>(features.size()) == num_features_,
                     "DotInteraction: expected ", num_features_,
                     " feature blocks, got ", features.size());
-  const int F = num_features_;
-  const int64_t d = dim_;
-  for (int f = 0; f < F; ++f) {
-    TTREC_CHECK_INDEX(features[static_cast<size_t>(f)] != nullptr,
-                      "DotInteraction: null feature block ", f);
-  }
-  const int64_t od = out_dim();
-  for (int64_t b = 0; b < batch; ++b) {
-    float* ob = out + b * od;
-    // Leading copy of z_0, then the upper-triangle dots.
-    std::memcpy(ob, features[0] + b * d, static_cast<size_t>(d) * sizeof(float));
-    int64_t p = d;
-    for (int i = 0; i < F; ++i) {
-      const float* zi = features[static_cast<size_t>(i)] + b * d;
-      for (int j = i + 1; j < F; ++j) {
-        const float* zj = features[static_cast<size_t>(j)] + b * d;
-        float dot = 0.0f;
-        for (int64_t k = 0; k < d; ++k) dot += zi[k] * zj[k];
-        ob[p++] = dot;
-      }
-    }
-  }
+  PairwiseDots(num_features_, dim_, features.data(), batch, out);
 }
 
 void DotInteraction::Backward(const std::vector<const float*>& features,
@@ -48,36 +26,8 @@ void DotInteraction::Backward(const std::vector<const float*>& features,
                         static_cast<int>(grads.size()) == num_features_,
                     "DotInteraction: expected ", num_features_,
                     " feature and gradient blocks");
-  const int F = num_features_;
-  const int64_t d = dim_;
-  const int64_t od = out_dim();
-
-  for (int f = 0; f < F; ++f) {
-    TTREC_CHECK_INDEX(grads[static_cast<size_t>(f)] != nullptr,
-                      "DotInteraction: null gradient block ", f);
-    std::memset(grads[static_cast<size_t>(f)], 0,
-                static_cast<size_t>(batch * d) * sizeof(float));
-  }
-
-  for (int64_t b = 0; b < batch; ++b) {
-    const float* gb = grad_out + b * od;
-    // d z_0 gets the pass-through part.
-    for (int64_t k = 0; k < d; ++k) grads[0][b * d + k] += gb[k];
-    int64_t p = d;
-    for (int i = 0; i < F; ++i) {
-      const float* zi = features[static_cast<size_t>(i)] + b * d;
-      for (int j = i + 1; j < F; ++j) {
-        const float* zj = features[static_cast<size_t>(j)] + b * d;
-        const float g = gb[p++];
-        float* gi = grads[static_cast<size_t>(i)] + b * d;
-        float* gj = grads[static_cast<size_t>(j)] + b * d;
-        for (int64_t k = 0; k < d; ++k) {
-          gi[k] += g * zj[k];
-          gj[k] += g * zi[k];
-        }
-      }
-    }
-  }
+  PairwiseDotsBackward(num_features_, dim_, features.data(), grad_out, batch,
+                       grads.data());
 }
 
 void DotInteraction::Forward(const std::vector<const float*>& features,

@@ -7,6 +7,11 @@
 //
 // Interact is the one forward, const, shared by training and serving; it
 // reads the feature blocks in place, and Backward reads the same blocks.
+// Both are thin callers of the SIMD-dispatched PairwiseDots /
+// PairwiseDotsBackward kernels (tensor/gemm.h): the scalar tier runs the
+// original loops, the vector tiers one fixed-order FMA chain per element,
+// sample by sample, so a sample's result never depends on the batch size
+// or its position in the batch.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "tensor/aligned.h"
 #include "tensor/check.h"
 #include "tensor/gemm.h"
 
@@ -168,8 +169,7 @@ void Mlp::Forward(const float* x, int64_t batch, float* y,
     if (i + 1 == layers_.size()) {
       out = y;
     } else {
-      act[i].assign(static_cast<size_t>(batch * layers_[i].out_dim()), 0.0f);
-      out = act[i].data();
+      out = Grow(act[i], batch * layers_[i].out_dim());
     }
     layers_[i].Forward(cur, batch, out);
     cur = out;

@@ -92,8 +92,9 @@ class Mlp {
 
   /// The tower's forward: y (batch x out_dim) from x (batch x in_dim),
   /// with the hidden layers' outputs written into the caller-owned `act`
-  /// (resized to num_layers() - 1 buffers). Const and safe for concurrent
-  /// callers, each with its own `act`.
+  /// (resized to num_layers() - 1 buffers, each grown to fit, never shrunk
+  /// or refilled). Const and safe for concurrent callers, each with its own
+  /// `act`.
   void Forward(const float* x, int64_t batch, float* y,
                std::vector<std::vector<float>>& act) const;
 

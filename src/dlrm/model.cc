@@ -6,6 +6,7 @@
 #include "dlrm/embedding_bag.h"
 #include "dlrm/loss.h"
 #include "obs/trace.h"
+#include "tensor/aligned.h"
 #include "tensor/atomic_file.h"
 #include "tensor/check.h"
 #include "tensor/parallel.h"
@@ -110,10 +111,10 @@ void DlrmModel::ForwardDenseInference(const MiniBatch& batch,
                         batch.dense.dim(1) == config_.num_dense,
                     "MiniBatch dense feature shape mismatch");
 
-  s.bottom_out.assign(static_cast<size_t>(B * d), 0.0f);
   {
     TTREC_TRACE_SCOPE("dlrm.fwd.bottom_mlp");
-    bottom_.Forward(batch.dense.data(), B, s.bottom_out.data(), s.bottom_act);
+    bottom_.Forward(batch.dense.data(), B, Grow(s.bottom_out, B * d),
+                    s.bottom_act);
   }
 
   // Sanitization happens serially up front so the parallel embedding stage
@@ -157,10 +158,10 @@ void DlrmModel::ForwardEmbeddingsInference(const MiniBatch& batch,
 void DlrmModel::ForwardTailInference(int64_t batch_size, float* logits,
                                      InferenceScratch& s) const {
   const int64_t B = batch_size;
-  s.inter_out.assign(static_cast<size_t>(B * interaction_.out_dim()), 0.0f);
   {
     TTREC_TRACE_SCOPE("dlrm.fwd.interaction");
-    interaction_.Interact(Features(s), B, s.inter_out.data());
+    interaction_.Interact(Features(s), B,
+                          Grow(s.inter_out, B * interaction_.out_dim()));
   }
   TTREC_TRACE_SCOPE("dlrm.fwd.top_mlp");
   top_.Forward(s.inter_out.data(), B, logits, s.top_act);
@@ -213,28 +214,25 @@ StepOutcome DlrmModel::TrainStepGuarded(const MiniBatch& batch,
     return out;
   }
 
-  // Backward reads the forward's activations from scratch_. Top MLP.
-  std::vector<float> dinter(
-      static_cast<size_t>(B * interaction_.out_dim()));
+  // Backward reads the forward's activations from scratch_ and writes the
+  // gradients into the model's grow-only buffers, each overwritten whole.
+  // Top MLP.
+  float* dinter = Grow(dinter_, B * interaction_.out_dim());
   {
     TTREC_TRACE_SCOPE("dlrm.bwd.top_mlp");
     top_.Backward(s.inter_out.data(), s.top_act, logits.data(),
-                  dlogits.data(), B, dinter.data());
+                  dlogits.data(), B, dinter);
   }
 
   // Interaction.
-  std::vector<float> dbottom(static_cast<size_t>(B * d));
-  std::vector<std::vector<float>> demb(tables_.size());
+  demb_.resize(tables_.size());
   std::vector<float*> grads;
   grads.reserve(tables_.size() + 1);
-  grads.push_back(dbottom.data());
-  for (size_t t = 0; t < tables_.size(); ++t) {
-    demb[t].assign(static_cast<size_t>(B * d), 0.0f);
-    grads.push_back(demb[t].data());
-  }
+  grads.push_back(Grow(dbottom_, B * d));
+  for (std::vector<float>& g : demb_) grads.push_back(Grow(g, B * d));
   {
     TTREC_TRACE_SCOPE("dlrm.bwd.interaction");
-    interaction_.Backward(Features(s), dinter.data(), B, grads);
+    interaction_.Backward(Features(s), dinter, B, grads);
   }
 
   // Embeddings and bottom MLP.
@@ -242,13 +240,13 @@ StepOutcome DlrmModel::TrainStepGuarded(const MiniBatch& batch,
     TTREC_TRACE_SCOPE("dlrm.bwd.embedding");
     for (int t = 0; t < num_tables(); ++t) {
       tables_[static_cast<size_t>(t)]->Backward(
-          SparseForInference(batch, t, s), demb[static_cast<size_t>(t)].data());
+          SparseForInference(batch, t, s), grads[static_cast<size_t>(t) + 1]);
     }
   }
   {
     TTREC_TRACE_SCOPE("dlrm.bwd.bottom_mlp");
     bottom_.Backward(batch.dense.data(), s.bottom_act, s.bottom_out.data(),
-                     dbottom.data(), B, nullptr);
+                     grads[0], B, nullptr);
   }
 
   // Gradient guards fire after backward but before the optimizer touches

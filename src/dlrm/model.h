@@ -225,6 +225,10 @@ class DlrmModel {
   Mlp top_;
   DotInteraction interaction_;
   InferenceScratch scratch_;  // the training forward's activations
+  // The training backward's gradient buffers (grow-only, see tensor/aligned.h).
+  std::vector<float> dinter_;              // B x inter_dim
+  std::vector<float> dbottom_;             // B x d
+  std::vector<std::vector<float>> demb_;   // per table, B x d
 };
 
 /// Convenience factory: builds a DLRM over `spec` where every table is an

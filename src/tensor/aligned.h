@@ -57,6 +57,16 @@ struct AlignedAllocator {
 template <typename T>
 using AlignedVec = std::vector<T, AlignedAllocator<T>>;
 
+/// Grows `v` to at least `n` elements and returns its data. It never
+/// shrinks, so a buffer reused across calls is zero-filled only when it
+/// grows and a steady shape never refills it: the caller overwrites the
+/// first n elements.
+template <typename Vec>
+typename Vec::value_type* Grow(Vec& v, int64_t n) {
+  if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
+  return v.data();
+}
+
 /// Rounds a byte count up to the aligned-allocation granularity; workspace
 /// accounting uses this so reported bounds cover the padded allocations.
 constexpr int64_t AlignedBytes(int64_t bytes) {

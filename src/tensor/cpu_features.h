@@ -8,7 +8,9 @@
 // variable or SetSimdTier() (bench sweeps, CI's forced-scalar job).
 //
 // Determinism contract: results are bitwise reproducible within a tier
-// (same inputs, any thread count, any operand alignment). Different tiers
+// (same inputs, any thread count, any operand alignment), and a GEMM row's
+// or an interaction sample's result does not depend on m, the batch size
+// or its position in it. Different tiers
 // round differently (FMA, vectorized reduction order); cross-tier
 // agreement is gated against GemmRef at tight tolerance in test_gemm.
 #pragma once

@@ -1,5 +1,6 @@
-// Argument validation + runtime SIMD dispatch for Gemm/Axpy. The per-tier
-// loop kernels live in gemm_scalar.cc / gemm_avx2.cc / gemm_avx512.cc.
+// Argument validation + runtime SIMD dispatch for Gemm/Axpy/PairwiseDots.
+// The per-tier loop kernels live in gemm_scalar.cc / gemm_avx2.cc /
+// gemm_avx512.cc.
 #include "tensor/gemm.h"
 
 #include "tensor/check.h"
@@ -82,6 +83,45 @@ void Axpy(int64_t n, float alpha, const float* x, float* y) {
   TTREC_CHECK_SHAPE(n >= 0, "Axpy length must be non-negative: n=", n);
   if (n == 0 || alpha == 0.0f) return;
   internal::KernelTableFor(ActiveSimdTier()).axpy(n, alpha, x, y);
+}
+
+namespace {
+
+void CheckPairwiseArgs(int64_t num_features, int64_t dim,
+                       const float* const* features, int64_t batch) {
+  TTREC_CHECK_SHAPE(num_features >= 1 && dim >= 1 && batch >= 0,
+                    "PairwiseDots: need num_features >= 1, dim >= 1, "
+                    "batch >= 0: num_features=",
+                    num_features, " dim=", dim, " batch=", batch);
+  for (int64_t f = 0; f < num_features; ++f) {
+    TTREC_CHECK_INDEX(features[f] != nullptr,
+                      "PairwiseDots: null feature block ", f);
+  }
+}
+
+}  // namespace
+
+void PairwiseDots(int64_t num_features, int64_t dim,
+                  const float* const* features, int64_t batch, float* out) {
+  CheckPairwiseArgs(num_features, dim, features, batch);
+  if (batch == 0) return;
+  internal::KernelTableFor(ActiveSimdTier())
+      .pair_dots(num_features, dim, features, batch, out);
+}
+
+void PairwiseDotsBackward(int64_t num_features, int64_t dim,
+                          const float* const* features,
+                          const float* grad_out, int64_t batch,
+                          float* const* grads) {
+  CheckPairwiseArgs(num_features, dim, features, batch);
+  for (int64_t f = 0; f < num_features; ++f) {
+    TTREC_CHECK_INDEX(grads[f] != nullptr,
+                      "PairwiseDotsBackward: null gradient block ", f);
+  }
+  if (batch == 0) return;
+  internal::KernelTableFor(ActiveSimdTier())
+      .pair_dots_backward(num_features, dim, features, grad_out, batch,
+                          grads);
 }
 
 void GemmRef(Trans ta, Trans tb, int64_t m, int64_t n, int64_t k, float alpha,

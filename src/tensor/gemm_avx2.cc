@@ -7,7 +7,8 @@
 // slice with n = n_k * R_k (tens to a few hundred columns), k = R_{k-1}
 // (8..64). Register blocking is therefore MR=4 rows x (8 or 16) columns
 // with the full k loop in the accumulators — no cache blocking needed at
-// these sizes.
+// these sizes. NT (the MLP forwards) runs 2 x 4 tiles of dot chains, and
+// the pairwise-dot pair comes from tensor/pairwise_dots_simd.h.
 //
 // Determinism: unaligned loads only, column/row tail handling is a pure
 // function of (m, n, k), and every reduction has a fixed order. alpha and
@@ -16,7 +17,10 @@
 // agreement is gated against GemmRef in tests, not bitwise.
 #include <immintrin.h>
 
+#include <cmath>
+
 #include "tensor/gemm_kernels.h"
+#include "tensor/pairwise_dots_simd.h"
 
 namespace ttrec {
 namespace internal {
@@ -183,27 +187,77 @@ void GemmTN(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
   GemmBroadcast(true, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
-// Dot formulation for B^T: both operand rows are contiguous in k.
-inline float DotAvx2(const float* x, const float* y, int64_t k) {
-  __m256 acc = _mm256_setzero_ps();
+// Dot formulation for B^T: both operand rows are contiguous in k. Each C
+// element runs one 8-wide FMA chain over k, Hsum256, then the scalar FMA
+// k-tail; a kNtRows x kNtCols tile interleaves that many independent
+// chains (the element sequence is unchanged), so the FMA latency is
+// hidden and each loaded A and B vector feeds several chains. 2 x 4 keeps
+// the 8 accumulators and 6 operands inside the 16 YMM registers.
+constexpr int kNtRows = 2;
+constexpr int kNtCols = 4;
+
+template <int MR, int NR>
+inline void DotTile(int64_t k, float alpha, const float* a, int64_t lda,
+                    const float* b, int64_t ldb, float beta, float* c,
+                    int64_t ldc) {
+  __m256 acc[MR][NR];
+  for (int r = 0; r < MR; ++r)
+    for (int q = 0; q < NR; ++q) acc[r][q] = _mm256_setzero_ps();
   int64_t p = 0;
-  for (; p + 8 <= k; p += 8)
-    acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + p), _mm256_loadu_ps(y + p), acc);
-  float s = Hsum256(acc);
-  for (; p < k; ++p) s += x[p] * y[p];
-  return s;
+  for (; p + 8 <= k; p += 8) {
+    __m256 bv[NR];
+    for (int q = 0; q < NR; ++q) bv[q] = _mm256_loadu_ps(b + q * ldb + p);
+    for (int r = 0; r < MR; ++r) {
+      const __m256 av = _mm256_loadu_ps(a + r * lda + p);
+      for (int q = 0; q < NR; ++q)
+        acc[r][q] = _mm256_fmadd_ps(av, bv[q], acc[r][q]);
+    }
+  }
+  // The tails of the tile's elements run interleaved, each an FMA chain in
+  // k order. The FMA is spelled out: left as `d += x * y`, GCC contracts it
+  // at -O2 but at -O3 vectorizes the tail into separately rounded products
+  // added in order, so the bits depended on the build type.
+  float dot[MR][NR];
+  for (int r = 0; r < MR; ++r)
+    for (int q = 0; q < NR; ++q) dot[r][q] = Hsum256(acc[r][q]);
+  for (; p < k; ++p) {
+    for (int r = 0; r < MR; ++r)
+      for (int q = 0; q < NR; ++q)
+        dot[r][q] = std::fma(a[r * lda + p], b[q * ldb + p], dot[r][q]);
+  }
+  for (int r = 0; r < MR; ++r) {
+    float* cr = c + r * ldc;
+    for (int q = 0; q < NR; ++q) {
+      const float d = dot[r][q];
+      cr[q] = alpha * d + (beta == 0.0f ? 0.0f : beta * cr[q]);
+    }
+  }
+}
+
+template <int MR>
+inline void DotRows(int64_t n, int64_t k, float alpha, const float* a,
+                    int64_t lda, const float* b, int64_t ldb, float beta,
+                    float* c, int64_t ldc) {
+  int64_t j = 0;
+  for (; j + kNtCols <= n; j += kNtCols) {
+    DotTile<MR, kNtCols>(k, alpha, a, lda, b + j * ldb, ldb, beta, c + j, ldc);
+  }
+  for (; j < n; ++j) {
+    DotTile<MR, 1>(k, alpha, a, lda, b + j * ldb, ldb, beta, c + j, ldc);
+  }
 }
 
 void GemmNT(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
             int64_t lda, const float* b, int64_t ldb, float beta, float* c,
             int64_t ldc) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (int64_t j = 0; j < n; ++j) {
-      const float d = DotAvx2(ai, b + j * ldb, k);
-      ci[j] = alpha * d + (beta == 0.0f ? 0.0f : beta * ci[j]);
-    }
+  int64_t i = 0;
+  for (; i + kNtRows <= m; i += kNtRows) {
+    DotRows<kNtRows>(n, k, alpha, a + i * lda, lda, b, ldb, beta,
+                     c + i * ldc, ldc);
+  }
+  if (i < m) {
+    DotRows<1>(n, k, alpha, a + i * lda, lda, b, ldb, beta, c + i * ldc,
+               ldc);
   }
 }
 
@@ -226,10 +280,52 @@ void Axpy(int64_t n, float alpha, const float* x, float* y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+struct Avx2PairOps {
+  using Vec = __m256;
+  using Mask = __m256i;
+  static constexpr int kWidth = 8;
+  // 4 rows x 2 vectors of accumulators plus operands fit 16 YMM registers.
+  static constexpr int kRows = 4;
+  static Vec Zero() { return _mm256_setzero_ps(); }
+  static Vec Set1(float x) { return _mm256_set1_ps(x); }
+  static Vec Load(const float* p) { return _mm256_loadu_ps(p); }
+  static void Store(float* p, Vec v) { _mm256_storeu_ps(p, v); }
+  static Vec Fma(Vec a, Vec b, Vec c) { return _mm256_fmadd_ps(a, b, c); }
+  static Mask LaneMask(int64_t lo, int64_t hi) {
+    const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    const __m256i below_hi =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(hi)), lane);
+    const __m256i below_lo =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lo)), lane);
+    return _mm256_andnot_si256(below_lo, below_hi);
+  }
+  static Vec MaskLoad(const float* p, Mask m) {
+    return _mm256_maskload_ps(p, m);
+  }
+  static void MaskStore(float* p, Mask m, Vec v) {
+    _mm256_maskstore_ps(p, m, v);
+  }
+};
+
+void PairwiseDots(int64_t num_features, int64_t dim,
+                  const float* const* features, int64_t batch, float* out) {
+  PairwiseDotsSimd<Avx2PairOps>(num_features, dim, features, batch, out);
+}
+
+void PairwiseDotsBackward(int64_t num_features, int64_t dim,
+                          const float* const* features,
+                          const float* grad_out, int64_t batch,
+                          float* const* grads) {
+  PairwiseDotsBackwardSimd<Avx2PairOps>(num_features, dim, features, grad_out,
+                                        batch, grads);
+}
+
 }  // namespace
 
 const GemmKernelTable& Avx2KernelTable() {
-  static const GemmKernelTable table = {GemmNN, GemmTN, GemmNT, GemmTT, Axpy};
+  static const GemmKernelTable table = {GemmNN, GemmTN,       GemmNT,
+                                        GemmTT, Axpy,         PairwiseDots,
+                                        PairwiseDotsBackward};
   return table;
 }
 

@@ -1,15 +1,17 @@
-// Internal kernel table behind Gemm/Axpy runtime dispatch.
+// Internal kernel table behind Gemm/Axpy/PairwiseDots runtime dispatch.
 //
 // Each SIMD tier (scalar, AVX2+FMA, AVX-512) lives in its own translation
 // unit compiled with per-file ISA flags and exports one GemmKernelTable.
-// The public Gemm/Axpy entry points in gemm.cc validate arguments, handle
+// The public entry points in gemm.cc validate arguments, handle
 // degenerate shapes, then jump through the table for ActiveSimdTier().
 //
 // Kernel preconditions (established by the dispatcher, kernels may assume):
-// m > 0, n > 0, k > 0, alpha != 0, leading dims already validated. Kernels
-// must be bitwise deterministic for fixed (shape, inputs) regardless of
-// operand alignment — unaligned loads only, tail strategy a pure function
-// of the shape.
+// m > 0, n > 0, k > 0, alpha != 0, leading dims already validated; for the
+// pairwise-dot pair, num_features >= 1, dim >= 1, batch >= 1 and non-null
+// blocks. Kernels must be bitwise deterministic for fixed (shape, inputs)
+// regardless of operand alignment — unaligned loads only, tail strategy a
+// pure function of the shape. A GEMM row's and an interaction sample's
+// result must not depend on m, the batch size or its position in either.
 #pragma once
 
 #include <cstdint>
@@ -27,12 +29,23 @@ using GemmKernelFn = void (*)(int64_t m, int64_t n, int64_t k, float alpha,
 /// y += alpha * x over n contiguous floats.
 using AxpyFn = void (*)(int64_t n, float alpha, const float* x, float* y);
 
+/// PairwiseDots / PairwiseDotsBackward (tensor/gemm.h) over batch samples.
+using PairwiseDotsFn = void (*)(int64_t num_features, int64_t dim,
+                                const float* const* features, int64_t batch,
+                                float* out);
+using PairwiseDotsBackwardFn = void (*)(int64_t num_features, int64_t dim,
+                                        const float* const* features,
+                                        const float* grad_out, int64_t batch,
+                                        float* const* grads);
+
 struct GemmKernelTable {
   GemmKernelFn nn;  // A, B both untransposed
   GemmKernelFn tn;  // A transposed
   GemmKernelFn nt;  // B transposed
   GemmKernelFn tt;  // both transposed
   AxpyFn axpy;
+  PairwiseDotsFn pair_dots;
+  PairwiseDotsBackwardFn pair_dots_backward;
 };
 
 /// Portable tier; arithmetic identical to the pre-dispatch scalar GEMM.

@@ -7,6 +7,8 @@
 // TTREC_SIMD=scalar. This file is compiled with the project's default
 // flags only — no -mavx2/-mfma — so the compiler cannot contract these
 // loops differently from the seed build.
+#include <cstring>
+
 #include "tensor/gemm_kernels.h"
 
 namespace ttrec {
@@ -97,10 +99,68 @@ void Axpy(int64_t n, float alpha, const float* __restrict x,
   for (int64_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+// DotInteraction's original loops, so the scalar tier's interaction stays
+// bitwise what it was before the kernel table held it.
+void PairwiseDots(int64_t num_features, int64_t dim,
+                  const float* const* features, int64_t batch, float* out) {
+  const int64_t F = num_features;
+  const int64_t d = dim;
+  const int64_t od = d + F * (F - 1) / 2;
+  for (int64_t b = 0; b < batch; ++b) {
+    float* ob = out + b * od;
+    // Leading copy of z_0, then the upper-triangle dots.
+    std::memcpy(ob, features[0] + b * d,
+                static_cast<size_t>(d) * sizeof(float));
+    int64_t p = d;
+    for (int64_t i = 0; i < F; ++i) {
+      const float* zi = features[i] + b * d;
+      for (int64_t j = i + 1; j < F; ++j) {
+        const float* zj = features[j] + b * d;
+        float dot = 0.0f;
+        for (int64_t k = 0; k < d; ++k) dot += zi[k] * zj[k];
+        ob[p++] = dot;
+      }
+    }
+  }
+}
+
+void PairwiseDotsBackward(int64_t num_features, int64_t dim,
+                          const float* const* features,
+                          const float* grad_out, int64_t batch,
+                          float* const* grads) {
+  const int64_t F = num_features;
+  const int64_t d = dim;
+  const int64_t od = d + F * (F - 1) / 2;
+  for (int64_t f = 0; f < F; ++f) {
+    std::memset(grads[f], 0, static_cast<size_t>(batch * d) * sizeof(float));
+  }
+  for (int64_t b = 0; b < batch; ++b) {
+    const float* gb = grad_out + b * od;
+    // d z_0 gets the pass-through part.
+    for (int64_t k = 0; k < d; ++k) grads[0][b * d + k] += gb[k];
+    int64_t p = d;
+    for (int64_t i = 0; i < F; ++i) {
+      const float* zi = features[i] + b * d;
+      for (int64_t j = i + 1; j < F; ++j) {
+        const float* zj = features[j] + b * d;
+        const float g = gb[p++];
+        float* gi = grads[i] + b * d;
+        float* gj = grads[j] + b * d;
+        for (int64_t k = 0; k < d; ++k) {
+          gi[k] += g * zj[k];
+          gj[k] += g * zi[k];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 const GemmKernelTable& ScalarKernelTable() {
-  static const GemmKernelTable table = {GemmNN, GemmTN, GemmNT, GemmTT, Axpy};
+  static const GemmKernelTable table = {GemmNN, GemmTN,       GemmNT,
+                                        GemmTT, Axpy,         PairwiseDots,
+                                        PairwiseDotsBackward};
   return table;
 }
 

@@ -79,14 +79,6 @@ void GroupByRow(std::span<const int64_t> indices, int64_t begin, int64_t end,
   }
 }
 
-/// Grows `v` to at least `n` elements (never shrinks, so buffers reused
-/// across calls are zero-filled only when they grow) and returns its data.
-template <typename T>
-T* Grow(AlignedVec<T>& v, int64_t n) {
-  if (static_cast<int64_t>(v.size()) < n) v.resize(static_cast<size_t>(n));
-  return v.data();
-}
-
 }  // namespace
 
 // Scratch of the forward's block tasks and pooling phase and of the

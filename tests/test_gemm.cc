@@ -7,6 +7,11 @@
 // agreement is gated by tolerance against the oracle, never tier-vs-tier.
 #include <gtest/gtest.h>
 
+#if defined(TTREC_HAVE_AVX2) || defined(TTREC_HAVE_AVX512)
+#include <immintrin.h>
+#endif
+
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -254,6 +259,125 @@ TEST(GemmTierConformance, AlignmentInvariantBitwise) {
               0)
         << "tier=" << SimdTierName(tier)
         << ": result depends on operand alignment";
+  }
+}
+
+// NT is register-blocked in the vector tiers, but a C row is still a pure
+// function of its A row: the rows of an m = 13 product (full row blocks
+// plus a remainder, in every tier) equal one-row products bit for bit.
+TEST(GemmTierConformance, NtRowsIndependentOfM) {
+  TierGuard guard;
+  for (SimdTier tier : TestableTiers()) {
+    SetSimdTier(tier);
+    for (auto [n, k] : {std::pair<int64_t, int64_t>{64, 367}, {5, 19}}) {
+      const int64_t m = 13;
+      Rng rng(91);
+      const std::vector<float> a = RandomVec(rng, m * k);
+      const std::vector<float> b = RandomVec(rng, n * k);
+      std::vector<float> c(static_cast<size_t>(m * n));
+      Gemm(Trans::kNo, Trans::kYes, m, n, k, 1.0f, a.data(), k, b.data(), k,
+           0.0f, c.data(), n);
+      for (int64_t i = 0; i < m; ++i) {
+        std::vector<float> row(static_cast<size_t>(n));
+        Gemm(Trans::kNo, Trans::kYes, 1, n, k, 1.0f, a.data() + i * k, k,
+             b.data(), k, 0.0f, row.data(), n);
+        EXPECT_EQ(std::memcmp(row.data(), c.data() + i * n,
+                              static_cast<size_t>(n) * sizeof(float)),
+                  0)
+            << "tier=" << SimdTierName(tier) << " n=" << n << " k=" << k
+            << " row " << i;
+      }
+    }
+  }
+}
+
+// The one-chain-per-element dot each tier's NT ran before it was
+// register-blocked, replayed here: blocking only interleaves independent
+// chains, so every element must match it bit for bit. The AVX2 k-tail is
+// a chain of fused multiply-adds.
+float NtDotScalar(const float* x, const float* y, int64_t k) {
+  float acc = 0.0f;
+  for (int64_t p = 0; p < k; ++p) acc += x[p] * y[p];
+  return acc;
+}
+
+#ifdef TTREC_HAVE_AVX2
+__attribute__((target("avx2,fma"))) float NtDotAvx2(const float* x,
+                                                    const float* y,
+                                                    int64_t k) {
+  __m256 acc = _mm256_setzero_ps();
+  int64_t p = 0;
+  for (; p + 8 <= k; p += 8)
+    acc = _mm256_fmadd_ps(_mm256_loadu_ps(x + p), _mm256_loadu_ps(y + p), acc);
+  __m128 h = _mm_add_ps(_mm256_castps256_ps128(acc),
+                        _mm256_extractf128_ps(acc, 1));
+  h = _mm_add_ps(h, _mm_movehl_ps(h, h));
+  h = _mm_add_ss(h, _mm_shuffle_ps(h, h, 1));
+  float s = _mm_cvtss_f32(h);
+  for (; p < k; ++p) s = std::fma(x[p], y[p], s);
+  return s;
+}
+#endif
+
+#ifdef TTREC_HAVE_AVX512
+// GCC 12's false-positive -W(maybe-)uninitialized on the reduce lowering;
+// see gemm_avx512.cc.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) float
+NtDotAvx512(const float* x, const float* y, int64_t k) {
+  __m512 acc = _mm512_setzero_ps();
+  int64_t p = 0;
+  for (; p + 16 <= k; p += 16)
+    acc = _mm512_fmadd_ps(_mm512_loadu_ps(x + p), _mm512_loadu_ps(y + p), acc);
+  if (p < k) {
+    const __mmask16 mask =
+        static_cast<__mmask16>((1u << static_cast<unsigned>(k - p)) - 1u);
+    acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(mask, x + p),
+                          _mm512_maskz_loadu_ps(mask, y + p), acc);
+  }
+  return _mm512_reduce_add_ps(acc);
+}
+#pragma GCC diagnostic pop
+#endif
+
+TEST(GemmTierConformance, NtMatchesPerElementDotBitwise) {
+  // The MLP forwards' shapes: top 367->64->32->1, bottom 13->64->32->16,
+  // at the training batch and at one serving sample.
+  const int64_t kShapes[][3] = {{512, 64, 367}, {512, 32, 64}, {512, 1, 32},
+                                {1, 64, 367},   {512, 64, 13}, {512, 16, 32},
+                                {3, 32, 64}};
+  TierGuard guard;
+  for (SimdTier tier : TestableTiers()) {
+    float (*dot)(const float*, const float*, int64_t) = NtDotScalar;
+#ifdef TTREC_HAVE_AVX2
+    if (tier == SimdTier::kAvx2) dot = NtDotAvx2;
+#endif
+#ifdef TTREC_HAVE_AVX512
+    if (tier == SimdTier::kAvx512) dot = NtDotAvx512;
+#endif
+    SetSimdTier(tier);
+    for (const auto& shape : kShapes) {
+      const int64_t m = shape[0], n = shape[1], k = shape[2];
+      Rng rng(17);
+      const std::vector<float> a = RandomVec(rng, m * k);
+      const std::vector<float> b = RandomVec(rng, n * k);
+      std::vector<float> c(static_cast<size_t>(m * n));
+      Gemm(Trans::kNo, Trans::kYes, m, n, k, 1.0f, a.data(), k, b.data(), k,
+           0.0f, c.data(), n);
+      int64_t bad = 0;
+      for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+          const float want =
+              1.0f * dot(a.data() + i * k, b.data() + j * k, k) + 0.0f;
+          const float got = c[static_cast<size_t>(i * n + j)];
+          if (std::memcmp(&got, &want, sizeof(float)) != 0) ++bad;
+        }
+      }
+      EXPECT_EQ(bad, 0) << "tier=" << SimdTierName(tier) << " " << m << "x"
+                        << n << "x" << k;
+    }
   }
 }
 
