@@ -1,4 +1,4 @@
-// google-benchmark microbenchmarks for the hot kernels: GEMM, batched GEMM,
+// google-benchmark microbenchmarks for the hot kernels: GEMM,
 // TT-EmbeddingBag forward/backward, row materialization, cache probes, and
 // Zipf sampling. These are the building blocks behind Figures 7/8/11/12.
 // Compute kernels report achieved FLOP/s and bytes/s counters, not just
@@ -28,7 +28,6 @@
 #include "cache/lfu_cache.h"
 #include "data/csr_batch.h"
 #include "obs/json_writer.h"
-#include "tensor/batched_gemm.h"
 #include "tensor/cpu_features.h"
 #include "tensor/gemm.h"
 #include "tensor/parallel.h"
@@ -75,42 +74,6 @@ BENCHMARK(BM_Gemm)
     ->Args({16, 128, 64})
     ->Args({64, 64, 64})
     ->Args({256, 256, 256});
-
-void BM_BatchedGemmTtStage(benchmark::State& state) {
-  // The stage-2 launch of a rank-R TT lookup batch.
-  const int64_t batch = state.range(0);
-  const int64_t rank = state.range(1);
-  const int64_t m = 2, n = 2 * rank, k = rank;
-  Rng rng(2);
-  std::vector<float> a(static_cast<size_t>(batch * m * k));
-  std::vector<float> b(static_cast<size_t>(batch * k * n));
-  std::vector<float> c(static_cast<size_t>(batch * m * n));
-  FillUniform(rng, a, -1, 1);
-  FillUniform(rng, b, -1, 1);
-  std::vector<const float*> ap, bp;
-  std::vector<float*> cp;
-  for (int64_t i = 0; i < batch; ++i) {
-    ap.push_back(a.data() + i * m * k);
-    bp.push_back(b.data() + i * k * n);
-    cp.push_back(c.data() + i * m * n);
-  }
-  BatchedGemmShape shape;
-  shape.m = m;
-  shape.n = n;
-  shape.k = k;
-  for (auto _ : state) {
-    BatchedGemm(shape, ap, bp, cp);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-  SetRateCounters(state, batch * 2 * m * n * k,
-                  batch * (m * k + k * n + m * n) * static_cast<int64_t>(4));
-}
-BENCHMARK(BM_BatchedGemmTtStage)
-    ->Args({512, 8})
-    ->Args({512, 32})
-    ->Args({512, 64})
-    ->Args({4096, 32});
 
 TtEmbeddingBag MakeBenchEmbedding(int64_t rows, int64_t rank) {
   TtEmbeddingConfig cfg;
@@ -245,7 +208,7 @@ double MsSince(Clock::time_point t0) {
 }
 
 // One SIMD tier's measurements at a fixed thread count: the raw TT GEMM
-// chain (LookupRows — decode + per-row GEMMs, no pooling), the pooled
+// chain (LookupRows — decode + bucketed GEMMs, no pooling), the pooled
 // forward, the dot interaction (PairwiseDots + PairwiseDotsBackward) at
 // two batch sizes, and the top MLP's first-layer forward GEMM (NT).
 struct TierRow {
@@ -409,7 +372,7 @@ int RunKernelJsonSweep(const std::string& path) {
       TierRow row;
       row.tier = tier;
 
-      // Forward runs the same per-lookup chain, so its FLOP count per call
+      // Forward runs the same chain, so its FLOP count per call
       // is the chain's (pooling adds are not counted). LookupRows itself
       // leaves stats() alone, so one Forward's delta supplies both rates.
       const int64_t flops0 = emb.stats().forward_flops;

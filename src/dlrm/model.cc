@@ -135,7 +135,7 @@ void DlrmModel::ForwardEmbeddingsInference(const MiniBatch& batch,
                                            InferenceScratch& s) const {
   TTREC_TRACE_SCOPE("dlrm.fwd.embedding");
   // Shard the table lookups across the pool, one table per chunk. Inner
-  // kernels (BatchedGemm) also call ParallelFor; those nested calls run
+  // kernels (the TT blocks) also call ParallelFor; those nested calls run
   // inline on the worker, so a 26-table model keeps every core busy on
   // coarse table-level work instead of deadlocking.
   s.emb_out.resize(tables_.size());

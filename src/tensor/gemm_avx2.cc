@@ -99,7 +99,11 @@ inline void BroadcastTile4(int64_t k, float alpha, const float* a,
   }
 }
 
-// Scalar column tail (< 4 remaining columns) of the broadcast form.
+// Scalar column tail (< 4 remaining columns) of the broadcast form: one FMA
+// chain per element in k order. The FMA is spelled out, as in the NT
+// k-tail: left as `acc += x * y`, GCC contracts it at -O2 but at -O3 (in
+// the MR = 1 instantiation) rounds the products separately, so a row's bits
+// depended on the build type and on which row block it fell into.
 template <int MR>
 inline void BroadcastTail(int64_t n_rem, int64_t k, float alpha,
                           const float* a, int64_t a_row_stride,
@@ -110,7 +114,9 @@ inline void BroadcastTail(int64_t n_rem, int64_t k, float alpha,
     float* cr = c + r * ldc;
     for (int64_t j = 0; j < n_rem; ++j) {
       float acc = 0.0f;
-      for (int64_t p = 0; p < k; ++p) acc += ar[p * a_p_stride] * b[p * ldb + j];
+      for (int64_t p = 0; p < k; ++p) {
+        acc = std::fma(ar[p * a_p_stride], b[p * ldb + j], acc);
+      }
       cr[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * cr[j]);
     }
   }

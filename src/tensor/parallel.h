@@ -1,8 +1,8 @@
 // A small work-stealing-free thread pool and a blocking parallel_for.
 //
-// TT-EmbeddingBag batches thousands of tiny GEMMs; on multi-core hosts the
-// batch dimension is split across pool workers (the CPU analogue of the
-// paper's batched cuBLAS launch). The pool is created lazily and sized from
+// TT-EmbeddingBag splits a batch into blocks of lookups, and a block's
+// backward into per-slice GEMMs; on multi-core hosts those tasks are spread
+// across pool workers. The pool is created lazily and sized from
 // std::thread::hardware_concurrency() unless overridden. On a single-core
 // host parallel_for degrades to an inline loop with zero overhead.
 //
@@ -14,7 +14,8 @@
 //    the caller-executed chunk of an enclosing ParallelFor) runs inline on
 //    the current thread instead of enqueuing. This lets an outer loop shard
 //    coarse work (e.g. one embedding table per worker) while inner kernels
-//    (BatchedGemm) still call ParallelFor without deadlocking the pool.
+//    (the TT blocks and their slice GEMMs) still call ParallelFor without
+//    deadlocking the pool.
 #pragma once
 
 #include <condition_variable>

@@ -2,9 +2,10 @@
 //
 // Core k is logically the 4-d tensor G_k in R^{R_{k-1} x m_k x n_k x R_k}
 // (paper Eq. 2). We store it *slice-major*: the m_k slices are contiguous,
-// each an (R_{k-1} x n_k*R_k) row-major matrix, so that a lookup's per-core
-// slice is a single pointer + GEMM operand — exactly the layout the paper's
-// batched-GEMM kernels (Algorithm 1/2) index with `&G_j[idx[j][k]][0]`.
+// each an (R_{k-1} x n_k*R_k) row-major matrix, so that a core slice is a
+// single pointer + GEMM operand — the layout the paper's batched-GEMM
+// kernels (Algorithm 1/2) index with `&G_j[idx[j][k]][0]`, and the B
+// operand each slice's stacked GEMM uses in TtEmbeddingBag.
 #pragma once
 
 #include <cstdint>

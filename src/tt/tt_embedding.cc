@@ -7,7 +7,6 @@
 
 #include "obs/trace.h"
 #include "tensor/aligned.h"
-#include "tensor/batched_gemm.h"
 #include "tensor/check.h"
 #include "tensor/gemm.h"
 #include "tensor/parallel.h"
@@ -79,20 +78,43 @@ void GroupByRow(std::span<const int64_t> indices, int64_t begin, int64_t end,
   }
 }
 
+/// Runs fn(slice, j0, j1) for every bucket of the workspace's last sort by
+/// digit, one pool task per chunk of slices, each chunk traced as `span`
+/// when it is not null. Tasks write disjoint output ranges and their own
+/// gradient slice, so any chunking gives bitwise the same result; nested
+/// in a forward block task, the buckets run inline in slice order.
+void ForEachBucket(const auto& ws, [[maybe_unused]] const char* span,
+                   const auto& fn) {
+  const auto run = [&](int64_t t0, int64_t t1) {
+    TTREC_TRACE_SCOPE(span);
+    for (int64_t t = t0; t < t1; ++t) {
+      fn(int64_t{ws.touched[static_cast<size_t>(t)]},
+         int64_t{ws.bucket_start[static_cast<size_t>(t)]},
+         int64_t{ws.bucket_start[static_cast<size_t>(t) + 1]});
+    }
+  };
+  // Capturing one reference keeps the std::function within its inline
+  // storage: a one-lookup forward pays no allocation per stage.
+  ThreadPool::Global().ParallelFor(
+      static_cast<int64_t>(ws.touched.size()), 1,
+      [&run](int64_t t0, int64_t t1) { run(t0, t1); });
+}
+
 }  // namespace
 
-// Scratch of the forward's block tasks and pooling phase and of the
+// Scratch of the GEMM chain, the forward's pooling phase and the
 // backward. One lives per thread (ThreadWorkspace), reused across calls and
 // shared by every table that thread runs: once it has grown to the largest
 // block, a steady-state Forward or Backward allocates none of its block or
 // round buffers. Sharing is safe because a thread never runs two users of
 // its workspace at once: ThreadPool never runs a foreign task on a caller
 // waiting in ParallelFor, and runs a nested ParallelFor inline on the
-// task's own thread (tensor/parallel.cc). The two overlaps are by design
-// and touch disjoint fields: the thread that calls Forward keeps its round
-// of rows in `round_rows` while it runs block tasks of that call, and the
-// thread that calls Backward keeps the block's sort and stacks while it
-// runs slice tasks, which use only `slice_t`.
+// task's own thread (tensor/parallel.cc). The overlaps are by design and
+// touch disjoint fields: the thread that calls Forward keeps its round of
+// rows in `round_rows` while it runs block tasks of that call, and a thread
+// that runs a block's chain or backward keeps the block's units, sort and
+// intermediates while it runs bucket tasks, which use only the executing
+// thread's `p_stack`, `d_stack` and `slice_t`.
 struct TtEmbeddingBag::Workspace {
   // The block's units — its lookups, or its distinct rows under dedup (with
   // each lookup's slot) — and their digits, [u * d + c].
@@ -100,34 +122,32 @@ struct TtEmbeddingBag::Workspace {
   std::vector<int64_t> unique;
   std::vector<int32_t> lookup_to_unique;
   std::vector<int64_t> digits;
-  // Stage intermediates P_c (c = 1..d-2) of one block: in unit order in the
-  // forward, in digit-c bucket order in the backward's recompute, where
-  // inter_pos[c * units + u] is unit u's row. All float scratch that feeds
-  // GEMM operands is 64-byte aligned (tensor/aligned.h).
-  std::vector<AlignedVec<float>> inter;
-  std::vector<int32_t> inter_pos;
-  // Forward: one stage's BatchedGemm operands, the distinct rows under
-  // dedup, and one round's reconstructed rows.
-  std::vector<const float*> a_ptrs;
-  std::vector<const float*> b_ptrs;
-  std::vector<float*> c_ptrs;
-  AlignedVec<float> unique_rows;
-  AlignedVec<float> round_rows;
-  // Backward: counting sort of the units by one digit. Bucket i (the units
-  // touching slice i) is order[bucket_start[i] .. bucket_start[i + 1]);
-  // `touched` lists the nonempty buckets in slice order.
+  // Counting sort of the units by one digit. Bucket t (the units touching
+  // slice touched[t]) is order[bucket_start[t] .. bucket_start[t + 1]), and
+  // `touched` lists the nonempty buckets in slice order. `cursor` holds one
+  // count per slice and is all zero between sorts, so a sort costs
+  // O(units), not O(row factor).
+  std::vector<int32_t> touched;
   std::vector<int32_t> bucket_start;
   std::vector<int32_t> cursor;
   std::vector<int32_t> order;
-  std::vector<int32_t> touched;
-  // pos[u] = row of unit u in d_cur, which holds D_c in the previous
-  // stage's bucket order (unit order for the first stage).
+  // Stage products P_c (c = 1..d-1) of one block in digit-c bucket order:
+  // inter_pos[c * units + u] is unit u's row, and P_{d-1} rows are the
+  // embedding rows. All float scratch that feeds GEMM operands is 64-byte
+  // aligned (tensor/aligned.h).
+  std::vector<AlignedVec<float>> inter;
+  std::vector<int32_t> inter_pos;
+  // One bucket's P_{c-1} rows and D_c rows, gathered by its bucket task.
+  AlignedVec<float> p_stack;
+  AlignedVec<float> d_stack;
+  AlignedVec<float> slice_t;  // one core slice, transposed
+  // Forward: one round's rows, in lookup order.
+  AlignedVec<float> round_rows;
+  // Backward: pos[u] = row of unit u in d_cur, which holds D_c in the
+  // previous stage's bucket order (unit order for the first stage).
   std::vector<int32_t> pos;
   AlignedVec<float> d_cur;
-  AlignedVec<float> d_next;   // D_{c-1}, in this stage's bucket order
-  AlignedVec<float> d_stack;  // D_c gathered into this stage's bucket order
-  AlignedVec<float> p_stack;  // P_{c-1} gathered the same way
-  AlignedVec<float> slice_t;  // one core slice, transposed
+  AlignedVec<float> d_next;  // D_{c-1}, in this stage's bucket order
 };
 
 TtEmbeddingBag::Workspace& TtEmbeddingBag::ThreadWorkspace() {
@@ -282,26 +302,25 @@ int64_t TtEmbeddingBag::WorkspaceBytes(int num_threads) const {
     if (c > 0) max_slice = std::max(max_slice, cores_.SliceSize(c));
   }
 
-  // One thread's Workspace, sized for one block. Shared by forward and
-  // backward: the digits and the stage intermediates 1..d-2.
-  int64_t ws_bytes = B * d * kI64;
-  for (int c = 1; c <= d - 2; ++c) {
+  // One thread's Workspace, sized for one block: the units' digits, the
+  // counting sort (touched slices, bucket starts, per-slice cursors, order)
+  // and the stage products P_1..P_{d-1} with each unit's row in them.
+  const int64_t max_touched = std::min(B, max_m);
+  int64_t ws_bytes =
+      B * d * kI64 + (2 * max_touched + 1 + max_m + B + B * d) * kI32;
+  for (int c = 1; c < d; ++c) {
     ws_bytes += AlignedBytes(B * prodn_[static_cast<size_t>(c)] *
                              s.ranks[static_cast<size_t>(c) + 1] * kF);
   }
   if (config_.deduplicate) {
-    // Sorted (row, position) keys, distinct rows, slots, and the forward's
-    // reconstructed distinct rows.
+    // Sorted (row, position) keys, distinct rows and each lookup's slot.
     ws_bytes += B * static_cast<int64_t>(sizeof(std::pair<int64_t, int32_t>)) +
-                B * kI64 + B * kI32 + AlignedBytes(B * N * kF);
+                B * kI64 + B * kI32;
   }
-  // Forward: the GEMM pointer arrays.
-  ws_bytes += 3 * B * static_cast<int64_t>(sizeof(void*));
-  // Backward: D_c, D_{c-1} and the two bucket stacks (max_d_floats_ per
-  // unit); the counting sort (bucket starts, cursors, order, touched list),
-  // the recomputed intermediates' rows and pos; one transposed slice.
-  ws_bytes += 4 * AlignedBytes(B * max_d_floats_ * kF) +
-              (2 * max_m + 1 + B + std::min(B, max_m) + B * d + B) * kI32 +
+  // A bucket's gathered P_{c-1} and D_c rows (a bucket is at most the whole
+  // block, at most max_d_floats_ per unit), the backward's D_c and D_{c-1}
+  // with pos, and one transposed slice.
+  ws_bytes += 4 * AlignedBytes(B * max_d_floats_ * kF) + B * kI32 +
               AlignedBytes(max_slice * kF);
 
   // The calling thread's workspace also holds one round of reconstructed
@@ -311,67 +330,96 @@ int64_t TtEmbeddingBag::WorkspaceBytes(int num_threads) const {
   return threads * ws_bytes + round_rows_bytes;
 }
 
-void TtEmbeddingBag::ForwardBlock(std::span<const int64_t> indices,
-                                  int64_t begin, int64_t end, float* rows_out,
-                                  Workspace& ws) const {
+int64_t TtEmbeddingBag::SetUnits(std::span<const int64_t> indices,
+                                 int64_t begin, int64_t end, bool dedup,
+                                 Workspace& ws) const {
+  TTREC_TRACE_SCOPE("tt.decode");
   const TtShape& s = cores_.shape();
   const int d = s.num_cores();
-  const int64_t L = end - begin;
-  const int64_t N = emb_dim();
-
-  ws.digits.resize(static_cast<size_t>(L * d));
-  {
-    TTREC_TRACE_SCOPE("tt.decode");
-    for (int64_t l = 0; l < L; ++l) {
-      s.RowDigitsInto(indices[begin + l], ws.digits.data() + l * d);
-    }
+  std::span<const int64_t> rows = indices.subspan(
+      static_cast<size_t>(begin), static_cast<size_t>(end - begin));
+  if (dedup) {
+    GroupByRow(indices, begin, end, ws.dedup_keys, ws.unique,
+               ws.lookup_to_unique);
+    rows = ws.unique;
   }
+  const int64_t units = static_cast<int64_t>(rows.size());
+  ws.digits.resize(static_cast<size_t>(units * d));
+  for (int64_t u = 0; u < units; ++u) {
+    s.RowDigitsInto(rows[static_cast<size_t>(u)], ws.digits.data() + u * d);
+  }
+  return units;
+}
 
+const float* TtEmbeddingBag::ChainRow(int c, int64_t units, int64_t u,
+                                      const Workspace& ws) const {
+  const int d = cores_.num_cores();
+  if (c == 0) return cores_.Slice(0, ws.digits[static_cast<size_t>(u * d)]);
+  const int64_t stride = prodn_[static_cast<size_t>(c)] *
+                         cores_.shape().ranks[static_cast<size_t>(c) + 1];
+  return ws.inter[static_cast<size_t>(c)].data() +
+         ws.inter_pos[static_cast<size_t>(c * units + u)] * stride;
+}
+
+void TtEmbeddingBag::ChainBlock(int64_t units, int last_stage,
+                                Workspace& ws) const {
+  TTREC_TRACE_SCOPE("tt.gemm_chain");
+  const TtShape& s = cores_.shape();
+  const int d = s.num_cores();
   // Grow-only, like every buffer in the workspace: a table with fewer cores
   // must not free a deeper table's intermediates.
   if (ws.inter.size() < static_cast<size_t>(d)) {
     ws.inter.resize(static_cast<size_t>(d));
   }
-  ws.a_ptrs.resize(static_cast<size_t>(L));
-  ws.b_ptrs.resize(static_cast<size_t>(L));
-  ws.c_ptrs.resize(static_cast<size_t>(L));
-
-  TTREC_TRACE_SCOPE("tt.gemm_chain");
-  for (int c = 1; c < d; ++c) {
-    const int64_t m = prodn_[static_cast<size_t>(c - 1)];
-    const int64_t kk = s.ranks[static_cast<size_t>(c)];
-    const int64_t nn = cores_.SliceCols(c);
-    const int64_t out_stride = m * nn;
-    const bool last_stage = (c == d - 1);
-    const int64_t prev_stride =
-        (c >= 2) ? prodn_[static_cast<size_t>(c - 1)] *
-                       s.ranks[static_cast<size_t>(c)]
-                 : 0;
-
-    float* out_base = nullptr;
-    if (last_stage) {
-      TTREC_CHECK_INTERNAL(out_stride == N, "final stage must produce rows");
-      out_base = rows_out;
-    } else {
-      out_base = Grow(ws.inter[static_cast<size_t>(c)], L * out_stride);
+  ws.inter_pos.resize(static_cast<size_t>(units * d));
+  for (int c = 1; c <= last_stage; ++c) {
+    const int64_t m_prev = prodn_[static_cast<size_t>(c - 1)];
+    const int64_t rank_c = s.ranks[static_cast<size_t>(c)];
+    const int64_t cols_c = cores_.SliceCols(c);
+    const int64_t p_stride = m_prev * rank_c;
+    float* out = Grow(ws.inter[static_cast<size_t>(c)],
+                      units * m_prev * cols_c);
+    SortUnitsByDigit(c, units, ws);
+    ForEachBucket(ws, nullptr, [&](int64_t ik, int64_t j0, int64_t j1) {
+      // A lone unit multiplies its P_{c-1} in place; a bucket of several
+      // stacks theirs into the executing thread's p_stack first.
+      const float* a =
+          ChainRow(c - 1, units, ws.order[static_cast<size_t>(j0)], ws);
+      if (j1 - j0 > 1) {
+        float* stack = Grow(ThreadWorkspace().p_stack, (j1 - j0) * p_stride);
+        for (int64_t j = j0; j < j1; ++j) {
+          std::memcpy(stack + (j - j0) * p_stride,
+                      ChainRow(c - 1, units, ws.order[static_cast<size_t>(j)],
+                               ws),
+                      static_cast<size_t>(p_stride) * sizeof(float));
+        }
+        a = stack;
+      }
+      Gemm(Trans::kNo, Trans::kNo, (j1 - j0) * m_prev, cols_c, rank_c, 1.0f,
+           a, rank_c, cores_.Slice(c, ik), cols_c, 0.0f,
+           out + j0 * m_prev * cols_c, cols_c);
+    });
+    int32_t* pos = ws.inter_pos.data() + c * units;
+    for (int64_t j = 0; j < units; ++j) {
+      pos[ws.order[static_cast<size_t>(j)]] = static_cast<int32_t>(j);
     }
+  }
+}
 
-    for (int64_t l = 0; l < L; ++l) {
-      const int64_t* dg = ws.digits.data() + l * d;
-      ws.a_ptrs[static_cast<size_t>(l)] =
-          (c == 1) ? cores_.Slice(0, dg[0])
-                   : ws.inter[static_cast<size_t>(c - 1)].data() +
-                         l * prev_stride;
-      ws.b_ptrs[static_cast<size_t>(l)] = cores_.Slice(c, dg[c]);
-      ws.c_ptrs[static_cast<size_t>(l)] = out_base + l * out_stride;
-    }
-    BatchedGemmShape shape;
-    shape.m = m;
-    shape.n = nn;
-    shape.k = kk;
-    // Inside a block task this runs inline (pool re-entrancy); from a
-    // sequential caller it still fans the batch across the pool.
-    BatchedGemm(shape, ws.a_ptrs, ws.b_ptrs, ws.c_ptrs);
+void TtEmbeddingBag::DecodeBlock(std::span<const int64_t> indices,
+                                 int64_t begin, int64_t end, bool dedup,
+                                 float* rows_out, Workspace& ws) const {
+  const int d = cores_.num_cores();
+  const int64_t N = emb_dim();
+  const int64_t units = SetUnits(indices, begin, end, dedup, ws);
+  ChainBlock(units, d - 1, ws);
+  // P_{d-1} holds each unit's row in bucket order; copy them out in lookup
+  // order.
+  for (int64_t l = 0; l < end - begin; ++l) {
+    const int64_t u =
+        dedup ? ws.lookup_to_unique[static_cast<size_t>(l)] : l;
+    std::memcpy(rows_out + l * N, ChainRow(d - 1, units, u, ws),
+                static_cast<size_t>(N) * sizeof(float));
   }
 }
 
@@ -414,25 +462,8 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch, const float* rows,
         for (int64_t blk = c0; blk < c1; ++blk) {
           const int64_t begin = r0 + blk * bs;
           const int64_t end = std::min(r1, begin + bs);
-          float* out_rows = decoded + (begin - r0) * N;
-          if (dedup) {
-            GroupByRow(batch.indices, begin, end, ws.dedup_keys, ws.unique,
-                       ws.lookup_to_unique);
-            const int64_t num_unique = static_cast<int64_t>(ws.unique.size());
-            float* unique_rows = Grow(ws.unique_rows, num_unique * N);
-            ForwardBlock(ws.unique, 0, num_unique, unique_rows, ws);
-            for (int64_t l = begin; l < end; ++l) {
-              const float* src =
-                  unique_rows +
-                  static_cast<int64_t>(
-                      ws.lookup_to_unique[static_cast<size_t>(l - begin)]) *
-                      N;
-              std::memcpy(out_rows + (l - begin) * N, src,
-                          static_cast<size_t>(N) * sizeof(float));
-            }
-          } else {
-            ForwardBlock(batch.indices, begin, end, out_rows, ws);
-          }
+          DecodeBlock(batch.indices, begin, end, dedup,
+                      decoded + (begin - r0) * N, ws);
         }
       });
     }
@@ -470,9 +501,10 @@ void TtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
 
 void TtEmbeddingBag::ForwardInference(const CsrBatch& batch,
                                       float* output) const {
-  // Always the per-lookup path (no dedup): each lookup's TT chain is an
-  // independent GEMM problem, so pooled outputs are bitwise identical no
-  // matter how requests were micro-batched together.
+  // No dedup: every lookup runs its own chain. Each row is bitwise its
+  // one-lookup product whichever lookups share its slice GEMMs, so pooled
+  // outputs are bitwise identical no matter how requests were
+  // micro-batched together.
   PooledForward(batch, nullptr, output, /*dedup=*/false);
 }
 
@@ -499,7 +531,7 @@ void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices,
     for (int64_t blk = c0; blk < c1; ++blk) {
       const int64_t begin = blk * bs;
       const int64_t end = std::min(n, begin + bs);
-      ForwardBlock(indices, begin, end, out + begin * N, ws);
+      DecodeBlock(indices, begin, end, /*dedup=*/false, out + begin * N, ws);
     }
   });
 }
@@ -507,28 +539,32 @@ void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices,
 void TtEmbeddingBag::SortUnitsByDigit(int c, int64_t units,
                                       Workspace& ws) const {
   const int d = cores_.num_cores();
-  const int64_t m = cores_.shape().row_factors[static_cast<size_t>(c)];
   const int64_t* digits = ws.digits.data();
-  ws.bucket_start.assign(static_cast<size_t>(m) + 1, 0);
-  for (int64_t u = 0; u < units; ++u) {
-    ++ws.bucket_start[static_cast<size_t>(digits[u * d + c]) + 1];
-  }
+  // Count each slice's units into its cursor (zero between sorts) and list
+  // the touched slices, in slice order.
+  int32_t* cursor = Grow(ws.cursor, cores_.shape().row_factors[
+                                        static_cast<size_t>(c)]);
   ws.touched.clear();
-  for (int64_t i = 0; i < m; ++i) {
-    if (ws.bucket_start[static_cast<size_t>(i) + 1] > 0) {
-      ws.touched.push_back(static_cast<int32_t>(i));
-    }
-    ws.bucket_start[static_cast<size_t>(i) + 1] +=
-        ws.bucket_start[static_cast<size_t>(i)];
-  }
-  // Stable: within a bucket, units keep their unit order.
-  ws.cursor.assign(ws.bucket_start.begin(), ws.bucket_start.end() - 1);
-  ws.order.resize(static_cast<size_t>(units));
   for (int64_t u = 0; u < units; ++u) {
     const int64_t ik = digits[u * d + c];
-    ws.order[static_cast<size_t>(ws.cursor[static_cast<size_t>(ik)]++)] =
+    if (cursor[ik]++ == 0) ws.touched.push_back(static_cast<int32_t>(ik));
+  }
+  std::sort(ws.touched.begin(), ws.touched.end());
+  // Bucket starts; each cursor becomes its bucket's next write position.
+  ws.bucket_start.resize(ws.touched.size() + 1);
+  int32_t start = 0;
+  for (size_t t = 0; t < ws.touched.size(); ++t) {
+    ws.bucket_start[t] = start;
+    start += std::exchange(cursor[ws.touched[t]], start);
+  }
+  ws.bucket_start.back() = start;
+  // Stable: within a bucket, units keep their unit order.
+  ws.order.resize(static_cast<size_t>(units));
+  for (int64_t u = 0; u < units; ++u) {
+    ws.order[static_cast<size_t>(cursor[digits[u * d + c]]++)] =
         static_cast<int32_t>(u);
   }
+  for (int32_t ik : ws.touched) cursor[ik] = 0;
 }
 
 void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
@@ -537,88 +573,16 @@ void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
   const TtShape& s = cores_.shape();
   const int d = s.num_cores();
   const int64_t N = emb_dim();
-  ThreadPool& pool = ThreadPool::Global();
 
   // Units carry the gradient: one per lookup, or one per distinct row when
   // deduplicating (gradients are linear in the row, so summing a row's
-  // lookups first is exact).
-  std::span<const int64_t> rows(batch.indices.data() + begin,
-                                static_cast<size_t>(end - begin));
-  if (config_.deduplicate) {
-    GroupByRow(batch.indices, begin, end, ws.dedup_keys, ws.unique,
-               ws.lookup_to_unique);
-    rows = ws.unique;
-  }
-  const int64_t units = static_cast<int64_t>(rows.size());
-  ws.digits.resize(static_cast<size_t>(units * d));
-  for (int64_t u = 0; u < units; ++u) {
-    s.RowDigitsInto(rows[static_cast<size_t>(u)], ws.digits.data() + u * d);
-  }
+  // lookups first is exact). Recompute their P_1..P_{d-2} (Algorithm 2
+  // line 3) with the forward's chain: bitwise the forward's intermediates.
+  const int64_t units =
+      SetUnits(batch.indices, begin, end, config_.deduplicate, ws);
+  ChainBlock(units, d - 2, ws);
   float* d_cur = Grow(ws.d_cur, units * max_d_floats_);
   float* d_next = Grow(ws.d_next, units * max_d_floats_);
-  float* d_stack = Grow(ws.d_stack, units * max_d_floats_);
-  float* p_stack = Grow(ws.p_stack, units * max_d_floats_);
-
-  // Runs fn(slice, j0, j1) for every touched bucket of the last sort, one
-  // task per slice: tasks write disjoint stack and output ranges and their
-  // own gradient slice, so any chunking gives bitwise the same result.
-  auto for_each_bucket = [&](const auto& fn) {
-    pool.ParallelFor(
-        static_cast<int64_t>(ws.touched.size()), 1,
-        [&](int64_t t0, int64_t t1) {
-          TTREC_TRACE_SCOPE("tt.backward.slices");
-          for (int64_t t = t0; t < t1; ++t) {
-            const int64_t ik = ws.touched[static_cast<size_t>(t)];
-            fn(ik, int64_t{ws.bucket_start[static_cast<size_t>(ik)]},
-               int64_t{ws.bucket_start[static_cast<size_t>(ik) + 1]});
-          }
-        });
-  };
-  // P_c of unit u, c in [0, d-2]: its core-0 slice, or its recomputed
-  // intermediate.
-  auto p_row = [&](int c, int64_t u) -> const float* {
-    if (c == 0) return cores_.Slice(0, ws.digits[static_cast<size_t>(u * d)]);
-    const int64_t stride =
-        prodn_[static_cast<size_t>(c)] * s.ranks[static_cast<size_t>(c) + 1];
-    return ws.inter[static_cast<size_t>(c)].data() +
-           ws.inter_pos[static_cast<size_t>(c * units + u)] * stride;
-  };
-
-  // Recompute P_1..P_{d-2} (Algorithm 2 line 3) through the same buckets:
-  // stage c stacks P_{c-1} by digit c and multiplies each bucket by its
-  // slice at once. Every output row is the forward's per-lookup product of
-  // the same operands, so it matches the forward's intermediate bitwise.
-  {
-    TTREC_TRACE_SCOPE("tt.gemm_chain");
-    if (ws.inter.size() < static_cast<size_t>(d)) {
-      ws.inter.resize(static_cast<size_t>(d));
-    }
-    ws.inter_pos.resize(static_cast<size_t>(units * d));
-    for (int c = 1; c <= d - 2; ++c) {
-      const int64_t m_prev = prodn_[static_cast<size_t>(c - 1)];
-      const int64_t rank_c = s.ranks[static_cast<size_t>(c)];
-      const int64_t cols_c = cores_.SliceCols(c);
-      const int64_t p_stride = m_prev * rank_c;
-      float* out = Grow(ws.inter[static_cast<size_t>(c)],
-                        units * m_prev * cols_c);
-      SortUnitsByDigit(c, units, ws);
-      for_each_bucket([&](int64_t ik, int64_t j0, int64_t j1) {
-        for (int64_t j = j0; j < j1; ++j) {
-          std::memcpy(p_stack + j * p_stride,
-                      p_row(c - 1, ws.order[static_cast<size_t>(j)]),
-                      static_cast<size_t>(p_stride) * sizeof(float));
-        }
-        Gemm(Trans::kNo, Trans::kNo, (j1 - j0) * m_prev, cols_c, rank_c, 1.0f,
-             p_stack + j0 * p_stride, rank_c, cores_.Slice(c, ik), cols_c,
-             0.0f, out + j0 * m_prev * cols_c, cols_c);
-      });
-      for (int64_t j = 0; j < units; ++j) {
-        ws.inter_pos[static_cast<size_t>(
-            c * units + ws.order[static_cast<size_t>(j)])] =
-            static_cast<int32_t>(j);
-      }
-    }
-  }
 
   // D_{d-1} = w_l * dL/d(bag row), one N-float row per unit, unit order.
   if (config_.deduplicate) std::fill(d_cur, d_cur + units * N, 0.0f);
@@ -652,26 +616,37 @@ void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
     const int64_t p_stride = m_prev * rank_c;  // P_{c-1}, D_{c-1} per unit
     Tensor& grad = grads_[static_cast<size_t>(c)];
     SortUnitsByDigit(c, units, ws);
-    for_each_bucket([&](int64_t ik, int64_t j0, int64_t j1) {
-      for (int64_t j = j0; j < j1; ++j) {
-        const int64_t u = ws.order[static_cast<size_t>(j)];
-        std::memcpy(p_stack + j * p_stride, p_row(c - 1, u),
-                    static_cast<size_t>(p_stride) * sizeof(float));
-        std::memcpy(d_stack + j * d_stride,
-                    d_cur + ws.pos[static_cast<size_t>(u)] * d_stride,
-                    static_cast<size_t>(d_stride) * sizeof(float));
+    ForEachBucket(ws, "tt.backward.slices", [&](int64_t ik, int64_t j0,
+                                                int64_t j1) {
+      // A lone unit's rows are used in place; a bucket of several is
+      // gathered into the executing thread's stacks (see Workspace).
+      Workspace& own = ThreadWorkspace();
+      const int64_t u0 = ws.order[static_cast<size_t>(j0)];
+      const float* pp = ChainRow(c - 1, units, u0, ws);
+      const float* dd = d_cur + ws.pos[static_cast<size_t>(u0)] * d_stride;
+      if (j1 - j0 > 1) {
+        float* p_stack = Grow(own.p_stack, (j1 - j0) * p_stride);
+        float* d_stack = Grow(own.d_stack, (j1 - j0) * d_stride);
+        for (int64_t j = j0; j < j1; ++j) {
+          const int64_t u = ws.order[static_cast<size_t>(j)];
+          std::memcpy(p_stack + (j - j0) * p_stride,
+                      ChainRow(c - 1, units, u, ws),
+                      static_cast<size_t>(p_stride) * sizeof(float));
+          std::memcpy(d_stack + (j - j0) * d_stride,
+                      d_cur + ws.pos[static_cast<size_t>(u)] * d_stride,
+                      static_cast<size_t>(d_stride) * sizeof(float));
+        }
+        pp = p_stack;
+        dd = d_stack;
       }
       const int64_t k = (j1 - j0) * m_prev;
-      const float* dd = d_stack + j0 * d_stride;
       // Eq. 4 for the whole bucket at once: sum_u P_u^T D_u = [P]^T [D] over
       // the stacked K, accumulated into the slice.
-      Gemm(Trans::kYes, Trans::kNo, rank_c, cols_c, k, 1.0f,
-           p_stack + j0 * p_stride, rank_c, dd, cols_c, 1.0f,
-           grad.data() + ik * slice_size, cols_c);
+      Gemm(Trans::kYes, Trans::kNo, rank_c, cols_c, k, 1.0f, pp, rank_c, dd,
+           cols_c, 1.0f, grad.data() + ik * slice_size, cols_c);
       // Eq. 5: D_{c-1} = D_c G_c[i]^T, against the slice transposed once so
       // the product runs on the NN kernel.
-      // The executing thread's own buffer (see Workspace).
-      float* slice_t = Grow(ThreadWorkspace().slice_t, slice_size);
+      float* slice_t = Grow(own.slice_t, slice_size);
       const float* slice = cores_.Slice(c, ik);
       for (int64_t r = 0; r < rank_c; ++r) {
         for (int64_t j = 0; j < cols_c; ++j) {
@@ -693,7 +668,8 @@ void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
   const int64_t slice0 = cores_.SliceSize(0);
   Tensor& grad0 = grads_[0];
   SortUnitsByDigit(0, units, ws);
-  for_each_bucket([&](int64_t ik, int64_t j0, int64_t j1) {
+  ForEachBucket(ws, "tt.backward.slices", [&](int64_t ik, int64_t j0,
+                                              int64_t j1) {
     float* dst = grad0.data() + ik * slice0;
     for (int64_t j = j0; j < j1; ++j) {
       const float* src =

@@ -1,28 +1,34 @@
 // TT-EmbeddingBag: the paper's core operator (§4.1, Algorithms 1 & 2).
 //
-// Forward: a batch of embedding lookups is processed in blocks of up to
-// `block_size` lookups. Blocks execute concurrently on the global ThreadPool.
-// Within a block each TT stage runs as ONE batched GEMM whose per-problem
-// operands are pointers to core slices and intermediate buffers — the CPU
-// analogue of the cuBLAS GemmBatchedEx launches in Algorithm 1 (nested
-// BatchedGemm calls run inline on the block task's thread). Reconstructed
-// rows are then pooled into bags with optional per-sample weights (Eq. 6/7);
-// every bag is owned by exactly one pooling task and accumulates its lookups
-// in lookup order, so pooled outputs are bitwise independent of the thread
-// count. Forward, ForwardInference and PoolPrefetchedRows share this one
-// pooling path; they differ in the dedup choice, the stats counters, and
-// whether the rows are reconstructed or given.
+// One GEMM chain serves every path. A batch of lookups is processed in
+// blocks of up to `block_size` lookups. Within a block, for c = 1..d-1, the
+// block's units (lookups, or distinct rows under dedup) are counting-sorted
+// by digit c, and every touched slice G_c[i] multiplies its stacked bucket
+// of P_{c-1} rows in ONE GEMM — the CPU counterpart of the per-stage
+// GemmBatchedEx launches in Algorithm 1, grouped by slice (the
+// gather-reduce of Tensor Casting). Stacking is bitwise safe because a
+// GEMM row's result depends on nothing but its own operands
+// (tensor/gemm_kernels.h), so every row equals its one-lookup product.
 //
-// Backward (Algorithm 2, Eq. 4/5) is a per-core gather-reduce that
-// recomputes the intermediates (the paper's default; §4.2's stash trades
-// memory for speed, but measured slower here). Blocks run one after another.
-// In each block, for core c from d-1 down, the block's units (lookups, or
-// distinct rows under dedup) are counting-sorted by digit c; every touched
-// slice then takes ONE GEMM over its stacked bucket, sum_l P_l^T D_l =
-// [P]^T [D], accumulated straight into the dense per-core gradient, and
-// propagates D_{c-1} = D_c G_c[i]^T with one more GEMM per bucket. Slices
-// are independent tasks with one writer each, bucket order depends only on
-// the batch and `block_size`, and blocks accumulate in block order, so the
+// Forward: blocks execute concurrently on the global ThreadPool and copy
+// their rows out of bucket order into lookup order. The rows are then
+// pooled into bags with optional per-sample weights (Eq. 6/7); every bag is
+// owned by exactly one pooling task and accumulates its lookups in lookup
+// order, so pooled outputs are bitwise independent of the thread count.
+// Forward, ForwardInference and PoolPrefetchedRows share this one pooling
+// path; they differ in the dedup choice, the stats counters, and whether
+// the rows are reconstructed or given. LookupRows, the cache's admission
+// decode, runs the same blocks without pooling.
+//
+// Backward (Algorithm 2, Eq. 4/5) recomputes the intermediates through the
+// same chain (the paper's default; §4.2's stash trades memory for speed,
+// but measured slower here), then runs a per-core gather-reduce. Blocks run
+// one after another. In each block, for core c from d-1 down, every touched
+// slice takes ONE GEMM over its bucket, sum_l P_l^T D_l = [P]^T [D],
+// accumulated straight into the dense per-core gradient, and propagates
+// D_{c-1} = D_c G_c[i]^T with one more GEMM per bucket. Slices are
+// independent tasks with one writer each, bucket order depends only on the
+// batch and `block_size`, and blocks accumulate in block order, so the
 // result is bitwise identical for any thread count, and duplicate indices
 // within a batch stay well-defined.
 //
@@ -51,9 +57,10 @@ namespace ttrec {
 struct TtEmbeddingConfig {
   TtShape shape;
   PoolingMode pooling = PoolingMode::kSum;
-  /// Max lookups per batched-GEMM block (B in Algorithm 1). Blocks are the
+  /// Max lookups per GEMM-chain block (B in Algorithm 1). Blocks are the
   /// forward's unit of parallelism and bound intermediate memory at
-  /// block_size * emb_dim * max_rank floats per in-flight block. Block
+  /// block_size * emb_dim * max_rank floats per in-flight block; within a
+  /// block, the lookups that share a core slice share one GEMM. Block
   /// boundaries are a function of this config alone — never of the thread
   /// count — which is what makes dedup grouping and the backward's bucket
   /// and accumulation order reproducible.
@@ -111,7 +118,7 @@ class TtEmbeddingBag {
                           float* output) const;
 
   /// Reconstructs individual rows without pooling into `out`
-  /// (indices.size() x emb_dim). Uses the same batched kernel; blocks run
+  /// (indices.size() x emb_dim). Uses the same GEMM chain; blocks run
   /// concurrently (disjoint output ranges, no accumulation). Bitwise equal
   /// to TtCores::MaterializeRow per row. Const and uncounted in stats(): the
   /// cache decodes its admitted rows here, and those are not TT forward
@@ -155,10 +162,9 @@ class TtEmbeddingBag {
   /// Parameter memory (cores only).
   int64_t MemoryBytes() const { return cores_.MemoryBytes(); }
   /// Peak scratch memory of Forward and Backward: one per-thread workspace
-  /// per pool thread, each holding one block's digits, stage intermediates
-  /// and dedup grouping (shared by forward and backward), the forward's
-  /// GEMM pointer arrays and distinct rows, and the backward's D buffers,
-  /// bucket stacks, counting-sort arrays and transposed slice; plus the
+  /// per pool thread, each holding one block's digits, dedup grouping,
+  /// counting sort, stage products and bucket stacks (shared by forward and
+  /// backward), and the backward's D buffers and transposed slice; plus the
   /// round of reconstructed rows the calling thread's workspace holds for
   /// the pooling phase. `num_threads` <= 0 means size for the current
   /// global ThreadPool.
@@ -170,12 +176,29 @@ class TtEmbeddingBag {
   /// The calling thread's workspace (see Workspace in the .cc).
   static Workspace& ThreadWorkspace();
 
-  /// Computes reconstructed rows for lookups [begin, end) of `indices` into
-  /// `rows_out` (contiguous, emb_dim stride), with `ws` as block scratch.
-  /// Const — all mutable state is passed in, which is what makes the
-  /// inference path shareable across threads.
-  void ForwardBlock(std::span<const int64_t> indices, int64_t begin,
-                    int64_t end, float* rows_out, Workspace& ws) const;
+  /// Makes lookups [begin, end) of `indices` the block's units in ws — one
+  /// per lookup, or one per distinct row when `dedup` — and decodes their
+  /// digits. Returns the unit count.
+  int64_t SetUnits(std::span<const int64_t> indices, int64_t begin,
+                   int64_t end, bool dedup, Workspace& ws) const;
+
+  /// The one TT GEMM chain: for c = 1..last_stage, counting-sorts the
+  /// block's units by digit c and multiplies each touched slice's stacked
+  /// bucket of P_{c-1} rows in ONE GEMM into P_c (ws.inter[c], bucket
+  /// order). Every stacked row is bitwise its own one-lookup product (the
+  /// row contract of tensor/gemm_kernels.h). Const — all mutable state is in
+  /// `ws`, which is what makes the inference path shareable across threads.
+  void ChainBlock(int64_t units, int last_stage, Workspace& ws) const;
+
+  /// P_c of unit u after ChainBlock: its core-0 slice for c = 0.
+  const float* ChainRow(int c, int64_t units, int64_t u,
+                        const Workspace& ws) const;
+
+  /// Reconstructs lookups [begin, end) of `indices` into `rows_out`
+  /// (lookup order, emb_dim stride) through ChainBlock.
+  void DecodeBlock(std::span<const int64_t> indices, int64_t begin,
+                   int64_t end, bool dedup, float* rows_out,
+                   Workspace& ws) const;
 
   /// The one pooling path of Forward, ForwardInference and
   /// PoolPrefetchedRows: validates the batch and overwrites `output`. Per
@@ -186,14 +209,16 @@ class TtEmbeddingBag {
   void PooledForward(const CsrBatch& batch, const float* rows, float* output,
                      bool dedup) const;
 
-  /// Backward for lookups [begin, end): the per-core gather-reduce of
-  /// Algorithm 2, accumulating every touched slice's gradient into grads_.
+  /// Backward for lookups [begin, end): ChainBlock's recompute, then the
+  /// per-core gather-reduce of Algorithm 2, accumulating every touched
+  /// slice's gradient into grads_.
   void BackwardBlock(const CsrBatch& batch, const float* grad_output,
                      int64_t begin, int64_t end, Workspace& ws);
 
   /// Stable counting sort of the block's first `units` units by digit `c`
   /// (read from ws.digits) into ws.order / ws.bucket_start, listing the
-  /// nonempty buckets in ws.touched.
+  /// nonempty buckets in ws.touched. O(units): only touched slices are
+  /// visited.
   void SortUnitsByDigit(int c, int64_t units, Workspace& ws) const;
 
   void EnsureGrads();

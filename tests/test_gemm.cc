@@ -1,4 +1,4 @@
-// GEMM / batched-GEMM correctness against the reference oracle, across a
+// GEMM correctness against the reference oracle, across a
 // parameterized sweep of shapes and transpose combinations, plus the
 // per-SIMD-tier conformance sweeps: every dispatch tier this machine can
 // run (scalar always; AVX2/AVX-512 when detected) is forced in turn and
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "simd_tiers.h"
-#include "tensor/batched_gemm.h"
 #include "tensor/check.h"
 #include "tensor/cpu_features.h"
 #include "tensor/gemm.h"
@@ -108,52 +107,6 @@ TEST(Gemv, MatchesGemm) {
   GemmRef(Trans::kYes, Trans::kNo, n, 1, m, 1.0f, a.data(), n, xm.data(), 1,
           0.0f, yt_ref.data(), 1);
   for (int64_t i = 0; i < n; ++i) EXPECT_NEAR(yt[i], yt_ref[i], 1e-5f);
-}
-
-TEST(BatchedGemm, MatchesIndividualGemms) {
-  Rng rng(7);
-  const int64_t count = 37, m = 4, n = 6, k = 5;
-  std::vector<std::vector<float>> as, bs, cs, cs_ref;
-  std::vector<const float*> ap, bp;
-  std::vector<float*> cp;
-  for (int64_t i = 0; i < count; ++i) {
-    as.push_back(RandomVec(rng, m * k));
-    bs.push_back(RandomVec(rng, k * n));
-    cs.emplace_back(static_cast<size_t>(m * n), 0.0f);
-    cs_ref.emplace_back(static_cast<size_t>(m * n), 0.0f);
-  }
-  for (int64_t i = 0; i < count; ++i) {
-    ap.push_back(as[static_cast<size_t>(i)].data());
-    bp.push_back(bs[static_cast<size_t>(i)].data());
-    cp.push_back(cs[static_cast<size_t>(i)].data());
-  }
-  BatchedGemmShape shape;
-  shape.m = m;
-  shape.n = n;
-  shape.k = k;
-  BatchedGemm(shape, ap, bp, cp);
-  for (int64_t i = 0; i < count; ++i) {
-    GemmRef(Trans::kNo, Trans::kNo, m, n, k, 1.0f,
-            as[static_cast<size_t>(i)].data(), k,
-            bs[static_cast<size_t>(i)].data(), n, 0.0f,
-            cs_ref[static_cast<size_t>(i)].data(), n);
-    for (size_t j = 0; j < cs[static_cast<size_t>(i)].size(); ++j) {
-      EXPECT_NEAR(cs[static_cast<size_t>(i)][j],
-                  cs_ref[static_cast<size_t>(i)][j], 1e-5f);
-    }
-  }
-}
-
-TEST(BatchedGemm, RejectsMismatchedArraysAndNulls) {
-  std::vector<float> buf(4, 0.0f);
-  std::vector<const float*> two = {buf.data(), buf.data()};
-  std::vector<const float*> one = {buf.data()};
-  std::vector<float*> mut_two = {buf.data(), buf.data()};
-  BatchedGemmShape shape;
-  shape.m = shape.n = shape.k = 2;
-  EXPECT_THROW(BatchedGemm(shape, two, one, mut_two), ShapeError);
-  std::vector<const float*> with_null = {buf.data(), nullptr};
-  EXPECT_THROW(BatchedGemm(shape, two, with_null, mut_two), IndexError);
 }
 
 // Exhaustive small-shape conformance of the dispatched kernels against
@@ -286,6 +239,45 @@ TEST(GemmTierConformance, NtRowsIndependentOfM) {
                   0)
             << "tier=" << SimdTierName(tier) << " n=" << n << " k=" << k
             << " row " << i;
+      }
+    }
+  }
+}
+
+// The broadcast kernels (NN, TN) block rows by 4 and run the < 4-column
+// tail as scalar FMA chains, yet a C row is a pure function of its A row:
+// the TT chain stacks many lookups' rows into one product and relies on
+// each landing on the bits of its own one-row product, whichever row block
+// or remainder it falls into.
+TEST(GemmTierConformance, BroadcastRowsIndependentOfM) {
+  TierGuard guard;
+  for (SimdTier tier : TestableTiers()) {
+    SetSimdTier(tier);
+    for (int tai = 0; tai < 2; ++tai) {
+      const Trans ta = tai ? Trans::kYes : Trans::kNo;
+      for (int64_t n : {1, 2, 3, 5, 7, 13}) {
+        for (float beta : {0.0f, 1.0f}) {
+          const int64_t m = 13, k = 37;
+          const int64_t lda = tai ? m : k;
+          Rng rng(93);
+          const std::vector<float> a = RandomVec(rng, m * k);
+          const std::vector<float> b = RandomVec(rng, k * n);
+          const std::vector<float> c0 = RandomVec(rng, m * n);
+          std::vector<float> c = c0;
+          Gemm(ta, Trans::kNo, m, n, k, 1.0f, a.data(), lda, b.data(), n,
+               beta, c.data(), n);
+          for (int64_t i = 0; i < m; ++i) {
+            std::vector<float> row(c0.begin() + i * n, c0.begin() + (i + 1) * n);
+            Gemm(ta, Trans::kNo, 1, n, k, 1.0f,
+                 a.data() + (tai ? i : i * k), lda, b.data(), n, beta,
+                 row.data(), n);
+            EXPECT_EQ(std::memcmp(row.data(), c.data() + i * n,
+                                  static_cast<size_t>(n) * sizeof(float)),
+                      0)
+                << "tier=" << SimdTierName(tier) << " ta=" << tai
+                << " n=" << n << " beta=" << beta << " row " << i;
+          }
+        }
       }
     }
   }

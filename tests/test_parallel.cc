@@ -1,6 +1,5 @@
 // ThreadPool / ParallelFor: full coverage of the range, no overlap, chunk
-// granularity, exception propagation, and multi-thread determinism of the
-// batched GEMM results.
+// granularity, exception propagation, and inline nested calls.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,10 +8,8 @@
 #include <thread>
 #include <vector>
 
-#include "tensor/batched_gemm.h"
 #include "tensor/check.h"
 #include "tensor/parallel.h"
-#include "tensor/random.h"
 
 namespace ttrec {
 namespace {
@@ -95,8 +92,9 @@ TEST(ThreadPool, GlobalPoolResize) {
 }
 
 TEST(ThreadPool, NestedCallsRunInlineWithoutDeadlock) {
-  // BatchedGemm calls ParallelFor from inside table-level ParallelFor
-  // chunks (the serving path); nested calls must run inline instead of
+  // The TT kernels call ParallelFor from inside outer ParallelFor chunks
+  // (slice tasks inside a model's per-table tasks, bucket GEMMs inside a
+  // forward block task); nested calls must run inline instead of
   // enqueuing, or the pool deadlocks on itself.
   ThreadPool pool(4);
   constexpr int64_t kOuter = 16, kInner = 16;
@@ -164,39 +162,6 @@ TEST(ThreadPool, ConcurrentCallerExceptionsStayWithTheirCall) {
     EXPECT_EQ(outcome[static_cast<size_t>(c)], c % 2 == 0 ? 1 : 0)
         << "caller " << c;
   }
-}
-
-TEST(BatchedGemm, SameResultAcrossThreadCounts) {
-  // The batch dimension is split across workers; results must be invariant.
-  Rng rng(9);
-  const int64_t count = 64, m = 3, n = 5, k = 4;
-  std::vector<float> a(static_cast<size_t>(count * m * k));
-  std::vector<float> b(static_cast<size_t>(count * k * n));
-  FillUniform(rng, a, -1, 1);
-  FillUniform(rng, b, -1, 1);
-
-  auto run = [&](int threads) {
-    ThreadPool::SetGlobalThreads(threads);
-    std::vector<float> c(static_cast<size_t>(count * m * n), 0.0f);
-    std::vector<const float*> ap, bp;
-    std::vector<float*> cp;
-    for (int64_t i = 0; i < count; ++i) {
-      ap.push_back(a.data() + i * m * k);
-      bp.push_back(b.data() + i * k * n);
-      cp.push_back(c.data() + i * m * n);
-    }
-    BatchedGemmShape shape;
-    shape.m = m;
-    shape.n = n;
-    shape.k = k;
-    BatchedGemm(shape, ap, bp, cp);
-    return c;
-  };
-
-  const auto c1 = run(1);
-  const auto c4 = run(4);
-  ThreadPool::SetGlobalThreads(1);
-  EXPECT_EQ(c1, c4);  // bitwise identical: same per-problem arithmetic
 }
 
 }  // namespace

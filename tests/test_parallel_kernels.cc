@@ -21,7 +21,9 @@
 #include "tensor/check.h"
 #include "tensor/cpu_features.h"
 #include "tensor/parallel.h"
+#include "tensor/random.h"
 #include "tt/tt_embedding.h"
+#include "tt/tt_shapes.h"
 
 namespace ttrec {
 namespace {
@@ -270,6 +272,81 @@ TEST(TtEmbeddingParallelTiers, PipelineBitwiseIdenticalAcrossThreadsInEveryTier)
   }
 }
 
+TEST(TtEmbeddingParallelTiers, RowsIndependentOfBucketMates) {
+  // The chain stacks the lookups that share a core slice into one GEMM, so
+  // where a row lands in it — which row block, or the one-row remainder —
+  // depends on the rest of the batch. The kernels' row contract hides that:
+  // every decoded row must equal its own MaterializeRow and its one-lookup
+  // ForwardInference bit for bit. The dim-9 table (column factors 1, 3, 3)
+  // runs its last stage on the kernels' < 4-column tail.
+  PoolGuard pool_guard;
+  TierGuard tier_guard;
+  constexpr int64_t kRows = 20000, kLookups = 512;
+  const std::vector<int64_t> row_factors = FactorizeRows(kRows, 3);
+  const std::vector<std::vector<int64_t>> col_factors = {{2, 2, 4},
+                                                         {1, 3, 3}};
+  ZipfSampler zipf(kRows, 1.15);
+  IndexShuffle shuffle(kRows, 3);
+  Rng idx_rng(21);
+  std::vector<int64_t> idx;
+  for (int64_t l = 0; l < kLookups; ++l) {
+    idx.push_back(shuffle.Map(zipf.Sample(idx_rng)));
+  }
+  const CsrBatch batch = [&] {
+    CsrBatch b;
+    b.indices = idx;
+    for (int64_t l = 0; l <= kLookups; ++l) b.offsets.push_back(l);
+    return b;
+  }();
+
+  for (SimdTier tier : TestableTiers()) {
+    SetSimdTier(tier);
+    for (const std::vector<int64_t>& cols : col_factors) {
+      for (bool dedup : {false, true}) {
+        TtEmbeddingConfig cfg;
+        cfg.shape = MakeTtShapeExplicit(kRows, cols[0] * cols[1] * cols[2],
+                                        row_factors, cols, /*rank=*/8);
+        cfg.deduplicate = dedup;
+        Rng rng(13);
+        TtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+        const int64_t N = emb.emb_dim();
+        SCOPED_TRACE(std::string("tier=") + SimdTierName(tier) +
+                     " emb_dim=" + std::to_string(N) +
+                     (dedup ? " dedup" : " plain"));
+        std::vector<float> looked_up(static_cast<size_t>(kLookups * N));
+        std::vector<float> inferred(looked_up.size());
+        std::vector<float> forward(looked_up.size());
+        emb.LookupRows(idx, looked_up.data());
+        emb.ForwardInference(batch, inferred.data());
+        emb.Forward(batch, forward.data());
+
+        std::vector<float> own(static_cast<size_t>(N));
+        std::vector<float> alone(static_cast<size_t>(N));
+        int64_t bad = 0;
+        for (int64_t l = 0; l < kLookups; ++l) {
+          const int64_t row = idx[static_cast<size_t>(l)];
+          emb.cores().MaterializeRow(row, own.data());
+          CsrBatch one;
+          one.indices = {row};
+          one.offsets = {0, 1};
+          emb.ForwardInference(one, alone.data());
+          const size_t bytes = static_cast<size_t>(N) * sizeof(float);
+          const size_t at = static_cast<size_t>(l * N);
+          const bool ok = std::memcmp(own.data(), alone.data(), bytes) == 0 &&
+                          std::memcmp(own.data(), &looked_up[at], bytes) == 0 &&
+                          std::memcmp(own.data(), &inferred[at], bytes) == 0 &&
+                          std::memcmp(own.data(), &forward[at], bytes) == 0;
+          if (!ok && bad++ < 3) {
+            ADD_FAILURE() << "lookup " << l << " (row " << row
+                          << ") depends on its bucket mates";
+          }
+        }
+        EXPECT_EQ(bad, 0);
+      }
+    }
+  }
+}
+
 TEST(TtWorkspaceRegression, AccountsForBackwardAndDedupAndThreads) {
   // Regression: WorkspaceBytes used to count only the forward intermediates
   // and pointer arrays — no backward buffers, no dedup scratch, no
@@ -382,7 +459,7 @@ TEST(TtForwardSteadyState, TakesNoPageFaults) {
   ThreadPool::SetGlobalThreads(1);
   mallopt(M_MMAP_THRESHOLD, 256 * 1024);
 
-  for (int lookups : {512, 4096}) {
+  for (int lookups : {1, 512, 4096}) {
     const CsrBatch batch = SingleLookupBags(lookups);
     for (bool dedup : {false, true}) {
       SCOPED_TRACE(std::to_string(lookups) + " lookups, " +
