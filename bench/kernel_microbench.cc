@@ -10,8 +10,9 @@
 // cross-thread determinism check) and a SIMD-tier sweep (scalar vs AVX2 vs
 // AVX-512 on the TT GEMM chain, the pooled forward, the DLRM dot
 // interaction's forward plus backward at a training batch and at one
-// serving sample, and the top MLP's NT GEMM, with speedups over the scalar
-// tier).
+// serving sample, the top MLP's NT GEMM, and the last TT core's backward
+// shapes — its NN and TN GEMMs with n = 4 and a 32 x 64 slice transpose —
+// with speedups over the scalar tier).
 // The envelope stamps the CPU model and dispatch tier so the numbers are
 // attributable. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
@@ -210,13 +211,15 @@ double MsSince(Clock::time_point t0) {
 // One SIMD tier's measurements at a fixed thread count: the raw TT GEMM
 // chain (LookupRows — decode + bucketed GEMMs, no pooling), the pooled
 // forward, the dot interaction (PairwiseDots + PairwiseDotsBackward) at
-// two batch sizes, and the top MLP's first-layer forward GEMM (NT).
+// two batch sizes, the top MLP's first-layer forward GEMM (NT), the TT
+// backward's slice transpose, and NN / TN GEMMs of the last core's shape.
 struct TierRow {
   SimdTier tier = SimdTier::kScalar;
   double chain_ms = 0.0, chain_gflops = 0.0, chain_gbytes = 0.0;
   double fwd_ms = 0.0, fwd_gflops = 0.0, fwd_lookups_per_s = 0.0;
   double inter_batch_us = 0.0, inter_one_us = 0.0;
   double nt_us = 0.0, nt_gflops = 0.0;
+  double transpose_us = 0.0, nn4_us = 0.0, tn4_us = 0.0;
 };
 
 // The train_tt interaction (26 tables + the bottom MLP, emb_dim 16) and the
@@ -225,6 +228,13 @@ constexpr int64_t kInterFeatures = 27;
 constexpr int64_t kInterDim = 16;
 constexpr int64_t kInterBatch = 512;
 constexpr int64_t kNtM = 512, kNtN = 64, kNtK = 367;
+// A middle-core slice of a rank-32 table whose middle column factor is 2
+// (R x n_1 R = 32 x 64), transposed once per bucket by the TT backward; and
+// the last core's products at n = n_2 R_3 = 4: the forward's last stage
+// (NN, 8 lookups of 4 rows each over k = R = 32) and the backward's slice
+// gradient (TN, m = R = 32 over a stacked k of 32).
+constexpr int64_t kTransposeRows = 32, kTransposeCols = 64;
+constexpr int64_t kLastM = 32, kLastN = 4, kLastK = 32;
 
 // --json mode: the Criteo-shape sweeps described in the file comment.
 int RunKernelJsonSweep(const std::string& path) {
@@ -364,6 +374,21 @@ int RunKernelJsonSweep(const std::string& path) {
     const std::vector<float> nt_a = random_vec(kNtM * kNtK);
     const std::vector<float> nt_b = random_vec(kNtN * kNtK);
     std::vector<float> nt_c(static_cast<size_t>(kNtM * kNtN));
+    const std::vector<float> slice =
+        random_vec(kTransposeRows * kTransposeCols);
+    std::vector<float> slice_t(slice.size());
+    const std::vector<float> last_a = random_vec(kLastM * kLastK);
+    const std::vector<float> last_b = random_vec(kLastK * kLastN);
+    std::vector<float> last_c(static_cast<size_t>(kLastM * kLastN));
+    // The sub-microsecond kernels run this many times per timed sample.
+    constexpr int kSmallCalls = 1000;
+    const auto per_call_us = [&](auto&& fn) {
+      return 1e3 *
+             min_ms([&] {
+               for (int i = 0; i < kSmallCalls; ++i) fn();
+             }) /
+             kSmallCalls;
+    };
 
     const int detected = static_cast<int>(DetectedSimdTier());
     for (int t = 0; t <= detected; ++t) {
@@ -395,16 +420,35 @@ int RunKernelJsonSweep(const std::string& path) {
              nt_b.data(), 0.0f, nt_c.data());
       });
       row.nt_gflops = 2.0 * kNtM * kNtN * kNtK / (row.nt_us * 1e3);
+      row.transpose_us = per_call_us([&] {
+        Transpose(kTransposeRows, kTransposeCols, slice.data(),
+                  kTransposeCols, slice_t.data(), kTransposeRows);
+        benchmark::DoNotOptimize(slice_t.data());
+        benchmark::ClobberMemory();
+      });
+      row.nn4_us = per_call_us([&] {
+        Gemm(Trans::kNo, Trans::kNo, kLastM, kLastN, kLastK, 1.0f,
+             last_a.data(), last_b.data(), 0.0f, last_c.data());
+        benchmark::DoNotOptimize(last_c.data());
+        benchmark::ClobberMemory();
+      });
+      row.tn4_us = per_call_us([&] {
+        Gemm(Trans::kYes, Trans::kNo, kLastM, kLastN, kLastK, 1.0f,
+             last_a.data(), last_b.data(), 1.0f, last_c.data());
+        benchmark::DoNotOptimize(last_c.data());
+        benchmark::ClobberMemory();
+      });
       tiers.push_back(row);
 
       std::printf(
           "tier=%-6s  chain %.2f ms (%.2f GFLOP/s, %.2f GB/s)  fwd %.2f ms  "
           "interaction fwd+bwd %.1f us (B=%lld) %.3f us (B=1)  "
-          "NT %.1f us (%.1f GFLOP/s)\n",
+          "NT %.1f us (%.1f GFLOP/s)  transpose %.3f us  NN/TN n=4 %.3f / "
+          "%.3f us\n",
           SimdTierName(tier), row.chain_ms, row.chain_gflops,
           row.chain_gbytes, row.fwd_ms, row.inter_batch_us,
           static_cast<long long>(kInterBatch), row.inter_one_us, row.nt_us,
-          row.nt_gflops);
+          row.nt_gflops, row.transpose_us, row.nn4_us, row.tn4_us);
     }
     SetSimdTier(sweep_tier);  // restore whatever the process started with
   }
@@ -451,6 +495,12 @@ int RunKernelJsonSweep(const std::string& path) {
   w.Key("gemm_nt").BeginObject();
   w.Kv("m", kNtM).Kv("n", kNtN).Kv("k", kNtK);
   w.EndObject();
+  w.Key("transpose").BeginObject();
+  w.Kv("rows", kTransposeRows).Kv("cols", kTransposeCols);
+  w.EndObject();
+  w.Key("gemm_last_core").BeginObject();
+  w.Kv("m", kLastM).Kv("n", kLastN).Kv("k", kLastK);
+  w.EndObject();
   w.Key("results").BeginArray();
   for (const TierRow& r : tiers) {
     w.BeginObject();
@@ -472,6 +522,19 @@ int RunKernelJsonSweep(const std::string& path) {
     w.Kv("gemm_nt_us", r.nt_us, 3);
     w.Kv("gemm_nt_gflops", r.nt_gflops, 3);
     w.Kv("gemm_nt_speedup_vs_scalar", tiers[0].nt_us / r.nt_us, 3);
+    w.Kv("transpose_us", r.transpose_us, 4);
+    w.Kv("transpose_speedup_vs_scalar", tiers[0].transpose_us / r.transpose_us,
+         3);
+    w.Kv("gemm_nn_last_core_us", r.nn4_us, 4);
+    w.Kv("gemm_nn_last_core_gflops", 2.0 * kLastM * kLastN * kLastK /
+                                         (r.nn4_us * 1e3), 3);
+    w.Kv("gemm_nn_last_core_speedup_vs_scalar", tiers[0].nn4_us / r.nn4_us,
+         3);
+    w.Kv("gemm_tn_last_core_us", r.tn4_us, 4);
+    w.Kv("gemm_tn_last_core_gflops", 2.0 * kLastM * kLastN * kLastK /
+                                         (r.tn4_us * 1e3), 3);
+    w.Kv("gemm_tn_last_core_speedup_vs_scalar", tiers[0].tn4_us / r.tn4_us,
+         3);
     w.EndObject();
   }
   w.EndArray().EndObject();

@@ -73,10 +73,12 @@ void DenseEmbeddingBag::Backward(const CsrBatch& batch,
     const float* g = grad_output + b * N;
     for (int64_t l = begin; l < end; ++l) {
       const float w = batch.LookupWeight(l, bag_size, pooling_);
-      auto [it, inserted] = grads_.try_emplace(
-          batch.indices[static_cast<size_t>(l)],
-          std::vector<float>(static_cast<size_t>(N), 0.0f));
+      // The row's vector is sized only when the row is new: try_emplace's
+      // value argument would be built (and freed) on every lookup.
+      auto [it, inserted] =
+          grads_.try_emplace(batch.indices[static_cast<size_t>(l)]);
       std::vector<float>& acc = it->second;
+      if (inserted) acc.assign(static_cast<size_t>(N), 0.0f);
       for (int64_t j = 0; j < N; ++j) acc[static_cast<size_t>(j)] += w * g[j];
     }
   }

@@ -45,15 +45,20 @@ void LinearLayer::Forward(const float* x, int64_t batch, float* y) const {
 
 void LinearLayer::Backward(const float* x, const float* y, const float* dy,
                            int64_t batch, float* dx) {
-  // ReLU gate: dy_eff = dy * 1[y > 0]. (y == 0 treats the unit as off.)
+  // ReLU gate: y <= 0 (so 0 and -0 too) treats the unit as off and zeroes
+  // dy; a NaN y fails the test and keeps dy. dy[i] is loaded
+  // unconditionally, which lets GCC compile the select branch-free (and
+  // vectorize it at -O3): a conditional store mispredicted on random signs.
   std::vector<float> dy_eff;
   const float* g = dy;
   if (relu_) {
-    dy_eff.assign(dy, dy + batch * out_dim_);
+    dy_eff.resize(static_cast<size_t>(batch * out_dim_));
+    float* gate = dy_eff.data();
     for (int64_t i = 0; i < batch * out_dim_; ++i) {
-      if (y[i] <= 0.0f) dy_eff[static_cast<size_t>(i)] = 0.0f;
+      const float d = dy[i];
+      gate[i] = y[i] <= 0.0f ? 0.0f : d;
     }
-    g = dy_eff.data();
+    g = gate;
   }
   // dW += g^T x : (out x in).
   Gemm(Trans::kYes, Trans::kNo, out_dim_, in_dim_, batch, 1.0f, g, out_dim_,

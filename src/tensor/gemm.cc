@@ -1,4 +1,5 @@
-// Argument validation + runtime SIMD dispatch for Gemm/Axpy/PairwiseDots.
+// Argument validation + runtime SIMD dispatch for Gemm/Axpy/PairwiseDots/
+// Transpose.
 // The per-tier loop kernels live in gemm_scalar.cc / gemm_avx2.cc /
 // gemm_avx512.cc.
 #include "tensor/gemm.h"
@@ -122,6 +123,20 @@ void PairwiseDotsBackward(int64_t num_features, int64_t dim,
   internal::KernelTableFor(ActiveSimdTier())
       .pair_dots_backward(num_features, dim, features, grad_out, batch,
                           grads);
+}
+
+void Transpose(int64_t rows, int64_t cols, const float* src, int64_t lds,
+               float* dst, int64_t ldd) {
+  TTREC_CHECK_SHAPE(rows >= 0 && cols >= 0,
+                    "Transpose dims must be non-negative: rows=", rows,
+                    " cols=", cols);
+  TTREC_CHECK_SHAPE(lds >= cols, "Transpose lds (", lds, ") < cols (", cols,
+                    ")");
+  TTREC_CHECK_SHAPE(ldd >= rows, "Transpose ldd (", ldd, ") < rows (", rows,
+                    ")");
+  if (rows == 0 || cols == 0) return;
+  internal::KernelTableFor(ActiveSimdTier())
+      .transpose(rows, cols, src, lds, dst, ldd);
 }
 
 void GemmRef(Trans ta, Trans tb, int64_t m, int64_t n, int64_t k, float alpha,

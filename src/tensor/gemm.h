@@ -3,10 +3,10 @@
 // TT-Rec's lookup kernel is a chain of *small* matrix products (dims are
 // products of TT ranks <= 64 and column factors <= 8), so the implementation
 // favors low fixed overhead and register-blocked microkernels over cache
-// blocking for huge matrices. Gemm/Axpy/PairwiseDots dispatch at runtime
-// across SIMD tiers (scalar / AVX2+FMA / AVX-512; see tensor/cpu_features.h for the
-// selection and determinism contract). A separate reference implementation
-// exists purely as a test oracle.
+// blocking for huge matrices. Gemm/Axpy/PairwiseDots/Transpose dispatch at
+// runtime across SIMD tiers (scalar / AVX2+FMA / AVX-512; see
+// tensor/cpu_features.h for the selection and determinism contract). A
+// separate reference implementation exists purely as a test oracle.
 #pragma once
 
 #include <cstdint>
@@ -61,6 +61,15 @@ void PairwiseDotsBackward(int64_t num_features, int64_t dim,
                           const float* const* features,
                           const float* grad_out, int64_t batch,
                           float* const* grads);
+
+/// dst (cols x rows, row stride ldd) = src (rows x cols, row stride lds)
+/// transposed, dispatched like Gemm: dst[j * ldd + r] = src[r * lds + j].
+/// Pure data movement, so every tier writes the same bytes; the vector
+/// tiers move 8 x 8 (AVX2) or 16 x 16 (AVX-512) blocks through registers
+/// and leave the ragged edges to the scalar loop. src and dst must not
+/// overlap.
+void Transpose(int64_t rows, int64_t cols, const float* src, int64_t lds,
+               float* dst, int64_t ldd);
 
 /// Naive triple-loop oracle with identical semantics; for tests only.
 void GemmRef(Trans ta, Trans tb, int64_t m, int64_t n, int64_t k, float alpha,

@@ -7,14 +7,16 @@
 // slice with n = n_k * R_k (tens to a few hundred columns), k = R_{k-1}
 // (8..64). Register blocking is therefore MR=4 rows x (8 or 16) columns
 // with the full k loop in the accumulators — no cache blocking needed at
-// these sizes. NT (the MLP forwards) runs 2 x 4 tiles of dot chains, and
-// the pairwise-dot pair comes from tensor/pairwise_dots_simd.h.
+// these sizes; n = 4 packs two rows per YMM. NT (the MLP forwards) runs
+// 2 x 4 tiles of dot chains, and the pairwise-dot pair comes from
+// tensor/pairwise_dots_simd.h.
 //
 // Determinism: unaligned loads only, column/row tail handling is a pure
 // function of (m, n, k), and every reduction has a fixed order. alpha and
-// beta are applied once after the k loop (C = alpha*acc + beta*C), which
-// rounds differently from the scalar tier's per-term alpha — cross-tier
-// agreement is gated against GemmRef in tests, not bitwise.
+// beta are applied once after the k loop by one explicit epilogue
+// (Epilogue below), which rounds differently from the scalar tier's
+// per-term alpha — cross-tier agreement is gated against GemmRef in tests,
+// not bitwise.
 #include <immintrin.h>
 
 #include <cmath>
@@ -35,67 +37,90 @@ inline float Hsum256(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
+// The broadcast kernels' one epilogue, C = alpha * acc + beta * C: alpha *
+// acc is rounded, then beta * C joins it in one FMA. Spelled out in every
+// tile and tail: written as mul-then-add, GCC contracted it into an FMA in
+// some instantiations and not in others, so with alpha != 1 a row's bits
+// depended on the row block it fell into.
+inline float Epilogue(float alpha, float acc, float beta, float c) {
+  const float out = alpha * acc;
+  return beta == 0.0f ? out : std::fma(beta, c, out);
+}
+inline __m256 Epilogue(float alpha, __m256 acc, float beta, __m256 c) {
+  const __m256 out = _mm256_mul_ps(_mm256_set1_ps(alpha), acc);
+  return beta == 0.0f ? out : _mm256_fmadd_ps(_mm256_set1_ps(beta), c, out);
+}
+inline __m128 Epilogue(float alpha, __m128 acc, float beta, __m128 c) {
+  const __m128 out = _mm_mul_ps(_mm_set1_ps(alpha), acc);
+  return beta == 0.0f ? out : _mm_fmadd_ps(_mm_set1_ps(beta), c, out);
+}
+
 // One MR x (NV*8) tile of the broadcast (NN/TN) formulation. Row r of
 // op(A) has element p at a[r * a_row_stride + p * a_p_stride]; NN passes
-// (lda, 1), TN passes (1, lda), so both transposes share this kernel.
+// (lda, 1), TN passes (1, lda), so both transposes share this kernel. The
+// loops over the tile's rows and vectors are unrolled: left rolled, GCC
+// kept the accumulators in memory (at -O2 inside the k loop, at -O3 around
+// the epilogue).
 template <int MR, int NV>
 inline void BroadcastTile(int64_t k, float alpha, const float* a,
                           int64_t a_row_stride, int64_t a_p_stride,
                           const float* b, int64_t ldb, float beta, float* c,
                           int64_t ldc) {
   __m256 acc[MR][NV];
+#pragma GCC unroll 4
   for (int r = 0; r < MR; ++r)
+#pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) acc[r][v] = _mm256_setzero_ps();
   for (int64_t p = 0; p < k; ++p) {
     const float* bp = b + p * ldb;
     __m256 bv[NV];
+#pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) bv[v] = _mm256_loadu_ps(bp + 8 * v);
+#pragma GCC unroll 4
     for (int r = 0; r < MR; ++r) {
       const __m256 av = _mm256_set1_ps(a[r * a_row_stride + p * a_p_stride]);
+#pragma GCC unroll 2
       for (int v = 0; v < NV; ++v)
         acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
     }
   }
-  const __m256 va = _mm256_set1_ps(alpha);
+#pragma GCC unroll 4
   for (int r = 0; r < MR; ++r) {
     float* cr = c + r * ldc;
+#pragma GCC unroll 2
     for (int v = 0; v < NV; ++v) {
-      __m256 out = _mm256_mul_ps(va, acc[r][v]);
-      if (beta != 0.0f) {
-        out = _mm256_add_ps(out, _mm256_mul_ps(_mm256_set1_ps(beta),
-                                               _mm256_loadu_ps(cr + 8 * v)));
-      }
-      _mm256_storeu_ps(cr + 8 * v, out);
+      const __m256 cv =
+          beta == 0.0f ? _mm256_setzero_ps() : _mm256_loadu_ps(cr + 8 * v);
+      _mm256_storeu_ps(cr + 8 * v, Epilogue(alpha, acc[r][v], beta, cv));
     }
   }
 }
 
-// One MR x 4 tile using 128-bit vectors — covers the 4..7-column tail.
-// This is a hot shape, not a corner case: a TT chain's last stage has
-// n = n_{d-1} * R_d with R_d = 1, so n is a single small column factor
-// (2 or 4 for emb_dim 16) and never reaches the 8-wide panels.
+// One MR x 4 tile using 128-bit vectors, for the 4..7 columns left after
+// the 8-wide panels. n = 4 itself (a TT chain's last stage at emb_dim 16,
+// 32 and 64, n = n_{d-1} * R_d with R_d = 1) runs PackedTile4 instead,
+// except for an odd last row.
 template <int MR>
 inline void BroadcastTile4(int64_t k, float alpha, const float* a,
                            int64_t a_row_stride, int64_t a_p_stride,
                            const float* b, int64_t ldb, float beta, float* c,
                            int64_t ldc) {
   __m128 acc[MR];
+#pragma GCC unroll 4
   for (int r = 0; r < MR; ++r) acc[r] = _mm_setzero_ps();
   for (int64_t p = 0; p < k; ++p) {
     const __m128 bv = _mm_loadu_ps(b + p * ldb);
+#pragma GCC unroll 4
     for (int r = 0; r < MR; ++r) {
       acc[r] = _mm_fmadd_ps(_mm_set1_ps(a[r * a_row_stride + p * a_p_stride]),
                             bv, acc[r]);
     }
   }
-  const __m128 va = _mm_set1_ps(alpha);
+#pragma GCC unroll 4
   for (int r = 0; r < MR; ++r) {
     float* cr = c + r * ldc;
-    __m128 out = _mm_mul_ps(va, acc[r]);
-    if (beta != 0.0f) {
-      out = _mm_add_ps(out, _mm_mul_ps(_mm_set1_ps(beta), _mm_loadu_ps(cr)));
-    }
-    _mm_storeu_ps(cr, out);
+    const __m128 cv = beta == 0.0f ? _mm_setzero_ps() : _mm_loadu_ps(cr);
+    _mm_storeu_ps(cr, Epilogue(alpha, acc[r], beta, cv));
   }
 }
 
@@ -117,7 +142,7 @@ inline void BroadcastTail(int64_t n_rem, int64_t k, float alpha,
       for (int64_t p = 0; p < k; ++p) {
         acc = std::fma(ar[p * a_p_stride], b[p * ldb + j], acc);
       }
-      cr[j] = alpha * acc + (beta == 0.0f ? 0.0f : beta * cr[j]);
+      cr[j] = Epilogue(alpha, acc, beta, beta == 0.0f ? 0.0f : cr[j]);
     }
   }
 }
@@ -151,17 +176,65 @@ inline void BroadcastRows(int64_t n, int64_t k, float alpha, const float* a,
   }
 }
 
+// Packed tile for n = 4, where BroadcastTile4 fills half a YMM: 2 * NY rows
+// of C, two rows per YMM, lane 4r + j carrying C[r][j]. Each lane runs the
+// FMA chain over p that BroadcastTile4 runs for that element, and the
+// epilogue is the same, so a row's bits do not depend on whether it lands
+// in a packed tile or is the odd row left to BroadcastRows.
+template <int NY>
+inline void PackedTile4(int64_t k, float alpha, const float* a,
+                        int64_t a_row_stride, int64_t a_p_stride,
+                        const float* b, int64_t ldb, float beta, float* c,
+                        int64_t ldc) {
+  __m256 acc[NY];
+#pragma GCC unroll 4
+  for (int y = 0; y < NY; ++y) acc[y] = _mm256_setzero_ps();
+  for (int64_t p = 0; p < k; ++p) {
+    // B's row p in both 128-bit lanes, A's rows 2y and 2y + 1 at p across
+    // the low and the high lane.
+    const __m256 bv =
+        _mm256_broadcast_ps(reinterpret_cast<const __m128*>(b + p * ldb));
+#pragma GCC unroll 4
+    for (int y = 0; y < NY; ++y) {
+      const float* ap = a + 2 * y * a_row_stride + p * a_p_stride;
+      const __m256 av = _mm256_blend_ps(_mm256_broadcast_ss(ap),
+                                        _mm256_broadcast_ss(ap + a_row_stride),
+                                        0xF0);
+      acc[y] = _mm256_fmadd_ps(av, bv, acc[y]);
+    }
+  }
+#pragma GCC unroll 4
+  for (int y = 0; y < NY; ++y) {
+    float* c0 = c + 2 * y * ldc;
+    const __m256 cv = beta == 0.0f ? _mm256_setzero_ps()
+                                   : _mm256_loadu2_m128(c0 + ldc, c0);
+    _mm256_storeu2_m128(c0 + ldc, c0, Epilogue(alpha, acc[y], beta, cv));
+  }
+}
+
 void GemmBroadcast(bool a_trans, int64_t m, int64_t n, int64_t k, float alpha,
                    const float* a, int64_t lda, const float* b, int64_t ldb,
                    float beta, float* c, int64_t ldc) {
   const int64_t a_row_stride = a_trans ? 1 : lda;
   const int64_t a_p_stride = a_trans ? lda : 1;
   int64_t i = 0;
+  if (n == 4) {
+    // Packed tiles of 8 rows, then one of the remaining 2, 4 or 6; an odd
+    // last row runs BroadcastRows below.
+    while (m - i >= 2) {
+      WithRows<4>((m - i) / 2, [&](auto ymms) {
+        constexpr int NY = decltype(ymms)::value;
+        PackedTile4<NY>(k, alpha, a + i * a_row_stride, a_row_stride,
+                        a_p_stride, b, ldb, beta, c + i * ldc, ldc);
+        i += 2 * NY;
+      });
+    }
+  }
   for (; i + 4 <= m; i += 4) {
-    BroadcastRows<4>(n, k, alpha, a + (a_trans ? i : i * lda), a_row_stride,
+    BroadcastRows<4>(n, k, alpha, a + i * a_row_stride, a_row_stride,
                      a_p_stride, b, ldb, beta, c + i * ldc, ldc);
   }
-  const float* ai = a + (a_trans ? i : i * lda);
+  const float* ai = a + i * a_row_stride;
   float* ci = c + i * ldc;
   switch (m - i) {
     case 3:
@@ -286,6 +359,35 @@ void Axpy(int64_t n, float alpha, const float* x, float* y) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+// Full 8 x 8 blocks go through registers (Transpose8x8); the ragged right
+// and bottom edges go to the scalar loop.
+void Transpose(int64_t rows, int64_t cols, const float* src, int64_t lds,
+               float* dst, int64_t ldd) {
+  const int64_t rows8 = rows - rows % 8;
+  const int64_t cols8 = cols - cols % 8;
+  for (int64_t r = 0; r < rows8; r += 8) {
+    for (int64_t j = 0; j < cols8; j += 8) {
+      __m256 v[8];
+#pragma GCC unroll 8
+      for (int i = 0; i < 8; ++i) {
+        v[i] = _mm256_loadu_ps(src + (r + i) * lds + j);
+      }
+      Transpose8x8(v);
+#pragma GCC unroll 8
+      for (int i = 0; i < 8; ++i) {
+        _mm256_storeu_ps(dst + (j + i) * ldd + r, v[i]);
+      }
+    }
+  }
+  const TransposeFn edge = ScalarKernelTable().transpose;
+  if (cols8 < cols) {
+    edge(rows8, cols - cols8, src + cols8, lds, dst + cols8 * ldd, ldd);
+  }
+  if (rows8 < rows) {
+    edge(rows - rows8, cols, src + rows8 * lds, lds, dst + rows8, ldd);
+  }
+}
+
 struct Avx2PairOps {
   using Vec = __m256;
   using Mask = __m256i;
@@ -329,9 +431,10 @@ void PairwiseDotsBackward(int64_t num_features, int64_t dim,
 }  // namespace
 
 const GemmKernelTable& Avx2KernelTable() {
-  static const GemmKernelTable table = {GemmNN, GemmTN,       GemmNT,
-                                        GemmTT, Axpy,         PairwiseDots,
-                                        PairwiseDotsBackward};
+  static const GemmKernelTable table = {
+      GemmNN, GemmTN,       GemmNT,
+      GemmTT, Axpy,         PairwiseDots,
+      PairwiseDotsBackward, Transpose};
   return table;
 }
 

@@ -1,4 +1,5 @@
-// Internal kernel table behind Gemm/Axpy/PairwiseDots runtime dispatch.
+// Internal kernel table behind Gemm/Axpy/PairwiseDots/Transpose runtime
+// dispatch.
 //
 // Each SIMD tier (scalar, AVX2+FMA, AVX-512) lives in its own translation
 // unit compiled with per-file ISA flags and exports one GemmKernelTable.
@@ -8,7 +9,8 @@
 // Kernel preconditions (established by the dispatcher, kernels may assume):
 // m > 0, n > 0, k > 0, alpha != 0, leading dims already validated; for the
 // pairwise-dot pair, num_features >= 1, dim >= 1, batch >= 1 and non-null
-// blocks. Kernels must be bitwise deterministic for fixed (shape, inputs)
+// blocks; for Transpose, rows > 0, cols > 0, lds >= cols, ldd >= rows.
+// Kernels must be bitwise deterministic for fixed (shape, inputs)
 // regardless of operand alignment — unaligned loads only, tail strategy a
 // pure function of the shape. A GEMM row's and an interaction sample's
 // result must not depend on m, the batch size or its position in either.
@@ -38,6 +40,10 @@ using PairwiseDotsBackwardFn = void (*)(int64_t num_features, int64_t dim,
                                         const float* grad_out, int64_t batch,
                                         float* const* grads);
 
+/// dst[j * ldd + r] = src[r * lds + j] for r < rows, j < cols.
+using TransposeFn = void (*)(int64_t rows, int64_t cols, const float* src,
+                             int64_t lds, float* dst, int64_t ldd);
+
 struct GemmKernelTable {
   GemmKernelFn nn;  // A, B both untransposed
   GemmKernelFn tn;  // A transposed
@@ -46,6 +52,7 @@ struct GemmKernelTable {
   AxpyFn axpy;
   PairwiseDotsFn pair_dots;
   PairwiseDotsBackwardFn pair_dots_backward;
+  TransposeFn transpose;
 };
 
 /// Portable tier; arithmetic identical to the pre-dispatch scalar GEMM.

@@ -155,12 +155,24 @@ void PairwiseDotsBackward(int64_t num_features, int64_t dim,
   }
 }
 
+// The slice transpose TtEmbeddingBag's backward ran inline before the
+// kernel table held it; the vector tiers call it for their ragged edges.
+void Transpose(int64_t rows, int64_t cols, const float* __restrict src,
+               int64_t lds, float* __restrict dst, int64_t ldd) {
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t j = 0; j < cols; ++j) {
+      dst[j * ldd + r] = src[r * lds + j];
+    }
+  }
+}
+
 }  // namespace
 
 const GemmKernelTable& ScalarKernelTable() {
-  static const GemmKernelTable table = {GemmNN, GemmTN,       GemmNT,
-                                        GemmTT, Axpy,         PairwiseDots,
-                                        PairwiseDotsBackward};
+  static const GemmKernelTable table = {
+      GemmNN, GemmTN,       GemmNT,
+      GemmTT, Axpy,         PairwiseDots,
+      PairwiseDotsBackward, Transpose};
   return table;
 }
 

@@ -43,10 +43,37 @@ inline int64_t PairBase(int64_t F, int64_t d, int64_t i) {
   return d + i * (F - 1) - i * (i - 1) / 2;
 }
 
-// Writes t[k * ts + r] = rows[r][off + k] for r < n and k < d, in 8 x 8 blocks
-// through unpack, shuffle and 128-bit permutes; a last group of fewer than
-// 8 rows writes zeros for the rest of its 8 columns. (16 x 16 ZMM blocks
-// measured no faster on AVX-512 at F = 27.)
+// Transposes the 8 x 8 block r holds (row i in r[i]) in place, through
+// unpack, shuffle and 128-bit permutes: r[j] ends up holding column j. The
+// AVX2 tier's Transpose kernel runs its full blocks through it too.
+inline void Transpose8x8(__m256 (&r)[8]) {
+  __m256 u[8];
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; i += 2) {
+    u[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
+    u[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
+  }
+  // r[4q + c] then holds, in 128-bit lane L, rows 4q..4q+3 of column 4L + c.
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; i += 4) {
+    r[i] = _mm256_shuffle_ps(u[i], u[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 1] = _mm256_shuffle_ps(u[i], u[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    r[i + 2] = _mm256_shuffle_ps(u[i + 1], u[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    r[i + 3] = _mm256_shuffle_ps(u[i + 1], u[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+#pragma GCC unroll 8
+  for (int i = 0; i < 4; ++i) {
+    u[i] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x20);
+    u[i + 4] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x31);
+  }
+#pragma GCC unroll 8
+  for (int i = 0; i < 8; ++i) r[i] = u[i];
+}
+
+// Writes t[k * ts + r] = rows[r][off + k] for r < n and k < d, in 8 x 8
+// blocks; a last group of fewer than 8 rows writes zeros for the rest of
+// its 8 columns. (16 x 16 ZMM blocks measured no faster on AVX-512 at
+// F = 27.)
 inline void TransposeRows(const float* const* rows, int64_t off, int64_t n,
                           int64_t d, float* t, int64_t ts) {
   const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
@@ -62,30 +89,9 @@ inline void TransposeRows(const float* const* rows, int64_t off, int64_t n,
         r[i] = i < gn ? _mm256_maskload_ps(rows[g + i] + off + kb, m)
                       : _mm256_setzero_ps();
       }
-      __m256 u[8];
-#pragma GCC unroll 8
-      for (int i = 0; i < 8; i += 2) {
-        u[i] = _mm256_unpacklo_ps(r[i], r[i + 1]);
-        u[i + 1] = _mm256_unpackhi_ps(r[i], r[i + 1]);
-      }
-      // r[4q + c] then holds, in 128-bit lane L, rows 4q..4q+3 of column
-      // 4L + c.
-#pragma GCC unroll 8
-      for (int i = 0; i < 8; i += 4) {
-        r[i] = _mm256_shuffle_ps(u[i], u[i + 2], _MM_SHUFFLE(1, 0, 1, 0));
-        r[i + 1] = _mm256_shuffle_ps(u[i], u[i + 2], _MM_SHUFFLE(3, 2, 3, 2));
-        r[i + 2] =
-            _mm256_shuffle_ps(u[i + 1], u[i + 3], _MM_SHUFFLE(1, 0, 1, 0));
-        r[i + 3] =
-            _mm256_shuffle_ps(u[i + 1], u[i + 3], _MM_SHUFFLE(3, 2, 3, 2));
-      }
-#pragma GCC unroll 8
-      for (int i = 0; i < 4; ++i) {
-        u[i] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x20);
-        u[i + 4] = _mm256_permute2f128_ps(r[i], r[i + 4], 0x31);
-      }
+      Transpose8x8(r);
       for (int64_t k = 0; k < kn; ++k) {
-        _mm256_storeu_ps(t + (kb + k) * ts + g, u[k]);
+        _mm256_storeu_ps(t + (kb + k) * ts + g, r[k]);
       }
     }
   }

@@ -22,16 +22,14 @@ namespace {
 // config.block_size.
 constexpr int64_t kRoundBlocksPerThread = 4;
 
-/// Bag id for every lookup, from the CSR offsets.
-std::vector<int64_t> LookupBags(const CsrBatch& batch) {
-  std::vector<int64_t> bags(static_cast<size_t>(batch.num_lookups()));
+/// Bag id of every lookup, from the CSR offsets, into bags[0, num_lookups).
+void LookupBags(const CsrBatch& batch, int64_t* bags) {
   for (int64_t b = 0; b < batch.num_bags(); ++b) {
     for (int64_t l = batch.offsets[static_cast<size_t>(b)];
          l < batch.offsets[static_cast<size_t>(b) + 1]; ++l) {
-      bags[static_cast<size_t>(l)] = b;
+      bags[l] = b;
     }
   }
-  return bags;
 }
 
 /// Effective weight of lookup `l` in bag `bag`: alpha (Eq. 6) combined with
@@ -44,16 +42,12 @@ float LookupWeight(const CsrBatch& batch, PoolingMode pooling, int64_t l,
                             pooling);
 }
 
-/// Effective weight of every lookup.
-std::vector<float> EffectiveWeights(const CsrBatch& batch,
-                                    PoolingMode pooling,
-                                    std::span<const int64_t> bags) {
-  std::vector<float> w(static_cast<size_t>(batch.num_lookups()));
+/// Effective weight of every lookup into w[0, num_lookups).
+void EffectiveWeights(const CsrBatch& batch, PoolingMode pooling,
+                      const int64_t* bags, float* w) {
   for (int64_t l = 0; l < batch.num_lookups(); ++l) {
-    w[static_cast<size_t>(l)] =
-        LookupWeight(batch, pooling, l, bags[static_cast<size_t>(l)]);
+    w[l] = LookupWeight(batch, pooling, l, bags[l]);
   }
-  return w;
 }
 
 /// Groups lookups [begin, end) of `indices` by row: `unique` gets the
@@ -105,13 +99,14 @@ void ForEachBucket(const auto& ws, [[maybe_unused]] const char* span,
 // Scratch of the GEMM chain, the forward's pooling phase and the
 // backward. One lives per thread (ThreadWorkspace), reused across calls and
 // shared by every table that thread runs: once it has grown to the largest
-// block, a steady-state Forward or Backward allocates none of its block or
-// round buffers. Sharing is safe because a thread never runs two users of
+// block and batch, a steady-state Forward or Backward allocates nothing.
+// Sharing is safe because a thread never runs two users of
 // its workspace at once: ThreadPool never runs a foreign task on a caller
 // waiting in ParallelFor, and runs a nested ParallelFor inline on the
 // task's own thread (tensor/parallel.cc). The overlaps are by design and
-// touch disjoint fields: the thread that calls Forward keeps its round of
-// rows in `round_rows` while it runs block tasks of that call, and a thread
+// touch disjoint fields: the thread that calls Forward keeps its lookups'
+// `bags` and `weights` and its round of rows in `round_rows` while it runs
+// block tasks of that call, and a thread
 // that runs a block's chain or backward keeps the block's units, sort and
 // intermediates while it runs bucket tasks, which use only the executing
 // thread's `p_stack`, `d_stack` and `slice_t`.
@@ -141,7 +136,10 @@ struct TtEmbeddingBag::Workspace {
   AlignedVec<float> p_stack;
   AlignedVec<float> d_stack;
   AlignedVec<float> slice_t;  // one core slice, transposed
-  // Forward: one round's rows, in lookup order.
+  // Forward, on the calling thread: each lookup's bag and effective weight,
+  // and one round's rows in lookup order.
+  std::vector<int64_t> bags;
+  std::vector<float> weights;
   AlignedVec<float> round_rows;
   // Backward: pos[u] = row of unit u in d_cur, which holds D_c in the
   // previous stage's bucket order (unit order for the first stage).
@@ -431,24 +429,28 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch, const float* rows,
   std::fill(output, output + batch.num_bags() * N, 0.0f);
   if (n_lookups == 0) return;
 
-  const std::vector<int64_t> bags = LookupBags(batch);
-  const std::vector<float> w = EffectiveWeights(batch, config_.pooling, bags);
+  // The calling thread's workspace holds each lookup's bag and weight and,
+  // unless rows are given, the round of reconstructed rows.
+  Workspace& own = ThreadWorkspace();
+  int64_t* bags = Grow(own.bags, n_lookups);
+  float* w = Grow(own.weights, n_lookups);
+  LookupBags(batch, bags);
+  EffectiveWeights(batch, config_.pooling, bags, w);
 
   const int64_t bs = config_.block_size;
   ThreadPool& pool = ThreadPool::Global();
   // Given rows are one round that covers every lookup. Otherwise each round
-  // reconstructs its rows into the calling thread's workspace, indexed by
-  // (lookup - round_begin).
+  // reconstructs its rows, indexed by (lookup - round_begin).
   const int64_t round_lookups =
       rows != nullptr
           ? n_lookups
           : std::max<int64_t>(1, kRoundBlocksPerThread *
                                      static_cast<int64_t>(pool.num_threads())) *
                 bs;
-  float* decoded = rows != nullptr
-                       ? nullptr
-                       : Grow(ThreadWorkspace().round_rows,
-                              std::min(n_lookups, round_lookups) * N);
+  float* decoded =
+      rows != nullptr
+          ? nullptr
+          : Grow(own.round_rows, std::min(n_lookups, round_lookups) * N);
 
   for (int64_t r0 = 0; r0 < n_lookups; r0 += round_lookups) {
     const int64_t r1 = std::min(n_lookups, r0 + round_lookups);
@@ -456,16 +458,20 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch, const float* rows,
 
     // Phase 1: reconstruct rows, block-parallel. Each block writes a
     // disjoint range of `decoded`, so tasks never overlap.
+    const auto decode = [&](int64_t c0, int64_t c1) {
+      Workspace& ws = ThreadWorkspace();
+      for (int64_t blk = c0; blk < c1; ++blk) {
+        const int64_t begin = r0 + blk * bs;
+        const int64_t end = std::min(r1, begin + bs);
+        DecodeBlock(batch.indices, begin, end, dedup,
+                    decoded + (begin - r0) * N, ws);
+      }
+    };
+    // Each ParallelFor lambda captures one reference, which keeps its
+    // std::function in inline storage: a call allocates nothing.
     if (rows == nullptr) {
-      pool.ParallelFor(blocks, 1, [&](int64_t c0, int64_t c1) {
-        Workspace& ws = ThreadWorkspace();
-        for (int64_t blk = c0; blk < c1; ++blk) {
-          const int64_t begin = r0 + blk * bs;
-          const int64_t end = std::min(r1, begin + bs);
-          DecodeBlock(batch.indices, begin, end, dedup,
-                      decoded + (begin - r0) * N, ws);
-        }
-      });
+      pool.ParallelFor(blocks, 1,
+                       [&decode](int64_t c0, int64_t c1) { decode(c0, c1); });
     }
     const float* round_rows = rows != nullptr ? rows : decoded;
 
@@ -473,9 +479,9 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch, const float* rows,
     // exactly one chunk (bags partition the lookup range), and a bag's
     // lookups accumulate in lookup order across sequential rounds — so the
     // scatter is race-free and bitwise independent of the thread count.
-    const int64_t bag_lo = bags[static_cast<size_t>(r0)];
-    const int64_t bag_hi = bags[static_cast<size_t>(r1 - 1)] + 1;
-    pool.ParallelFor(bag_hi - bag_lo, 16, [&](int64_t u0, int64_t u1) {
+    const int64_t bag_lo = bags[r0];
+    const int64_t bag_hi = bags[r1 - 1] + 1;
+    const auto pool_bags = [&](int64_t u0, int64_t u1) {
       TTREC_TRACE_SCOPE("tt.pool");
       for (int64_t bag = bag_lo + u0; bag < bag_lo + u1; ++bag) {
         const int64_t lo =
@@ -484,9 +490,12 @@ void TtEmbeddingBag::PooledForward(const CsrBatch& batch, const float* rows,
             std::min(r1, batch.offsets[static_cast<size_t>(bag) + 1]);
         float* dst = output + bag * N;
         for (int64_t l = lo; l < hi; ++l) {
-          Axpy(N, w[static_cast<size_t>(l)], round_rows + (l - r0) * N, dst);
+          Axpy(N, w[l], round_rows + (l - r0) * N, dst);
         }
       }
+    };
+    pool.ParallelFor(bag_hi - bag_lo, 16, [&pool_bags](int64_t u0, int64_t u1) {
+      pool_bags(u0, u1);
     });
   }
 }
@@ -647,12 +656,7 @@ void TtEmbeddingBag::BackwardBlock(const CsrBatch& batch,
       // Eq. 5: D_{c-1} = D_c G_c[i]^T, against the slice transposed once so
       // the product runs on the NN kernel.
       float* slice_t = Grow(own.slice_t, slice_size);
-      const float* slice = cores_.Slice(c, ik);
-      for (int64_t r = 0; r < rank_c; ++r) {
-        for (int64_t j = 0; j < cols_c; ++j) {
-          slice_t[j * rank_c + r] = slice[r * cols_c + j];
-        }
-      }
+      Transpose(rank_c, cols_c, cores_.Slice(c, ik), cols_c, slice_t, rank_c);
       Gemm(Trans::kNo, Trans::kNo, k, rank_c, cols_c, 1.0f, dd, cols_c,
            slice_t, rank_c, 0.0f, d_next + j0 * p_stride, rank_c);
     });

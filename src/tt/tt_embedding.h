@@ -167,7 +167,9 @@ class TtEmbeddingBag {
   /// backward), and the backward's D buffers and transposed slice; plus the
   /// round of reconstructed rows the calling thread's workspace holds for
   /// the pooling phase. `num_threads` <= 0 means size for the current
-  /// global ThreadPool.
+  /// global ThreadPool. The pooling phase's bag and weight per lookup (12
+  /// bytes per lookup of the largest batch) scale with the batch, not the
+  /// config, and are not counted.
   int64_t WorkspaceBytes(int num_threads = 0) const;
 
  private:

@@ -244,43 +244,148 @@ TEST(GemmTierConformance, NtRowsIndependentOfM) {
   }
 }
 
-// The broadcast kernels (NN, TN) block rows by 4 and run the < 4-column
-// tail as scalar FMA chains, yet a C row is a pure function of its A row:
-// the TT chain stacks many lookups' rows into one product and relies on
-// each landing on the bits of its own one-row product, whichever row block
-// or remainder it falls into.
+// The broadcast kernels (NN, TN) block rows by 4, pack n = 4 products four
+// (AVX-512) or two (AVX2) rows to a vector, and run the < 4-column tail as
+// scalar FMA chains, yet a C row is a pure function of its A row: the TT
+// chain stacks many lookups' rows into one product and relies on each
+// landing on the bits of its own one-row product, whichever row block,
+// packed tile or remainder it falls into. alpha != 1 pins the one explicit
+// epilogue: GCC used to contract alpha * acc + beta * C into an FMA in some
+// tile instantiations and not in others.
 TEST(GemmTierConformance, BroadcastRowsIndependentOfM) {
   TierGuard guard;
   for (SimdTier tier : TestableTiers()) {
     SetSimdTier(tier);
     for (int tai = 0; tai < 2; ++tai) {
       const Trans ta = tai ? Trans::kYes : Trans::kNo;
-      for (int64_t n : {1, 2, 3, 5, 7, 13}) {
-        for (float beta : {0.0f, 1.0f}) {
-          const int64_t m = 13, k = 37;
-          const int64_t lda = tai ? m : k;
-          Rng rng(93);
-          const std::vector<float> a = RandomVec(rng, m * k);
-          const std::vector<float> b = RandomVec(rng, k * n);
-          const std::vector<float> c0 = RandomVec(rng, m * n);
-          std::vector<float> c = c0;
-          Gemm(ta, Trans::kNo, m, n, k, 1.0f, a.data(), lda, b.data(), n,
-               beta, c.data(), n);
-          for (int64_t i = 0; i < m; ++i) {
-            std::vector<float> row(c0.begin() + i * n, c0.begin() + (i + 1) * n);
-            Gemm(ta, Trans::kNo, 1, n, k, 1.0f,
-                 a.data() + (tai ? i : i * k), lda, b.data(), n, beta,
-                 row.data(), n);
-            EXPECT_EQ(std::memcmp(row.data(), c.data() + i * n,
-                                  static_cast<size_t>(n) * sizeof(float)),
-                      0)
-                << "tier=" << SimdTierName(tier) << " ta=" << tai
-                << " n=" << n << " beta=" << beta << " row " << i;
+      for (int64_t n : {1, 2, 3, 4, 5, 7, 8, 13, 16, 33}) {
+        for (float alpha : {1.0f, 0.75f}) {
+          for (float beta : {0.0f, 0.5f, 1.0f}) {
+            const int64_t m = 13, k = 37;
+            const int64_t lda = tai ? m : k;
+            Rng rng(93);
+            const std::vector<float> a = RandomVec(rng, m * k);
+            const std::vector<float> b = RandomVec(rng, k * n);
+            const std::vector<float> c0 = RandomVec(rng, m * n);
+            std::vector<float> c = c0;
+            Gemm(ta, Trans::kNo, m, n, k, alpha, a.data(), lda, b.data(), n,
+                 beta, c.data(), n);
+            for (int64_t i = 0; i < m; ++i) {
+              std::vector<float> row(c0.begin() + i * n,
+                                     c0.begin() + (i + 1) * n);
+              Gemm(ta, Trans::kNo, 1, n, k, alpha,
+                   a.data() + (tai ? i : i * k), lda, b.data(), n, beta,
+                   row.data(), n);
+              EXPECT_EQ(std::memcmp(row.data(), c.data() + i * n,
+                                    static_cast<size_t>(n) * sizeof(float)),
+                        0)
+                  << "tier=" << SimdTierName(tier) << " ta=" << tai
+                  << " n=" << n << " alpha=" << alpha << " beta=" << beta
+                  << " row " << i;
+            }
           }
         }
       }
     }
   }
+}
+
+// The packed n = 4 tiles at every row count they split into (16-, 12-, 8-
+// and 4-row tiles on AVX-512, 8- to 2-row tiles on AVX2, leftover rows on
+// the unpacked path) and at k around the NN path's 4-step A blocks, with
+// padded leading dimensions: every row equals its m = 1 product, which
+// runs the unpacked path.
+TEST(GemmTierConformance, PackedFourColumnRowsIndependentOfM) {
+  constexpr int64_t n = 4, kPad = 3;
+  TierGuard guard;
+  for (SimdTier tier : TestableTiers()) {
+    SetSimdTier(tier);
+    int64_t bad = 0;
+    for (int tai = 0; tai < 2; ++tai) {
+      const Trans ta = tai ? Trans::kYes : Trans::kNo;
+      for (int64_t m = 1; m <= 37; ++m) {
+        for (int64_t k : {1, 3, 4, 5, 8, 32, 37}) {
+          for (float beta : {0.0f, 1.0f}) {
+            const int64_t lda = (tai ? m : k) + kPad;
+            const int64_t ldb = n + kPad, ldc = n + kPad;
+            Rng rng(static_cast<uint64_t>(97 + m * 64 + k));
+            const std::vector<float> a = RandomVec(rng, (tai ? k : m) * lda);
+            const std::vector<float> b = RandomVec(rng, k * ldb);
+            const std::vector<float> c0 = RandomVec(rng, m * ldc);
+            std::vector<float> c = c0;
+            Gemm(ta, Trans::kNo, m, n, k, 1.0f, a.data(), lda, b.data(), ldb,
+                 beta, c.data(), ldc);
+            for (int64_t i = 0; i < m; ++i) {
+              std::vector<float> row(c0.begin() + i * ldc,
+                                     c0.begin() + i * ldc + n);
+              Gemm(ta, Trans::kNo, 1, n, k, 1.0f,
+                   a.data() + (tai ? i : i * lda), lda, b.data(), ldb, beta,
+                   row.data(), n);
+              if (std::memcmp(row.data(), c.data() + i * ldc,
+                              static_cast<size_t>(n) * sizeof(float)) != 0) {
+                if (bad < 5) {
+                  ADD_FAILURE() << "tier=" << SimdTierName(tier)
+                                << " ta=" << tai << " m=" << m << " k=" << k
+                                << " beta=" << beta << " row " << i;
+                }
+                ++bad;
+              }
+            }
+            // The padding between C's rows is never written.
+            for (int64_t i = 0; i < m; ++i) {
+              for (int64_t j = n; j < ldc; ++j) {
+                if (c[static_cast<size_t>(i * ldc + j)] !=
+                    c0[static_cast<size_t>(i * ldc + j)]) {
+                  ++bad;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+    EXPECT_EQ(bad, 0) << "tier=" << SimdTierName(tier);
+  }
+}
+
+// Transpose is data movement, so every tier must write exactly the scalar
+// loop's bytes: full 8 x 8 / 16 x 16 register blocks, ragged right and
+// bottom edges, single rows and columns, padded leading dimensions, and
+// nothing outside the destination's rows x cols.
+TEST(GemmTierConformance, TransposeMatchesScalarLoop) {
+  const int64_t kShapes[][2] = {{32, 64}, {64, 32}, {32, 4},  {4, 32},
+                                {16, 16}, {17, 19}, {1, 37}, {37, 1}};
+  TierGuard guard;
+  for (SimdTier tier : TestableTiers()) {
+    SetSimdTier(tier);
+    for (const auto& shape : kShapes) {
+      const int64_t rows = shape[0], cols = shape[1];
+      const int64_t lds = cols + 3, ldd = rows + 5;
+      Rng rng(static_cast<uint64_t>(rows * 100 + cols));
+      const std::vector<float> src = RandomVec(rng, rows * lds);
+      std::vector<float> want = RandomVec(rng, cols * ldd);
+      std::vector<float> got = want;
+      for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t j = 0; j < cols; ++j) {
+          want[static_cast<size_t>(j * ldd + r)] =
+              src[static_cast<size_t>(r * lds + j)];
+        }
+      }
+      Transpose(rows, cols, src.data(), lds, got.data(), ldd);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * sizeof(float)),
+                0)
+          << "tier=" << SimdTierName(tier) << " " << rows << "x" << cols;
+    }
+  }
+}
+
+TEST(Transpose, RejectsBadLeadingDims) {
+  std::vector<float> src(12), dst(12);
+  EXPECT_THROW(Transpose(3, 4, src.data(), 3, dst.data(), 3), ShapeError);
+  EXPECT_THROW(Transpose(3, 4, src.data(), 4, dst.data(), 2), ShapeError);
+  EXPECT_THROW(Transpose(-1, 4, src.data(), 4, dst.data(), 3), ShapeError);
+  Transpose(0, 4, src.data(), 4, dst.data(), 0);  // empty: no-op
 }
 
 // The one-chain-per-element dot each tier's NT ran before it was

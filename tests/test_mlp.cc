@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "dlrm/interaction.h"
@@ -55,6 +56,25 @@ TEST(LinearLayer, ReluClampsAndGates) {
   layer.Backward(x.data(), y.data(), dy.data(), 1, dx.data());
   EXPECT_FLOAT_EQ(dx[0], 0.0f);
   EXPECT_FLOAT_EQ(layer.weight_grad()[0], 0.0f);
+}
+
+// The gate is a select on y <= 0: both zeros switch the unit off, a NaN
+// activation fails the comparison and passes dy through, and a tiny
+// positive one is on. With batch 1, the bias gradient is the gated dy.
+TEST(LinearLayer, ReluGateOnSignedZeroNanAndTiny) {
+  Rng rng(3);
+  LinearLayer layer(2, 4, /*relu=*/true, rng);
+  const std::vector<float> x = {0.5f, -1.5f};
+  const std::vector<float> y = {-0.0f, 0.0f, std::nanf(""), 1e-30f};
+  const std::vector<float> dy = {1.0f, -2.0f, 3.0f, -4.0f};
+  std::vector<float> dx(2);
+  layer.Backward(x.data(), y.data(), dy.data(), 1, dx.data());
+  const std::vector<float> want = {0.0f, 0.0f, 3.0f, -4.0f};
+  for (size_t j = 0; j < want.size(); ++j) {
+    const float got = layer.bias_grad()[static_cast<int64_t>(j)];
+    EXPECT_EQ(std::memcmp(&got, &want[j], sizeof(float)), 0)
+        << "y=" << y[j] << ": got " << got << " want " << want[j];
+  }
 }
 
 class MlpGradSweep : public ::testing::TestWithParam<

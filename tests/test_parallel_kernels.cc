@@ -10,8 +10,10 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <new>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -24,6 +26,46 @@
 #include "tensor/random.h"
 #include "tt/tt_embedding.h"
 #include "tt/tt_shapes.h"
+
+// The sanitizers bring their own operator new and delete, and the test that
+// counts allocations skips itself under them, so the counting replacements
+// exist only in the other builds.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+namespace {
+// Counts the calling thread's operator new calls while it sets
+// t_count_news: the replacements below serve the whole test binary, but
+// only a thread that asks is counted. libstdc++'s array and nothrow forms
+// call these two.
+thread_local bool t_count_news = false;
+thread_local long t_news = 0;
+
+void* CountedAlloc(std::size_t size, std::size_t align) {
+  if (t_count_news) ++t_news;
+  if (size == 0) size = 1;
+  void* p = nullptr;
+  if (align <= alignof(std::max_align_t)) {
+    p = std::malloc(size);
+  } else if (posix_memalign(&p, align, size) != 0) {
+    p = nullptr;
+  }
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  return CountedAlloc(size, alignof(std::max_align_t));
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlloc(size, static_cast<std::size_t>(align));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace ttrec {
 namespace {
@@ -482,6 +524,18 @@ TEST(TtForwardSteadyState, TakesNoPageFaults) {
       EXPECT_LT(inference, kSteadyCalls)
           << inference << " minor faults over " << kSteadyCalls
           << " steady-state ForwardInference calls";
+      // The serving path's one-lookup request allocates nothing at all.
+      if (lookups == 1) {
+        t_news = 0;
+        t_count_news = true;
+        for (int i = 0; i < kSteadyCalls; ++i) {
+          emb.ForwardInference(batch, out.data());
+        }
+        t_count_news = false;
+        EXPECT_EQ(t_news, 0) << t_news << " operator new calls over "
+                             << kSteadyCalls
+                             << " one-lookup ForwardInference calls";
+      }
     }
   }
 #endif
