@@ -13,8 +13,8 @@
 // serving sample, the top MLP's NT GEMM, and the last TT core's backward
 // shapes — its NN and TN GEMMs with n = 4 and a 32 x 64 slice transpose —
 // with speedups over the scalar tier).
-// The envelope stamps the CPU model and dispatch tier so the numbers are
-// attributable. All other flags pass through to google-benchmark.
+// The envelope stamps the CPU model, the build type and the dispatch tier
+// so the numbers are attributable. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -454,11 +454,12 @@ int RunKernelJsonSweep(const std::string& path) {
   }
 
   // Shared BENCH_*.json envelope (obs/json_writer.h); field names below are
-  // the stable contract CI consumers parse. schema v2 adds cpu_model, the
-  // simd_tier_* stamps, and the tier_sweep block.
+  // the stable contract CI consumers parse. schema v2 adds cpu_model,
+  // build_type, the simd_tier_* stamps, and the tier_sweep block.
   obs::JsonWriter w;
   obs::BeginBenchEnvelope(w, "kernel_microbench");
   w.Kv("cpu_model", CpuModelName());
+  w.Kv("build_type", TTREC_BUILD_TYPE);
   w.Kv("simd_tier_detected", SimdTierName(DetectedSimdTier()));
   w.Kv("simd_tier_active", SimdTierName(sweep_tier));
   w.Key("table").BeginObject();

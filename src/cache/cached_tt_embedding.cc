@@ -1,6 +1,7 @@
 #include "cache/cached_tt_embedding.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -50,7 +51,7 @@ CachedTtEmbeddingBag::CachedTtEmbeddingBag(CachedTtConfig config, TtInit init,
 }
 
 template <typename OnLookup>
-CsrBatch CachedTtEmbeddingBag::Partition(const CsrBatch& batch,
+CsrBatch CachedTtEmbeddingBag::Partition(const CsrBatch& batch, bool count,
                                          OnLookup&& on_lookup) const {
   const int64_t n_bags = batch.num_bags();
   CsrBatch tt_batch;
@@ -66,7 +67,7 @@ CsrBatch CachedTtEmbeddingBag::Partition(const CsrBatch& batch,
     for (int64_t l = begin; l < end; ++l) {
       const int64_t row = batch.indices[static_cast<size_t>(l)];
       const float w = batch.LookupWeight(l, bag_size, config_.tt.pooling);
-      const float* cached = cache_.Find(row);
+      const float* cached = count ? cache_.Find(row) : cache_.Peek(row);
       if (cached == nullptr) {
         tt_batch.indices.push_back(row);
         tt_batch.weights.push_back(w);
@@ -87,7 +88,8 @@ void CachedTtEmbeddingBag::SplitAndFold(const CsrBatch& batch,
   hits.clear();
   std::vector<float> miss_rows;
   const CsrBatch misses = Partition(
-      batch, [&](int64_t bag, int64_t l, float w, const float* cached) {
+      batch, /*count=*/true,
+      [&](int64_t bag, int64_t l, float w, const float* cached) {
         const float* row = rows != nullptr ? rows + l * N : cached;
         if (cached != nullptr) {
           hits.push_back(CacheHit{bag, w, row});
@@ -109,66 +111,115 @@ void CachedTtEmbeddingBag::RefreshCache() {
   const std::vector<int64_t> top = tracker_.TopK(cache_.capacity());
   if (top.empty()) return;
   cache_.Populate(top, DecodeRows(tt_, top).data());
+  evict_order_stale_ = true;
   ++refreshes_;
 }
 
-int64_t CachedTtEmbeddingBag::PrefetchRows(std::span<const int64_t> rows) {
+int64_t CachedTtEmbeddingBag::PrefetchRows(
+    std::span<const std::span<const int64_t>> window) {
   TTREC_TRACE_SCOPE("cache.prefetch");
   ++prefetch_calls_;
-  // Validate and dedup into sorted order before any mutation.
-  std::vector<int64_t> wanted(rows.begin(), rows.end());
-  std::sort(wanted.begin(), wanted.end());
-  wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
-  for (const int64_t row : wanted) {
-    TTREC_CHECK_INDEX(row >= 0 && row < num_rows(),
-                      "CachedTtEmbeddingBag::PrefetchRows: row ", row,
-                      " out of range [0, ", num_rows(), ")");
+  // Validate before any mutation. The lookahead stage hands over sorted
+  // plans, which are read in place; any other plan is sorted on a copy, so
+  // a plan always admits in ascending row order.
+  std::vector<std::span<const int64_t>> plans(window.begin(), window.end());
+  std::vector<std::vector<int64_t>> sorted_copies;
+  sorted_copies.reserve(plans.size());
+  for (std::span<const int64_t>& plan : plans) {
+    for (const int64_t row : plan) {
+      TTREC_CHECK_INDEX(row >= 0 && row < num_rows(),
+                        "CachedTtEmbeddingBag::PrefetchRows: row ", row,
+                        " out of range [0, ", num_rows(), ")");
+    }
+    if (!std::is_sorted(plan.begin(), plan.end())) {
+      std::vector<int64_t>& copy =
+          sorted_copies.emplace_back(plan.begin(), plan.end());
+      std::sort(copy.begin(), copy.end());
+      plan = copy;
+    }
   }
 
+  // Mark the window and collect its missing rows in next-use order; a row
+  // an earlier plan already marked is not collected twice.
+  if (window_bits_.empty()) {
+    window_bits_.assign(static_cast<size_t>((num_rows() + 63) / 64), 0);
+  }
+  const auto in_window = [this](int64_t row) {
+    return ((window_bits_[static_cast<size_t>(row >> 6)] >> (row & 63)) &
+            1) != 0;
+  };
   std::vector<int64_t> missing;
-  for (const int64_t row : wanted) {
-    if (!cache_.Contains(row)) missing.push_back(row);
+  for (const std::span<const int64_t> plan : plans) {
+    for (const int64_t row : plan) {
+      uint64_t& word = window_bits_[static_cast<size_t>(row >> 6)];
+      const uint64_t bit = uint64_t{1} << (row & 63);
+      if ((word & bit) != 0) continue;
+      word |= bit;
+      if (!cache_.Contains(row)) missing.push_back(row);
+    }
   }
-  if (missing.empty()) return 0;
 
-  // Make room by evicting the coldest residents that the plan does not
-  // want, in ascending (tracker count, row id) order. The order matters as
-  // much as the set: Erase moves the last slot into the hole, so it fixes
-  // CachedRows() order and with it checkpoint bytes. A frozen tracker still
-  // holds its warm-up counts, so those rows outlast the never-counted ones.
-  const int64_t free_slots = cache_.capacity() - cache_.size();
-  const int64_t need = static_cast<int64_t>(missing.size()) - free_slots;
+  // Make room by evicting the coldest residents outside the window, in
+  // ascending (tracker count, row id) order, never more than needed. The
+  // order matters as much as the set: Erase moves the last slot into the
+  // hole, so it fixes CachedRows() order and with it checkpoint bytes. A
+  // frozen tracker still holds its warm-up counts, so those rows outlast
+  // the never-counted ones. The scan stops at the last victim; the window
+  // rows it passes keep their places.
+  int64_t need = static_cast<int64_t>(missing.size()) -
+                 (cache_.capacity() - cache_.size());
   if (need > 0) {
-    std::vector<std::pair<int64_t, int64_t>> victims;  // (count, row)
-    for (const int64_t row : cache_.CachedRows()) {
-      if (!std::binary_search(wanted.begin(), wanted.end(), row)) {
-        victims.emplace_back(tracker_.Count(row), row);
+    if (evict_order_stale_) {
+      evict_order_.clear();
+      for (const int64_t row : cache_.CachedRows()) {
+        evict_order_.emplace_back(tracker_.Count(row), row);
+      }
+      std::sort(evict_order_.begin(), evict_order_.end());
+      evict_order_stale_ = false;
+    }
+    auto scanned = evict_order_.begin();
+    for (; scanned != evict_order_.end() && need > 0; ++scanned) {
+      if (!in_window(scanned->second)) {
+        cache_.Erase(scanned->second);
+        --need;
       }
     }
-    // Only the `need` coldest leave: select them, then sort just those.
-    const auto last =
-        victims.begin() +
-        std::min(need, static_cast<int64_t>(victims.size()));
-    std::nth_element(victims.begin(), last, victims.end());
-    std::sort(victims.begin(), last);
-    for (auto v = victims.begin(); v != last; ++v) cache_.Erase(v->second);
+    evict_order_.erase(
+        std::remove_if(evict_order_.begin(), scanned,
+                       [&](const std::pair<int64_t, int64_t>& entry) {
+                         return !in_window(entry.second);
+                       }),
+        scanned);
+  }
+  for (const std::span<const int64_t> plan : plans) {
+    for (const int64_t row : plan) {
+      window_bits_[static_cast<size_t>(row >> 6)] = 0;
+    }
   }
 
-  // Admit whatever now fits, hottest-independent (sorted row order — the
-  // plan is a set, not a ranking). A plan larger than the whole cache
-  // simply fills it; the overflow keeps going through the TT path.
-  int64_t budget = cache_.capacity() - cache_.size();
-  if (budget <= 0) return 0;
-  if (static_cast<int64_t>(missing.size()) > budget) {
-    missing.resize(static_cast<size_t>(budget));
-  }
+  // Admit what now fits, soonest use first; the rest of the window stays
+  // on the TT path until a later call finds room for it.
+  const int64_t admitted = std::min(static_cast<int64_t>(missing.size()),
+                                    cache_.capacity() - cache_.size());
+  prefetch_skips_ += static_cast<int64_t>(missing.size()) - admitted;
+  missing.resize(static_cast<size_t>(admitted));
+  if (missing.empty()) return 0;
   const std::vector<float> values = DecodeRows(tt_, missing);
   const size_t N = static_cast<size_t>(emb_dim());
   for (size_t i = 0; i < missing.size(); ++i) {
     cache_.Insert(missing[i], values.data() + i * N);
   }
-  prefetch_inserts_ += static_cast<int64_t>(missing.size());
-  return static_cast<int64_t>(missing.size());
+  if (!evict_order_stale_) {
+    const auto old_end = static_cast<std::ptrdiff_t>(evict_order_.size());
+    for (const int64_t row : missing) {
+      evict_order_.emplace_back(tracker_.Count(row), row);
+    }
+    std::sort(evict_order_.begin() + old_end, evict_order_.end());
+    std::inplace_merge(evict_order_.begin(), evict_order_.begin() + old_end,
+                       evict_order_.end());
+  }
+  prefetch_inserts_ += admitted;
+  return admitted;
 }
 
 void CachedTtEmbeddingBag::CollectStats(obs::MetricRegistry& reg) const {
@@ -185,6 +236,7 @@ void CachedTtEmbeddingBag::CollectStats(obs::MetricRegistry& reg) const {
   p.Counter(reg, "cache.resizes", resizes_);
   p.Counter(reg, "cache.prefetch_calls", prefetch_calls_);
   p.Counter(reg, "cache.prefetch_inserts", prefetch_inserts_);
+  p.Counter(reg, "cache.prefetch_skips", prefetch_skips_);
   p.Gauge(reg, "cache.rows_resident", static_cast<double>(cache_.size()));
   p.Gauge(reg, "cache.rows_capacity", static_cast<double>(cache_.capacity()));
   const TtEmbeddingStats& tt = tt_.stats();
@@ -229,6 +281,7 @@ void CachedTtEmbeddingBag::ResizeCache(int64_t new_capacity) {
   }
 
   cache_.Resize(new_capacity, keep, values.data());
+  evict_order_stale_ = true;
   config_.cache_capacity = new_capacity;
   ++resizes_;
 }
@@ -243,13 +296,14 @@ void CachedTtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
       iteration_ > config_.warmup_iterations &&
       (iteration_ - config_.warmup_iterations) % config_.rewarm_period == 0) {
     tracker_.Decay(0.5);
-    rewarm_until_ =
+        rewarm_until_ =
         iteration_ + std::max<int64_t>(1, config_.warmup_iterations);
   }
   const bool tracking =
       in_warmup || config_.track_after_warmup || iteration_ < rewarm_until_;
   if (tracking) {
     for (int64_t row : batch.indices) tracker_.Increment(row);
+    evict_order_stale_ = true;
   }
   if (in_warmup && iteration_ > 0 &&
       iteration_ % config_.refresh_interval == 0) {
@@ -300,7 +354,8 @@ void CachedTtEmbeddingBag::Backward(const CsrBatch& batch,
   const int64_t N = emb_dim();
 
   CsrBatch tt_batch = Partition(
-      batch, [&](int64_t bag, int64_t l, float w, const float* cached) {
+      batch, /*count=*/false,
+      [&](int64_t bag, int64_t l, float w, const float* cached) {
         if (cached == nullptr) return;
         float* g = cache_.GradFor(batch.indices[static_cast<size_t>(l)]);
         TTREC_CHECK_INTERNAL(g != nullptr,
@@ -346,6 +401,7 @@ void CachedTtEmbeddingBag::LoadState(BinaryReader& r) {
   iteration_ = r.ReadI64();
   rewarm_until_ = -1;
   tracker_.Clear();
+  evict_order_stale_ = true;
 }
 
 void CachedTtEmbeddingBag::ApplySgd(float lr) {

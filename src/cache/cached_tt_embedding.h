@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cache/freq_tracker.h"
@@ -105,7 +106,8 @@ class CachedTtEmbeddingBag {
   /// missed rows into the TT core gradients. Must be called with the same
   /// batch as the preceding Forward (standard autograd pairing) — the
   /// cache partition is recomputed and matches because refreshes only
-  /// happen inside Forward.
+  /// happen inside Forward. The recomputed partition does not count as
+  /// hits or misses: Forward already counted those lookups.
   void Backward(const CsrBatch& batch, const float* grad_output);
 
   /// SGD on both the TT cores and the cached uncompressed rows.
@@ -132,30 +134,48 @@ class CachedTtEmbeddingBag {
   void RefreshCache();
 
   /// Lookahead admission (BagPipe-style; the DeepRec add_to_prefetch_list
-  /// shape): makes the given rows resident ahead of the batch that will
-  /// touch them, so that batch's lookups hit instead of decoding TT chains.
-  /// Rows already resident are left exactly as they are (learned values
-  /// intact). Missing rows are decoded from the TT cores in one LookupRows
-  /// call and admitted into free slots in ascending row order; when the
-  /// cache is full, the coldest resident rows *not in `rows`* are evicted
-  /// first, in ascending (tracker count, row id) order, never more than
-  /// needed. Rows the victim scan cannot make room for are skipped. The
-  /// tracker is NOT fed here — prefetch is a hint about the future, not an
-  /// observed access. Returns the number of rows admitted; the evictions
-  /// count in cache().evictions() like any other.
+  /// shape) with Belady's rule inside the lookahead window: `window` holds
+  /// the prefetch plans of the staged batches in next-use order, the batch
+  /// about to train first and the newest last. Every window row is made
+  /// resident if it fits, so those batches' lookups hit instead of
+  /// decoding TT chains:
+  ///   - Resident rows stay exactly as they are (learned values intact).
+  ///   - A row that any window plan looks up is never evicted. When the
+  ///     cache is full, only rows outside the window leave, in ascending
+  ///     (tracker count, row id) order, never more than needed.
+  ///   - Missing rows are decoded from the TT cores in one LookupRows call
+  ///     and admitted in next-use order: by plan, then ascending row id
+  ///     within a plan (a plan that is not sorted is sorted on a copy).
+  ///   - Rows that still do not fit are skipped and counted in
+  ///     prefetch_skips(); a caller that passes the window again at the
+  ///     next step retries them.
+  /// A one-plan window is the classic single-plan prefetch. The tracker is
+  /// NOT fed here — prefetch is a hint about the future, not an observed
+  /// access. Returns the number of rows admitted; the evictions count in
+  /// cache().evictions() like any other.
   ///
-  /// Determinism: given the same cache/tracker state and the same `rows`,
-  /// the resulting resident set and values are identical — the pipelined
-  /// trainer calls this at fixed schedule points on the compute thread, so
-  /// results stay bitwise reproducible at any thread count.
+  /// Cost: window membership is one bit per table row, set from the window
+  /// and cleared before returning. The residents are kept sorted by
+  /// (count, row), so choosing victims reads the front of that order up to
+  /// the last victim, and admissions merge in. The order is rebuilt (one
+  /// tracker probe per resident and a sort) only after a refresh, resize or
+  /// load replaced the residents, or frequency tracking moved the counts:
+  /// in the warm-up window, or on every step with track_after_warmup.
+  ///
+  /// Determinism: given the same cache/tracker state and the same window,
+  /// the resulting resident set, slot order and values are identical — the
+  /// pipelined trainer calls this at fixed schedule points on the compute
+  /// thread, so results stay bitwise reproducible at any thread count.
   /// Must be called between steps (exclusive access, no pending gradients
   /// on the evicted rows' slots — in TrainDlrm that is any step boundary).
   /// Throws IndexError (before any mutation) if a row is out of range.
-  int64_t PrefetchRows(std::span<const int64_t> rows);
+  int64_t PrefetchRows(std::span<const std::span<const int64_t>> window);
 
-  /// PrefetchRows calls / rows admitted.
+  /// PrefetchRows calls / rows admitted / window rows that did not fit
+  /// (summed over calls, so a row skipped at two steps counts twice).
   int64_t prefetch_calls() const { return prefetch_calls_; }
   int64_t prefetch_inserts() const { return prefetch_inserts_; }
+  int64_t prefetch_skips() const { return prefetch_skips_; }
 
   /// Changes the cache capacity in place — the CacheManager's global
   /// re-apportionment path. The new row set is the frequency tracker's
@@ -189,8 +209,10 @@ class CachedTtEmbeddingBag {
 
   /// Adds cache and TT statistics into `reg` under the shared names
   /// (cache.hits / cache.misses / cache.evictions / cache.refreshes /
-  /// cache.decay_rebuilds / cache.resizes, tt.* — see TtEmbeddingStats) so
-  /// totals across several cached tables sum naturally in one registry.
+  /// cache.decay_rebuilds / cache.resizes / cache.prefetch_calls /
+  /// cache.prefetch_inserts / cache.prefetch_skips, tt.* — see
+  /// TtEmbeddingStats) so totals across several cached tables sum
+  /// naturally in one registry.
   /// Collection is idempotent per registry: repeated calls publish only the
   /// delta since this operator's last collection into that registry, so a
   /// long-lived registry stays exact, while a fresh registry (the serving
@@ -220,10 +242,12 @@ class CachedTtEmbeddingBag {
   /// Splits `batch` into cache hits and a TT sub-batch of the misses (in
   /// lookup order, with explicit per-lookup weights), calling
   /// `on_lookup(bag, lookup, weight, cached)` for every lookup; `cached` is
-  /// null for a miss. Const (and safe for concurrent callers): only reads
-  /// the cache through Find const.
+  /// null for a miss. `count` reads the cache through Find const, which
+  /// counts each lookup as a hit or a miss (the forwards), and otherwise
+  /// through Peek (the backward). Const and safe for concurrent callers.
   template <typename OnLookup>
-  CsrBatch Partition(const CsrBatch& batch, OnLookup&& on_lookup) const;
+  CsrBatch Partition(const CsrBatch& batch, bool count,
+                     OnLookup&& on_lookup) const;
 
   /// The split-and-fold path of all three forwards: partitions `batch`,
   /// has `pool_misses(misses, miss_rows, output)` pool the TT sub-batch
@@ -246,6 +270,17 @@ class CachedTtEmbeddingBag {
   int64_t resizes_ = 0;
   int64_t prefetch_calls_ = 0;
   int64_t prefetch_inserts_ = 0;
+  int64_t prefetch_skips_ = 0;
+  /// PrefetchRows' eviction order: every resident as (tracker count, row
+  /// id), ascending. Stale after anything that replaces the resident set or
+  /// moves counts (refresh, resize, load, frequency tracking); the next
+  /// prefetch that needs victims rebuilds it, and prefetches keep it in
+  /// step otherwise.
+  std::vector<std::pair<int64_t, int64_t>> evict_order_;
+  bool evict_order_stale_ = true;
+  /// PrefetchRows scratch: one bit per table row, set for the window's rows
+  /// and cleared before the call returns. Sized on first use.
+  std::vector<uint64_t> window_bits_;
   obs::StatPublisher stats_publisher_;
   std::vector<CacheHit> hit_scratch_;
 };

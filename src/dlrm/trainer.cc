@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 
 #include "cache/cache_manager.h"
@@ -206,12 +207,13 @@ TrainResult TrainDlrm(DlrmModel& model, BatchSource& data,
   // --- The staged pipeline (DESIGN.md §4.15) -------------------------------
   // A lookahead stage produces batches up to `lookahead_depth` ahead of the
   // optimizer — on its own thread when lookahead_threaded — and the compute
-  // stage keeps a window of the next depth+1 staged batches. Each staged
-  // batch's prefetch plan is applied to the caches the moment it enters the
-  // window: a fixed sequence point on the compute thread, so cache contents
-  // at every step are a pure function of (depth, stream), never of thread
-  // timing. Depth 0 degenerates to the classic synchronous loop, bit for
-  // bit: no thread, no plans, one batch generated right before its step.
+  // stage keeps a window of the next depth+1 staged batches. Once per step,
+  // after the window is refilled, every cache-backed table receives the
+  // prefetch plans of the whole window in next-use order: a fixed sequence
+  // point on the compute thread, so cache contents at every step are a pure
+  // function of (depth, stream), never of thread timing. Depth 0
+  // degenerates to the classic synchronous loop, bit for bit: no thread, no
+  // plans, one batch generated right before its step.
   const int64_t depth = config.lookahead_depth;
   std::vector<CachedTtEmbeddingBag*> prefetch_bags(
       static_cast<size_t>(model.num_tables()), nullptr);
@@ -238,17 +240,21 @@ TrainResult TrainDlrm(DlrmModel& model, BatchSource& data,
   LookaheadStage stage(data, lo);
   std::deque<StagedBatch> window;
 
-  // Applies one staged batch's prefetch plan to the cache-backed tables;
-  // returns the wall-clock spent (TT row materialization ahead of its
-  // batch — overlap bookkeeping, not data-wait).
-  const auto apply_prefetch = [&](StagedBatch& sb) -> double {
-    if (sb.plan.empty()) return 0.0;
+  // Hands each cache-backed table the plans of every staged batch in the
+  // window, the batch about to train first and the newest last; returns
+  // the wall-clock spent (TT row materialization ahead of its batches —
+  // overlap bookkeeping, not data-wait).
+  std::vector<std::span<const int64_t>> plans;
+  const auto apply_prefetch = [&]() -> double {
+    if (window.empty() || window.front().plan.empty()) return 0.0;
     const auto p0 = Clock::now();
     TTREC_TRACE_SCOPE("train.prefetch");
     int64_t admitted = 0;
-    for (size_t t = 0; t < sb.plan.size(); ++t) {
-      if (prefetch_bags[t] == nullptr || sb.plan[t].empty()) continue;
-      admitted += prefetch_bags[t]->PrefetchRows(sb.plan[t]);
+    for (size_t t = 0; t < window.front().plan.size(); ++t) {
+      if (prefetch_bags[t] == nullptr) continue;
+      plans.clear();
+      for (const StagedBatch& sb : window) plans.emplace_back(sb.plan[t]);
+      admitted += prefetch_bags[t]->PrefetchRows(plans);
     }
     const double s = Seconds(p0, Clock::now());
     result.prefetched_rows += admitted;
@@ -264,15 +270,15 @@ TrainResult TrainDlrm(DlrmModel& model, BatchSource& data,
     const auto t0 = Clock::now();
     double prefetch_s = 0.0;
     {
-      // Refill the window through batch it + depth, applying each staged
-      // batch's plan on arrival — the "before step i, plans for batches
-      // <= i + K have been applied" sequence point.
+      // Refill the window through batch it + depth, then apply its plans
+      // — the "before step i, plans for batches i .. i + K have been
+      // applied" sequence point.
       TTREC_TRACE_SCOPE("train.batch_gen");
       while (!stage.Exhausted() &&
              (window.empty() || window.back().index < it + depth)) {
         window.push_back(stage.Next());
-        prefetch_s += apply_prefetch(window.back());
       }
+      prefetch_s = apply_prefetch();
     }
     TTREC_CHECK_INTERNAL(!window.empty() && window.front().index == it,
                          "pipeline window out of sync at iteration ", it);

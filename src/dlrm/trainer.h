@@ -7,9 +7,10 @@
 // The loop is a staged pipeline (dlrm/train_stages.h, DESIGN.md §4.15): a
 // lookahead stage runs up to `lookahead_depth` batches ahead of the
 // optimizer, pre-assembling batches (on its own thread when
-// `lookahead_threaded`) and pre-populating the LFU caches with the rows
-// future batches will touch, and checkpoints can move their file I/O to a
-// background writer (`async_checkpoint`). At depth 0 it degenerates to the
+// `lookahead_threaded`); before each step the LFU caches receive the rows
+// every staged batch will touch and keep them until those batches have
+// trained; and checkpoints can move their file I/O to a background writer
+// (`async_checkpoint`). At depth 0 it degenerates to the
 // classic synchronous loop, bit for bit.
 //
 // The loop is fault-tolerant: per-step guards (non-finite loss/gradient
@@ -84,9 +85,9 @@ struct TrainConfig {
   int64_t cache_retune_interval = 0;
 
   /// Lookahead depth K of the staged pipeline: before step `it` runs, the
-  /// batches up to `it + K` have been generated and their prefetch plans
-  /// applied to the caches. 0 = the classic synchronous loop (no thread,
-  /// no plans). Depth is a *semantic* knob, like cache capacity: raising
+  /// batches up to `it + K` have been generated and the prefetch plans of
+  /// batches `it` .. `it + K` applied to the caches. 0 = the classic
+  /// synchronous loop (no thread, no plans). Depth is a *semantic* knob, like cache capacity: raising
   /// it changes which rows are resident when a batch arrives (more hits,
   /// fewer TT decodes), so results differ *across* depths — while for any
   /// fixed depth, execution strategy (threaded on/off, any num_threads) is
@@ -97,10 +98,12 @@ struct TrainConfig {
   /// throughput knob: the same staged schedule executed inline yields
   /// bitwise-identical results.
   bool lookahead_threaded = true;
-  /// Apply each staged batch's row plan to every cache-backed table
-  /// (CachedTtEmbeddingBag::PrefetchRows) before the step that consumes
-  /// it. Only meaningful at depth >= 1; inert for models with no cached
-  /// tables.
+  /// Before every step, hand each cache-backed table the row plans of all
+  /// staged batches in the window, in next-use order
+  /// (CachedTtEmbeddingBag::PrefetchRows): the rows those batches look up
+  /// are admitted while room lasts and are never evicted while any of them
+  /// is still ahead. Only meaningful at depth >= 1; inert for models with
+  /// no cached tables.
   bool prefetch_cache = true;
 
   /// Snapshot the full training state every N iterations (0 = never);
@@ -164,7 +167,7 @@ struct TrainResult {
   /// shows up as this shrinking while train_seconds holds.
   double data_seconds = 0.0;
   /// Wall-clock spent applying lookahead prefetch plans to the caches
-  /// (materializing TT rows ahead of their batch).
+  /// (choosing victims and materializing TT rows ahead of their batches).
   double prefetch_seconds = 0.0;
   /// Wall-clock spent writing (and, on resume, restoring) snapshots —
   /// the checkpoint overhead to report against train_seconds. With

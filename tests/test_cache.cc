@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -648,6 +649,11 @@ TEST(LfuRowCache, EraseKeepsSurvivorsValuesGradsAndAdagradState) {
 // CachedTtEmbeddingBag::PrefetchRows
 // ---------------------------------------------------------------------------
 
+/// PrefetchRows over a window of one plan: the single-plan prefetch.
+int64_t PrefetchOne(CachedTtEmbeddingBag& emb, std::span<const int64_t> plan) {
+  return emb.PrefetchRows({&plan, 1});
+}
+
 TEST(CachedTtEmbeddingBag, PrefetchAdmitsPlannedRowsDeterministically) {
   Rng rng(33);
   // warmup 0: the cache is frozen from the start, so no refresh can undo
@@ -656,9 +662,9 @@ TEST(CachedTtEmbeddingBag, PrefetchAdmitsPlannedRowsDeterministically) {
                            TtInit::kGaussian, rng);
   const int64_t evictions0 = emb.cache().evictions();
   const std::vector<int64_t> plan = {1, 5, 9, 3, 5, 1};  // dups welcome
-  EXPECT_EQ(emb.PrefetchRows(plan), 4);
+  EXPECT_EQ(PrefetchOne(emb, plan), 4);
   for (const int64_t r : {1, 3, 5, 9}) EXPECT_TRUE(emb.cache().Contains(r));
-  EXPECT_EQ(emb.PrefetchRows(plan), 0);  // idempotent on a satisfied plan
+  EXPECT_EQ(PrefetchOne(emb, plan), 0);  // idempotent on a satisfied plan
   EXPECT_EQ(emb.prefetch_calls(), 2);
   EXPECT_EQ(emb.prefetch_inserts(), 4);
   EXPECT_EQ(emb.cache().evictions() - evictions0, 0);
@@ -666,7 +672,7 @@ TEST(CachedTtEmbeddingBag, PrefetchAdmitsPlannedRowsDeterministically) {
   // Full cache: planned residents {1,3} are protected; the other residents
   // {5,9} are the victims (tracker is empty, ties break on row id) — and a
   // plan bigger than the freed room admits in sorted row order.
-  EXPECT_EQ(emb.PrefetchRows(std::vector<int64_t>{1, 3, 20, 21, 22}), 2);
+  EXPECT_EQ(PrefetchOne(emb, std::vector<int64_t>{1, 3, 20, 21, 22}), 2);
   const auto rows = emb.cache().CachedRows();
   EXPECT_EQ(std::set<int64_t>(rows.begin(), rows.end()),
             (std::set<int64_t>{1, 3, 20, 21}));
@@ -682,7 +688,7 @@ TEST(CachedTtEmbeddingBag, PrefetchEvictsInCountThenRowOrder) {
   CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/6, /*warmup=*/0);
   cfg.track_after_warmup = true;
   CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
-  ASSERT_EQ(emb.PrefetchRows(std::vector<int64_t>{10, 11, 12, 13, 14, 15}),
+  ASSERT_EQ(PrefetchOne(emb, std::vector<int64_t>{10, 11, 12, 13, 14, 15}),
             6);
   std::vector<float> out(4 * 8);
   emb.Forward(CsrBatch::FromIndices({12, 12, 14, 10}), out.data());
@@ -692,7 +698,7 @@ TEST(CachedTtEmbeddingBag, PrefetchEvictsInCountThenRowOrder) {
   // 10 < 14). Slots: [10 11 12 13 14 15] -> erase 11 -> [10 15 12 13 14]
   // -> erase 13 -> [10 15 12 14] -> erase 15 -> [10 14 12] -> erase 10 ->
   // [12 14], then the admissions append in row order.
-  EXPECT_EQ(emb.PrefetchRows(std::vector<int64_t>{20, 21, 22, 23}), 4);
+  EXPECT_EQ(PrefetchOne(emb, std::vector<int64_t>{20, 21, 22, 23}), 4);
   EXPECT_EQ(emb.cache().CachedRows(),
             (std::vector<int64_t>{12, 14, 20, 21, 22, 23}));
 }
@@ -709,7 +715,7 @@ TEST(CachedTtEmbeddingBag, PrefetchEvictionOrderHoldsForLargeVictimSets) {
   CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
   std::vector<int64_t> residents;
   for (int64_t r = 0; r < 64; ++r) residents.push_back(r);
-  ASSERT_EQ(emb.PrefetchRows(residents), 64);
+  ASSERT_EQ(PrefetchOne(emb, residents), 64);
   std::vector<int64_t> touched;
   for (const int64_t r : residents) {
     for (int64_t k = 0; k < (r * 7) % 5; ++k) touched.push_back(r);
@@ -731,7 +737,7 @@ TEST(CachedTtEmbeddingBag, PrefetchEvictionOrderHoldsForLargeVictimSets) {
   for (int64_t r = 500; r < 532; ++r) plan.push_back(r);
   expected.insert(expected.end(), plan.begin(), plan.end());
 
-  EXPECT_EQ(emb.PrefetchRows(plan), 32);
+  EXPECT_EQ(PrefetchOne(emb, plan), 32);
   EXPECT_EQ(emb.cache().CachedRows(), expected);
 }
 
@@ -741,7 +747,7 @@ TEST(CachedTtEmbeddingBag, PrefetchEvictionsPublishOnce) {
   Rng rng(8);
   CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/4, /*warmup=*/0),
                            TtInit::kGaussian, rng);
-  emb.PrefetchRows(std::vector<int64_t>{1, 2, 3, 4});
+  PrefetchOne(emb, std::vector<int64_t>{1, 2, 3, 4});
   obs::MetricRegistry reg;
   const auto evictions_published = [&] {
     emb.CollectStats(reg);
@@ -754,7 +760,7 @@ TEST(CachedTtEmbeddingBag, PrefetchEvictionsPublishOnce) {
     return total;
   };
   const int64_t before = evictions_published();
-  EXPECT_EQ(emb.PrefetchRows(std::vector<int64_t>{10, 11, 12}), 3);
+  EXPECT_EQ(PrefetchOne(emb, std::vector<int64_t>{10, 11, 12}), 3);
   EXPECT_EQ(evictions_published() - before, 3);
 }
 
@@ -764,7 +770,7 @@ TEST(CachedTtEmbeddingBag, PrefetchedRowsServeAsExactCacheHits) {
   CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, r1);
   TtEmbeddingBag plain(cfg.tt, TtInit::kGaussian, r2);
 
-  emb.PrefetchRows(std::vector<int64_t>{20, 21});
+  PrefetchOne(emb, std::vector<int64_t>{20, 21});
   emb.ResetStats();
   CsrBatch batch = CsrBatch::FromIndices({20, 21});
   std::vector<float> a(static_cast<size_t>(2 * 8)), b(a.size());
@@ -781,13 +787,234 @@ TEST(CachedTtEmbeddingBag, PrefetchValidatesBeforeMutatingAndSkipsTracker) {
   Rng rng(5);
   CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/4, /*warmup=*/0),
                            TtInit::kGaussian, rng);
-  EXPECT_THROW(emb.PrefetchRows(std::vector<int64_t>{2, 999}), IndexError);
+  EXPECT_THROW(PrefetchOne(emb, std::vector<int64_t>{2, 999}), IndexError);
   EXPECT_EQ(emb.cache().size(), 0);
   EXPECT_EQ(emb.prefetch_inserts(), 0);
 
-  emb.PrefetchRows(std::vector<int64_t>{7});
+  PrefetchOne(emb, std::vector<int64_t>{7});
   // Prefetch is a hint about the future, not an observed access.
   EXPECT_EQ(emb.tracker().Count(7), 0);
+}
+
+TEST(CachedTtEmbeddingBag, ForwardAndBackwardCountEachLookupOnce) {
+  // The backward revisits the forward's lookups to route gradients; only
+  // the forward counts them as hits or misses.
+  Rng rng(9);
+  CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/4, /*warmup=*/0),
+                           TtInit::kGaussian, rng);
+  PrefetchOne(emb, std::vector<int64_t>{3, 5});
+  const CsrBatch batch = CsrBatch::FromIndices({3, 5, 7});
+  std::vector<float> out(static_cast<size_t>(3 * emb.emb_dim()));
+  emb.Forward(batch, out.data());
+  const std::vector<float> grad(out.size(), 1.0f);
+  emb.Backward(batch, grad.data());
+  EXPECT_EQ(emb.cache().hits(), 2);
+  EXPECT_EQ(emb.cache().misses(), 1);
+}
+
+// --- The lookahead window: Belady's rule inside it -------------------------
+
+/// Views `plans` as one PrefetchRows window, in order.
+std::vector<std::span<const int64_t>> Window(
+    const std::vector<std::vector<int64_t>>& plans) {
+  return std::vector<std::span<const int64_t>>(plans.begin(), plans.end());
+}
+
+TEST(CachedTtEmbeddingBag, WindowPrefetchAdmitsInNextUseOrder) {
+  // Missing rows admit by plan, then by row id within a plan; the first
+  // plan's rows come first even when a later plan lists smaller ids, and a
+  // row listed twice admits once, at its soonest use.
+  Rng rng(12);
+  CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/6, /*warmup=*/0),
+                           TtInit::kGaussian, rng);
+  const std::vector<std::vector<int64_t>> plans = {
+      {10, 30}, {5, 10, 20}, {1, 2, 40}};
+  EXPECT_EQ(emb.PrefetchRows(Window(plans)), 6);
+  EXPECT_EQ(emb.cache().CachedRows(),
+            (std::vector<int64_t>{10, 30, 5, 20, 1, 2}));
+  EXPECT_EQ(emb.prefetch_skips(), 1);  // 40, the farthest use
+  EXPECT_EQ(emb.prefetch_calls(), 1);
+}
+
+TEST(CachedTtEmbeddingBag, WindowPrefetchSkipsAndCountsRowsThatDoNotFit) {
+  Rng rng(13);
+  CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/4, /*warmup=*/0),
+                           TtInit::kGaussian, rng);
+  const std::vector<std::vector<int64_t>> full = {{1, 2}, {3, 4}, {5, 6}};
+  EXPECT_EQ(emb.PrefetchRows(Window(full)), 4);
+  EXPECT_EQ(emb.prefetch_skips(), 2);
+
+  // Every resident is in the window, so nothing can leave; the two rows
+  // that did not fit are retried and skipped again.
+  EXPECT_EQ(emb.PrefetchRows(Window(full)), 0);
+  EXPECT_EQ(emb.cache().evictions(), 0);
+  EXPECT_EQ(emb.prefetch_skips(), 4);
+
+  // The window moves on: 1 and 2 are behind it and make room. Slots:
+  // [1 2 3 4] -> erase 1 -> [4 2 3] -> erase 2 -> [4 3], then 5 and 6.
+  const std::vector<std::vector<int64_t>> next = {{3, 4}, {5, 6}};
+  EXPECT_EQ(emb.PrefetchRows(Window(next)), 2);
+  EXPECT_EQ(emb.cache().CachedRows(), (std::vector<int64_t>{4, 3, 5, 6}));
+  EXPECT_EQ(emb.cache().evictions(), 2);
+  EXPECT_EQ(emb.prefetch_skips(), 4);
+
+  obs::MetricRegistry reg;
+  emb.CollectStats(reg);
+  ASSERT_NE(reg.FindCounter("cache.prefetch_skips"), nullptr);
+  EXPECT_EQ(reg.FindCounter("cache.prefetch_skips")->Total(), 4);
+  EXPECT_EQ(reg.FindCounter("cache.prefetch_inserts")->Total(), 6);
+}
+
+TEST(CachedTtEmbeddingBag, WindowPrefetchNeverEvictsWindowRows) {
+  // Random windows of three plans over a cache too small for them: no row
+  // of any window plan leaves, every eviction is needed, and the residents
+  // stay a set. With tracking on, counts move between calls.
+  for (const bool track_after_warmup : {false, true}) {
+    SCOPED_TRACE(track_after_warmup ? "tracking" : "frozen");
+    Rng rng(14);
+    CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/24, /*warmup=*/0);
+    cfg.tt.shape = MakeTtShape(/*num_rows=*/400, /*emb_dim=*/8,
+                               /*num_cores=*/3, /*rank=*/4);
+    cfg.track_after_warmup = track_after_warmup;
+    CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+    Rng data(15);
+    std::vector<std::vector<int64_t>> plans;
+    std::vector<float> out;
+    for (int step = 0; step < 60; ++step) {
+      std::vector<int64_t> plan;
+      // A narrow hot set first, then a wide one.
+      const int64_t span = step < 30 ? 60 : 400;
+      for (int i = 0; i < 12; ++i) plan.push_back(data.RandInt(span));
+      std::sort(plan.begin(), plan.end());
+      plans.push_back(plan);
+      if (plans.size() > 3) plans.erase(plans.begin());
+
+      const std::vector<int64_t> before = emb.cache().CachedRows();
+      const int64_t evictions0 = emb.cache().evictions();
+      const int64_t skips0 = emb.prefetch_skips();
+      const int64_t admitted = emb.PrefetchRows(Window(plans));
+      const std::vector<int64_t> resident = emb.cache().CachedRows();
+      const std::set<int64_t> after(resident.begin(), resident.end());
+      ASSERT_EQ(static_cast<int64_t>(after.size()), emb.cache().size());
+      std::set<int64_t> wanted;
+      for (const auto& p : plans) wanted.insert(p.begin(), p.end());
+      for (const int64_t row : before) {
+        if (wanted.count(row) > 0) {
+          ASSERT_TRUE(after.count(row) > 0)
+              << "step " << step << " row " << row;
+        }
+      }
+      int64_t missing = 0;
+      for (const int64_t row : wanted) {
+        if (std::find(before.begin(), before.end(), row) == before.end()) {
+          ++missing;
+        }
+      }
+      const int64_t evicted = emb.cache().evictions() - evictions0;
+      const int64_t free0 =
+          emb.cache().capacity() - static_cast<int64_t>(before.size());
+      EXPECT_EQ(evicted, std::max<int64_t>(0, admitted - free0));
+      EXPECT_EQ(admitted + emb.prefetch_skips() - skips0, missing);
+
+      // The plan about to train runs.
+      const CsrBatch batch = CsrBatch::FromIndices(plans.front());
+      out.resize(static_cast<size_t>(batch.num_bags() * emb.emb_dim()));
+      emb.Forward(batch, out.data());
+    }
+    EXPECT_GT(emb.prefetch_skips(), 0);
+    EXPECT_GT(emb.cache().evictions(), 0);
+  }
+}
+
+TEST(CachedTtEmbeddingBag, OnePlanWindowMatchesSinglePlanPrefetch) {
+  // A replay of the single-plan prefetch on a second LfuRowCache: dedup
+  // into sorted order, evict the `need` coldest residents outside the plan
+  // in ascending (tracker count, row id) order, admit in row order while
+  // room lasts. Slot order and values must match after every call, with
+  // the tracker frozen after warm-up and with counts that keep moving, and
+  // with plans that arrive unsorted and with duplicates.
+  for (const bool track_after_warmup : {false, true}) {
+    SCOPED_TRACE(track_after_warmup ? "tracking" : "frozen");
+    Rng rng(16);
+    CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/20, /*warmup=*/3,
+                                           /*refresh=*/1);
+    cfg.tt.shape = MakeTtShape(/*num_rows=*/300, /*emb_dim=*/8,
+                               /*num_cores=*/3, /*rank=*/4);
+    cfg.track_after_warmup = track_after_warmup;
+    CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+    LfuRowCache ref(cfg.cache_capacity, emb.emb_dim());
+    const int64_t N = emb.emb_dim();
+
+    const auto ref_prefetch = [&](std::vector<int64_t> wanted) {
+      std::sort(wanted.begin(), wanted.end());
+      wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
+      std::vector<int64_t> missing;
+      for (const int64_t row : wanted) {
+        if (!ref.Contains(row)) missing.push_back(row);
+      }
+      if (missing.empty()) return int64_t{0};
+      const int64_t need = static_cast<int64_t>(missing.size()) -
+                           (ref.capacity() - ref.size());
+      if (need > 0) {
+        std::vector<std::pair<int64_t, int64_t>> victims;
+        for (const int64_t row : ref.CachedRows()) {
+          if (!std::binary_search(wanted.begin(), wanted.end(), row)) {
+            victims.emplace_back(emb.tracker().Count(row), row);
+          }
+        }
+        std::sort(victims.begin(), victims.end());
+        const size_t leave =
+            std::min(static_cast<size_t>(need), victims.size());
+        for (size_t v = 0; v < leave; ++v) ref.Erase(victims[v].second);
+      }
+      missing.resize(std::min(missing.size(),
+                              static_cast<size_t>(ref.capacity() - ref.size())));
+      std::vector<float> values(missing.size() * static_cast<size_t>(N));
+      emb.tt().LookupRows(missing, values.data());
+      for (size_t i = 0; i < missing.size(); ++i) {
+        ref.Insert(missing[i], values.data() + i * static_cast<size_t>(N));
+      }
+      return static_cast<int64_t>(missing.size());
+    };
+    // A warm-up refresh replaces the residents; the replay starts over
+    // from what it left.
+    const auto resync = [&] {
+      const std::vector<int64_t> rows = emb.cache().CachedRows();
+      std::vector<float> values;
+      for (const int64_t row : rows) {
+        const float* v = emb.cache().Peek(row);
+        values.insert(values.end(), v, v + N);
+      }
+      ref.Populate(rows, values.data());
+    };
+
+    Rng data(17);
+    std::vector<float> out;
+    for (int step = 0; step < 80; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      std::vector<int64_t> plan;
+      const int64_t n = 4 + data.RandInt(24);  // up to past the capacity
+      for (int64_t i = 0; i < n; ++i) plan.push_back(data.RandInt(120));
+      const int64_t expected = ref_prefetch(plan);
+      ASSERT_EQ(PrefetchOne(emb, plan), expected);
+      ASSERT_EQ(emb.cache().CachedRows(), ref.CachedRows());
+      for (const int64_t row : ref.CachedRows()) {
+        const float* got = emb.cache().Peek(row);
+        const float* want = ref.Peek(row);
+        ASSERT_EQ(std::vector<float>(got, got + N),
+                  std::vector<float>(want, want + N))
+            << "row " << row;
+      }
+      std::vector<int64_t> touched;
+      for (int i = 0; i < 16; ++i) touched.push_back(data.RandInt(120));
+      const CsrBatch batch = CsrBatch::FromIndices(touched);
+      out.resize(static_cast<size_t>(batch.num_bags() * N));
+      const int64_t refreshes = emb.refreshes();
+      emb.Forward(batch, out.data());
+      if (emb.refreshes() != refreshes) resync();
+    }
+    EXPECT_EQ(emb.refreshes(), 3);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -843,7 +1070,7 @@ TEST(CachedTtAdmissionTiers, AdmittedRowsMatchMaterializeRowInEveryTier) {
 
     std::vector<int64_t> plan;
     for (int64_t r = 2900; r < 2940; ++r) plan.push_back(r);
-    ASSERT_EQ(emb.PrefetchRows(plan), 40);
+    ASSERT_EQ(PrefetchOne(emb, plan), 40);
     ExpectResidentsMatchMaterializeRow(emb, "PrefetchRows");
 
     // Growing past the resident set admits tracker rows the cache never

@@ -429,6 +429,9 @@ TEST(TtWorkspaceRegression, AccountsForBackwardAndDedupAndThreads) {
   EXPECT_LT(ws1, big_emb.WorkspaceBytes(1));
 }
 
+// The page-fault tests' helpers; the tests compile out under the
+// sanitizers, whose allocators quarantine freed memory.
+#if !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
 /// `lookups` bags of one lookup each over 100k rows.
 CsrBatch SingleLookupBags(int lookups) {
   CsrBatch batch;
@@ -467,6 +470,7 @@ long MinorFaults(int calls, const std::function<void()>& fn) {
 // A call that reuses the thread's workspace pays none once warm. One pool
 // thread keeps all the work on the measured thread.
 constexpr int kSteadyCalls = 20;
+#endif
 
 TEST(TtBackwardSteadyState, TakesNoPageFaults) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)

@@ -8,16 +8,19 @@
 // inconsistent knob combination.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "cache/cached_tt_embedding.h"
 #include "dlrm/checkpoint.h"
 #include "dlrm/embedding_adapters.h"
 #include "dlrm/embedding_bag.h"
@@ -49,9 +52,10 @@ SyntheticCriteoConfig TinyData() {
   return cfg;
 }
 
-/// Mixed-architecture model with a cache-backed table — the case where
-/// lookahead prefetch actually mutates state between steps.
-std::unique_ptr<DlrmModel> MakeCachedModel(uint64_t seed) {
+/// Mixed-architecture model with a cache-backed table (table 2) — the case
+/// where lookahead prefetch actually mutates state between steps.
+std::unique_ptr<DlrmModel> MakeCachedModel(uint64_t seed,
+                                           int64_t cache_capacity = 8) {
   Rng rng(seed);
   std::vector<std::unique_ptr<EmbeddingOp>> tables;
   tables.push_back(std::make_unique<DenseEmbeddingBag>(
@@ -62,7 +66,7 @@ std::unique_ptr<DlrmModel> MakeCachedModel(uint64_t seed) {
       std::make_unique<TtEmbeddingAdapter>(tcfg, TtInit::kGaussian, rng));
   CachedTtConfig ccfg;
   ccfg.tt.shape = MakeTtShape(120, 8, 3, 4);
-  ccfg.cache_capacity = 8;
+  ccfg.cache_capacity = cache_capacity;
   ccfg.warmup_iterations = 3;
   ccfg.refresh_interval = 1;
   tables.push_back(std::make_unique<CachedTtEmbeddingAdapter>(
@@ -187,6 +191,59 @@ TEST(Pipeline, PrefetchRunsAtDepthOneAndAboveOnly) {
   // prefetch_cache off: staging still works, caches untouched by plans.
   cfg.prefetch_cache = false;
   EXPECT_EQ(RunTrain(cfg).result.prefetched_rows, 0);
+}
+
+TEST(Pipeline, WindowSizedCacheHitsEveryLookupAfterWarmup) {
+  // With room for the union of any depth + 1 consecutive plans, the window
+  // rule keeps every row the next batches need resident, so once the
+  // warm-up's last refresh is behind, every lookup of the cached table
+  // hits. Evicting by count alone, as a single-plan prefetch does, drops
+  // rows that an earlier batch of the window still needs.
+  constexpr int kCachedTable = 2;
+  constexpr int64_t kWarmup = 3;  // MakeCachedModel's warm-up window
+  for (const int64_t depth : {int64_t{1}, int64_t{2}, int64_t{4}}) {
+    SCOPED_TRACE("depth=" + std::to_string(depth));
+    TrainConfig cfg = BaseTrain();
+    cfg.eval_batches = 0;  // evaluation lookups would count too
+    cfg.lookahead_depth = depth;
+    TrainConfig warm = cfg;
+    warm.iterations = kWarmup + 1;
+
+    // The largest window union over the whole stream both runs draw.
+    SyntheticCriteo probe(TinyData());
+    std::vector<std::vector<int64_t>> rows;
+    for (int64_t i = 0; i < warm.iterations + cfg.iterations; ++i) {
+      rows.push_back(probe.NextBatch(cfg.batch_size)
+                         .sparse[kCachedTable]
+                         .indices);
+    }
+    size_t capacity = 0;
+    for (size_t first = 0; first < rows.size(); ++first) {
+      std::set<int64_t> window;
+      for (size_t j = first;
+           j < std::min(rows.size(), first + static_cast<size_t>(depth) + 1);
+           ++j) {
+        window.insert(rows[j].begin(), rows[j].end());
+      }
+      capacity = std::max(capacity, window.size());
+    }
+
+    auto model = MakeCachedModel(42, static_cast<int64_t>(capacity));
+    SyntheticCriteo data(TinyData());
+    TrainDlrm(*model, data, warm);  // ends on the refresh at kWarmup
+    CachedTtEmbeddingBag* bag = model->table(kCachedTable).cached_bag();
+    ASSERT_NE(bag, nullptr);
+    ASSERT_TRUE(bag->warmed_up());
+    bag->ResetStats();
+    TrainDlrm(*model, data, cfg);
+    int64_t lookups = 0;
+    for (size_t i = static_cast<size_t>(warm.iterations); i < rows.size();
+         ++i) {
+      lookups += static_cast<int64_t>(rows[i].size());
+    }
+    EXPECT_EQ(bag->cache().misses(), 0);
+    EXPECT_EQ(bag->cache().hits(), lookups);
+  }
 }
 
 TEST(Pipeline, PipelineMetricsArePublished) {
