@@ -22,6 +22,17 @@ TtEmbeddingConfig InnerTtConfig(const CachedTtConfig& config) {
   return tt;
 }
 
+// One bit per table row (PrefetchRows' window and residency bitmaps).
+bool TestRowBit(const std::vector<uint64_t>& bits, int64_t row) {
+  return ((bits[static_cast<size_t>(row >> 6)] >> (row & 63)) & 1) != 0;
+}
+void SetRowBit(std::vector<uint64_t>& bits, int64_t row) {
+  bits[static_cast<size_t>(row >> 6)] |= uint64_t{1} << (row & 63);
+}
+void ClearRowBit(std::vector<uint64_t>& bits, int64_t row) {
+  bits[static_cast<size_t>(row >> 6)] &= ~(uint64_t{1} << (row & 63));
+}
+
 /// Decodes `rows` from the TT cores (rows.size() x emb_dim, row-major)
 /// through the staged kernel: the one engine behind every admission.
 std::vector<float> DecodeRows(const TtEmbeddingBag& tt,
@@ -112,6 +123,7 @@ void CachedTtEmbeddingBag::RefreshCache() {
   if (top.empty()) return;
   cache_.Populate(top, DecodeRows(tt_, top).data());
   evict_order_stale_ = true;
+  resident_bits_stale_ = true;
   ++refreshes_;
 }
 
@@ -140,22 +152,26 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(
   }
 
   // Mark the window and collect its missing rows in next-use order; a row
-  // an earlier plan already marked is not collected twice.
-  if (window_bits_.empty()) {
-    window_bits_.assign(static_cast<size_t>((num_rows() + 63) / 64), 0);
+  // an earlier plan already marked is not collected twice, and residency
+  // is a bit test, not a probe of the cache's id map.
+  const size_t words = static_cast<size_t>((num_rows() + 63) / 64);
+  if (window_bits_.empty()) window_bits_.assign(words, 0);
+  if (resident_bits_stale_) {
+    resident_bits_.assign(words, 0);
+    for (const int64_t row : cache_.CachedRows()) {
+      SetRowBit(resident_bits_, row);
+    }
+    resident_bits_stale_ = false;
   }
   const auto in_window = [this](int64_t row) {
-    return ((window_bits_[static_cast<size_t>(row >> 6)] >> (row & 63)) &
-            1) != 0;
+    return TestRowBit(window_bits_, row);
   };
   std::vector<int64_t> missing;
   for (const std::span<const int64_t> plan : plans) {
     for (const int64_t row : plan) {
-      uint64_t& word = window_bits_[static_cast<size_t>(row >> 6)];
-      const uint64_t bit = uint64_t{1} << (row & 63);
-      if ((word & bit) != 0) continue;
-      word |= bit;
-      if (!cache_.Contains(row)) missing.push_back(row);
+      if (in_window(row)) continue;
+      SetRowBit(window_bits_, row);
+      if (!TestRowBit(resident_bits_, row)) missing.push_back(row);
     }
   }
 
@@ -181,6 +197,7 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(
     for (; scanned != evict_order_.end() && need > 0; ++scanned) {
       if (!in_window(scanned->second)) {
         cache_.Erase(scanned->second);
+        ClearRowBit(resident_bits_, scanned->second);
         --need;
       }
     }
@@ -208,6 +225,7 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(
   const size_t N = static_cast<size_t>(emb_dim());
   for (size_t i = 0; i < missing.size(); ++i) {
     cache_.Insert(missing[i], values.data() + i * N);
+    SetRowBit(resident_bits_, missing[i]);
   }
   if (!evict_order_stale_) {
     const auto old_end = static_cast<std::ptrdiff_t>(evict_order_.size());
@@ -282,6 +300,7 @@ void CachedTtEmbeddingBag::ResizeCache(int64_t new_capacity) {
 
   cache_.Resize(new_capacity, keep, values.data());
   evict_order_stale_ = true;
+  resident_bits_stale_ = true;
   config_.cache_capacity = new_capacity;
   ++resizes_;
 }
@@ -355,11 +374,12 @@ void CachedTtEmbeddingBag::Backward(const CsrBatch& batch,
 
   CsrBatch tt_batch = Partition(
       batch, /*count=*/false,
-      [&](int64_t bag, int64_t l, float w, const float* cached) {
+      [&](int64_t bag, int64_t, float w, const float* cached) {
         if (cached == nullptr) return;
-        float* g = cache_.GradFor(batch.indices[static_cast<size_t>(l)]);
+        // The partition's probe found the slot; its gradient sits beside it.
+        float* g = cache_.GradFor(cached);
         TTREC_CHECK_INTERNAL(g != nullptr,
-                             "cache partition changed between fwd/bwd");
+                             "cache hit outside the resident slots");
         const float* src = grad_output + bag * N;
         for (int64_t j = 0; j < N; ++j) g[j] += w * src[j];
       });
@@ -397,11 +417,14 @@ void CachedTtEmbeddingBag::LoadState(BinaryReader& r) {
     r.ReadFloats(values.data() + i * static_cast<size_t>(N),
                  static_cast<size_t>(N));
   }
+  // Stale before the residents change, so a read that throws after the
+  // Populate cannot leave an order or a bitmap of the old residents.
+  evict_order_stale_ = true;
+  resident_bits_stale_ = true;
   cache_.Populate(rows, values.data());
   iteration_ = r.ReadI64();
   rewarm_until_ = -1;
   tracker_.Clear();
-  evict_order_stale_ = true;
 }
 
 void CachedTtEmbeddingBag::ApplySgd(float lr) {

@@ -154,13 +154,18 @@ class CachedTtEmbeddingBag {
   /// access. Returns the number of rows admitted; the evictions count in
   /// cache().evictions() like any other.
   ///
-  /// Cost: window membership is one bit per table row, set from the window
-  /// and cleared before returning. The residents are kept sorted by
-  /// (count, row), so choosing victims reads the front of that order up to
-  /// the last victim, and admissions merge in. The order is rebuilt (one
-  /// tracker probe per resident and a sort) only after a refresh, resize or
-  /// load replaced the residents, or frequency tracking moved the counts:
-  /// in the warm-up window, or on every step with track_after_warmup.
+  /// Cost: window membership and residency are one bit per table row each,
+  /// 2 bits per row in all, allocated on the first call (never by serving)
+  /// and not counted in MemoryBytes(). The window bits are set from the
+  /// window and cleared before returning; the residency bits follow this
+  /// call's admissions and evictions, so marking the window tests a bit
+  /// per distinct row and probes no id map. The residents are kept sorted
+  /// by (count, row), so choosing victims reads the front of that order up
+  /// to the last victim, and admissions merge in. The order and the
+  /// residency bits are rebuilt only after a refresh, resize or load
+  /// replaced the residents; the order (one tracker probe per resident and
+  /// a sort) also after frequency tracking moved the counts: in the warm-up
+  /// window, or on every step with track_after_warmup.
   ///
   /// Determinism: given the same cache/tracker state and the same window,
   /// the resulting resident set, slot order and values are identical — the
@@ -281,6 +286,13 @@ class CachedTtEmbeddingBag {
   /// PrefetchRows scratch: one bit per table row, set for the window's rows
   /// and cleared before the call returns. Sized on first use.
   std::vector<uint64_t> window_bits_;
+  /// PrefetchRows' residency index: one bit per table row, set while the
+  /// row is resident, so marking the window probes no id map. Prefetch
+  /// keeps it in step with its own Insert and Erase; a refresh, resize or
+  /// load replaces the residents and marks it stale, and the next prefetch
+  /// rebuilds it from CachedRows(). Sized on first use.
+  std::vector<uint64_t> resident_bits_;
+  bool resident_bits_stale_ = true;
   obs::StatPublisher stats_publisher_;
   std::vector<CacheHit> hit_scratch_;
 };

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstring>
 
 #include "tensor/check.h"
@@ -67,9 +68,13 @@ const float* LfuRowCache::Peek(int64_t row) const {
   return slot < 0 ? nullptr : values_.data() + slot * emb_dim_;
 }
 
-float* LfuRowCache::GradFor(int64_t row) {
-  const int64_t slot = SlotOf(row);
-  return slot < 0 ? nullptr : grads_.data() + slot * emb_dim_;
+float* LfuRowCache::GradFor(const float* value) {
+  if (value == nullptr) return nullptr;
+  const std::ptrdiff_t offset = value - values_.data();
+  if (offset < 0 || offset % emb_dim_ != 0 || offset / emb_dim_ >= size()) {
+    return nullptr;
+  }
+  return grads_.data() + offset;
 }
 
 void LfuRowCache::PopulateImpl(int64_t new_capacity,

@@ -47,8 +47,12 @@ class LfuRowCache {
   /// HitRate(). Same concurrency contract as Find const.
   const float* Peek(int64_t row) const;
 
-  /// Gradient accumulator slot paired with a cached row; nullptr on miss.
-  float* GradFor(int64_t row);
+  /// Gradient accumulator slot paired with the cached vector at `value`, a
+  /// pointer that Find or Peek returned since the last mutation: the slot
+  /// is the one that probe found, so the id map is not probed again.
+  /// nullptr for a null `value` (a miss) or one that is not the start of a
+  /// resident slot's vector.
+  float* GradFor(const float* value);
 
   /// Replaces the cache contents with `rows` and their vectors from
   /// `values` (rows.size() x emb_dim). Throws ConfigError if rows.size()

@@ -74,24 +74,29 @@ void SkewShiftScenario::EnterPhase(int64_t phase) {
 }
 
 std::vector<CsrBatch> SkewShiftScenario::NextBatch() {
+  std::vector<CsrBatch> out(config_.tables.size());
+  for (CsrBatch& batch : out) batch.offsets.push_back(0);
+  AppendNext(out);
+  return out;
+}
+
+void SkewShiftScenario::AppendNext(std::span<CsrBatch> bags) {
+  TTREC_CHECK_SHAPE(bags.size() == config_.tables.size(),
+                    "SkewShiftScenario::AppendNext: ", bags.size(),
+                    " bags for ", config_.tables.size(), " tables");
   if (config_.phase_length > 0) {
     const int64_t p = iteration_ / config_.phase_length;
     if (p != current_phase_) EnterPhase(p);
   }
-  std::vector<CsrBatch> out;
-  out.reserve(config_.tables.size());
   for (size_t t = 0; t < config_.tables.size(); ++t) {
-    CsrBatch batch;
-    batch.offsets = {0, lookups_[t]};
-    batch.indices.reserve(static_cast<size_t>(lookups_[t]));
+    CsrBatch& batch = bags[t];
     for (int64_t l = 0; l < lookups_[t]; ++l) {
       const int64_t rank = zipf_[t].Sample(rng_);
       batch.indices.push_back(shuffle_[t].Map(rank));
     }
-    out.push_back(std::move(batch));
+    batch.offsets.push_back(static_cast<int64_t>(batch.indices.size()));
   }
   ++iteration_;
-  return out;
 }
 
 void SkewShiftScenario::SaveState(BinaryWriter& w) const {

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "data/csr_batch.h"
@@ -61,6 +62,12 @@ class SkewShiftScenario {
   /// (LookupsFor(t) Zipf-distributed indices each), applying the phase
   /// rotation/reshuffle at boundaries.
   std::vector<CsrBatch> NextBatch();
+
+  /// NextBatch without the allocations: appends the iteration's bag for
+  /// table t to bags[t] (its indices, then its end offset; the offsets must
+  /// already hold their leading 0). bags.size() must equal num_tables().
+  /// Draws the same stream as NextBatch.
+  void AppendNext(std::span<CsrBatch> bags);
 
   /// Replaces the sampling RNG without touching the phase machinery or the
   /// rank->row bijections (those stay functions of config.seed). Lets a

@@ -58,7 +58,13 @@ MiniBatch SkewShiftBatchSource::Assemble(int64_t batch_size,
   batch.labels.resize(static_cast<size_t>(batch_size));
   batch.sparse.resize(static_cast<size_t>(T));
   for (int t = 0; t < T; ++t) {
-    batch.sparse[static_cast<size_t>(t)].offsets.push_back(0);
+    // Room for the whole batch at the current phase's budgets; a phase
+    // boundary inside the batch may grow a table's indices once.
+    CsrBatch& cb = batch.sparse[static_cast<size_t>(t)];
+    cb.offsets.reserve(static_cast<size_t>(batch_size) + 1);
+    cb.offsets.push_back(0);
+    cb.indices.reserve(
+        static_cast<size_t>(batch_size * scenario.LookupsFor(t)));
   }
 
   const double norm =
@@ -71,18 +77,15 @@ MiniBatch SkewShiftBatchSource::Assemble(int64_t batch_size,
     // One scenario iteration = one sample: table t's bag is the scenario's
     // whole per-iteration lookup budget for that table, so phase rotations
     // land mid-batch exactly as they do in the cache benches.
-    const std::vector<CsrBatch> bags = scenario.NextBatch();
+    scenario.AppendNext(batch.sparse);
     double logit = 0.0;
     for (int t = 0; t < T; ++t) {
-      CsrBatch& cb = batch.sparse[static_cast<size_t>(t)];
-      const CsrBatch& bag = bags[static_cast<size_t>(t)];
-      cb.indices.insert(cb.indices.end(), bag.indices.begin(),
-                        bag.indices.end());
-      cb.offsets.push_back(static_cast<int64_t>(cb.indices.size()));
+      const CsrBatch& cb = batch.sparse[static_cast<size_t>(t)];
       // The teacher models the bag's first lookup (the dominant feature);
       // the rest of the bag acts as structured noise, as in SyntheticCriteo.
+      const int64_t first = cb.offsets[static_cast<size_t>(b)];
       logit += table_weight_[static_cast<size_t>(t)] *
-               TeacherValue(t, bag.indices.front());
+               TeacherValue(t, cb.indices[static_cast<size_t>(first)]);
     }
     for (int64_t j = 0; j < nd; ++j) {
       logit += dense_weight_[static_cast<size_t>(j)] * dense_row[j];

@@ -1,6 +1,8 @@
 #include "dlrm/train_stages.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <chrono>
 #include <sstream>
 #include <utility>
@@ -15,6 +17,37 @@ int64_t Micros(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::microseconds>(b - a).count();
 }
 }  // namespace
+
+void SortUniqueIds(std::vector<int64_t>& ids) {
+  if (ids.size() < 2) return;
+  // Keys are id - min in unsigned arithmetic, so negative ids and spans
+  // past 2^63 order correctly. The digits split the key width evenly.
+  constexpr int kMaxDigitBits = 11;
+  const auto [lo, hi] = std::minmax_element(ids.begin(), ids.end());
+  const uint64_t base = static_cast<uint64_t>(*lo);
+  const int width = std::bit_width(static_cast<uint64_t>(*hi) - base);
+  const int passes = (width + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int bits = passes > 0 ? (width + passes - 1) / passes : 0;
+  const uint64_t mask = (uint64_t{1} << bits) - 1;
+  std::vector<int64_t> scratch(ids.size());
+  std::array<size_t, size_t{1} << kMaxDigitBits> counts{};
+  for (int p = 0; p < passes; ++p) {
+    const int shift = p * bits;
+    const auto digit = [&](int64_t id) {
+      return static_cast<size_t>(((static_cast<uint64_t>(id) - base) >> shift) &
+                                 mask);
+    };
+    std::fill_n(counts.begin(), mask + 1, size_t{0});
+    for (const int64_t id : ids) ++counts[digit(id)];
+    size_t start = 0;
+    for (size_t d = 0; d <= mask; ++d) {
+      start += std::exchange(counts[d], start);
+    }
+    for (const int64_t id : ids) scratch[counts[digit(id)]++] = id;
+    ids.swap(scratch);
+  }
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+}
 
 LookaheadStage::LookaheadStage(BatchSource& source, LookaheadOptions options)
     : source_(source), options_(std::move(options)) {
@@ -53,10 +86,8 @@ StagedBatch LookaheadStage::Produce(int64_t index) {
       if (t >= options_.plan_tables.size() || !options_.plan_tables[t]) {
         continue;
       }
-      std::vector<int64_t>& plan = sb.plan[t];
-      plan = sb.batch.sparse[t].indices;
-      std::sort(plan.begin(), plan.end());
-      plan.erase(std::unique(plan.begin(), plan.end()), plan.end());
+      sb.plan[t] = sb.batch.sparse[t].indices;
+      SortUniqueIds(sb.plan[t]);
     }
   }
   if (options_.capture_state) {

@@ -13,6 +13,11 @@
 // (depth K >= 1: classic double buffering, the producer runs at most K
 // batches ahead).
 //
+// Cost: a plan is built in O(lookups) by SortUniqueIds (a radix sort, no
+// comparison sort). On a one-CPU host the producer shares the CPU with the
+// step it feeds, so its generation and plan time are a share of the step,
+// not overlap.
+//
 // Determinism contract (the bitwise-identity gate in test_pipeline.cc):
 //  - Batch generation never reads model or cache state, so the stream a
 //    producer thread generates is bitwise the stream the inline path
@@ -81,13 +86,22 @@ struct StagedBatch {
   int64_t index = 0;
   MiniBatch batch;
   /// Per table: sorted unique row ids this batch touches (empty for tables
-  /// not selected by plan_tables, and always at depth 0).
+  /// not selected by plan_tables, and always at depth 0), built by
+  /// SortUniqueIds.
   std::vector<std::vector<int64_t>> plan;
   /// BatchSource cursor captured immediately after this batch was drawn
   /// (empty unless capture_state) — the "data" section payload of a
   /// snapshot taken after step `index`.
   std::string source_state;
 };
+
+/// Sorts `ids` ascending and drops repeats: the result of std::sort +
+/// std::unique for any int64 ids, negative and out-of-range ones included
+/// (PrefetchRows rejects those before it mutates anything). An LSD counting
+/// sort over id - min in digits of at most 11 bits, one pass per digit —
+/// ceil(bit_width(max - min) / 11) passes, two for a 200k-row table — then
+/// one unique pass: O(n) where a comparison sort is O(n log n).
+void SortUniqueIds(std::vector<int64_t>& ids);
 
 class LookaheadStage {
  public:

@@ -228,5 +228,33 @@ TEST(SkewShiftScenarioState, SaveLoadReplaysIterationStreamExactly) {
   }
 }
 
+TEST(SkewShiftScenarioState, AppendNextPacksTheNextBatchStream) {
+  // Appending 40 iterations into one set of bags (two phase boundaries
+  // inside) draws the bags NextBatch returns, one after another.
+  SkewShiftConfig cfg = TinySkew().scenario;
+  SkewShiftScenario a(cfg);
+  SkewShiftScenario b(cfg);
+  std::vector<CsrBatch> packed(static_cast<size_t>(b.num_tables()));
+  for (CsrBatch& bag : packed) bag.offsets.push_back(0);
+  for (int i = 0; i < 40; ++i) {
+    const std::vector<CsrBatch> want = a.NextBatch();
+    b.AppendNext(packed);
+    EXPECT_EQ(b.iteration(), a.iteration());
+    for (size_t t = 0; t < want.size(); ++t) {
+      const CsrBatch& got = packed[t];
+      ASSERT_EQ(got.num_bags(), i + 1);
+      const auto begin = got.indices.begin() + got.offsets[i];
+      const auto end = got.indices.begin() + got.offsets[i + 1];
+      EXPECT_EQ(std::vector<int64_t>(begin, end), want[t].indices)
+          << "iter " << i << " table " << t;
+      EXPECT_EQ(want[t].offsets,
+                (std::vector<int64_t>{0, a.LookupsFor(static_cast<int>(t))}));
+    }
+  }
+  EXPECT_EQ(a.phase(), 2);
+  std::vector<CsrBatch> too_few(1);
+  EXPECT_THROW(b.AppendNext(too_few), ShapeError);
+}
+
 }  // namespace
 }  // namespace ttrec

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <set>
 #include <span>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "obs/metrics.h"
 #include "simd_tiers.h"
 #include "tensor/check.h"
+#include "tensor/serialize.h"
 
 namespace ttrec {
 namespace {
@@ -104,13 +106,13 @@ TEST(LfuRowCache, PopulateFindUpdate) {
   EXPECT_EQ(cache.Find(99), nullptr);
 
   // Gradient + SGD on a cached row.
-  float* g = cache.GradFor(20);
+  float* g = cache.GradFor(cache.Peek(20));
   ASSERT_NE(g, nullptr);
   g[0] = 1.0f;
   cache.ApplySgd(0.5f);
   EXPECT_FLOAT_EQ(cache.Find(20)[0], 3.5f);
   // Gradient cleared after SGD.
-  EXPECT_FLOAT_EQ(cache.GradFor(20)[0], 0.0f);
+  EXPECT_FLOAT_EQ(cache.GradFor(cache.Peek(20))[0], 0.0f);
 }
 
 TEST(LfuRowCache, RepopulateDiscardsOldContents) {
@@ -591,6 +593,26 @@ TEST(LfuRowCache, InsertEraseFuzzMatchesReferenceMap) {
   EXPECT_GT(cache.evictions(), 0);  // Erase counts as eviction
 }
 
+TEST(LfuRowCache, GradForNamesTheSlotAProbeFound) {
+  LfuRowCache cache(/*capacity=*/4, /*emb_dim=*/2);
+  const std::vector<float> values = {1, 2, 3, 4};
+  cache.Populate(std::vector<int64_t>{5, 9}, values.data());
+  const float* v9 = cache.Peek(9);
+  float* g9 = cache.GradFor(v9);
+  ASSERT_NE(g9, nullptr);
+  g9[0] = 1.0f;
+  g9[1] = -1.0f;
+  cache.ApplySgd(0.5f);
+  EXPECT_EQ(cache.Peek(9)[0], 2.5f);
+  EXPECT_EQ(cache.Peek(9)[1], 4.5f);
+  EXPECT_EQ(cache.Peek(5)[0], 1.0f);
+  EXPECT_EQ(cache.Peek(5)[1], 2.0f);
+  // A miss, mid-vector, or a free slot past the residents: no slot.
+  EXPECT_EQ(cache.GradFor(cache.Peek(7)), nullptr);
+  EXPECT_EQ(cache.GradFor(v9 + 1), nullptr);
+  EXPECT_EQ(cache.GradFor(v9 + 2), nullptr);
+}
+
 TEST(LfuRowCache, InsertAndEraseValidateBeforeMutation) {
   LfuRowCache cache(2, 4);
   const std::vector<float> v(4, 1.0f);
@@ -612,7 +634,7 @@ TEST(LfuRowCache, EraseKeepsSurvivorsValuesGradsAndAdagradState) {
   // slot compaction carries values, grads, AND adagrad state along.
   constexpr int64_t kDim = 4;
   const auto grad_fill = [](LfuRowCache& c, int64_t row, float g) {
-    float* grad = c.GradFor(row);
+    float* grad = c.GradFor(c.Peek(row));
     ASSERT_NE(grad, nullptr);
     for (int64_t d = 0; d < kDim; ++d) grad[d] = g;
   };
@@ -1015,6 +1037,171 @@ TEST(CachedTtEmbeddingBag, OnePlanWindowMatchesSinglePlanPrefetch) {
     }
     EXPECT_EQ(emb.refreshes(), 3);
   }
+}
+
+TEST(CachedTtEmbeddingBag, WindowPrefetchMatchesReplayThroughResizeAndLoad) {
+  // PrefetchRows keeps its own residency bitmap. A replay of the window
+  // rule on a second LfuRowCache asks that cache instead, and both must
+  // agree on slot order and values after every call: through warm-up
+  // refreshes, ResizeCache growing and shrinking, and LoadState, each of
+  // which replaces the residents without a prefetch.
+  for (const bool track_after_warmup : {false, true}) {
+    SCOPED_TRACE(track_after_warmup ? "tracking" : "frozen");
+    Rng rng(18);
+    CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/20, /*warmup=*/4,
+                                           /*refresh=*/2);
+    cfg.tt.shape = MakeTtShape(/*num_rows=*/300, /*emb_dim=*/8,
+                               /*num_cores=*/3, /*rank=*/4);
+    cfg.track_after_warmup = track_after_warmup;
+    CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+    LfuRowCache ref(cfg.cache_capacity, emb.emb_dim());
+    const int64_t N = emb.emb_dim();
+
+    // Next-use order: by plan, then by row id; each row once, at its
+    // soonest use. Victims: residents outside the window, in ascending
+    // (tracker count, row id) order.
+    const auto ref_window =
+        [&](const std::vector<std::vector<int64_t>>& plans) {
+          std::set<int64_t> wanted;
+          std::vector<int64_t> missing;
+          for (std::vector<int64_t> plan : plans) {
+            std::sort(plan.begin(), plan.end());
+            for (const int64_t row : plan) {
+              if (wanted.insert(row).second && !ref.Contains(row)) {
+                missing.push_back(row);
+              }
+            }
+          }
+          const int64_t need = static_cast<int64_t>(missing.size()) -
+                               (ref.capacity() - ref.size());
+          if (need > 0) {
+            std::vector<std::pair<int64_t, int64_t>> victims;
+            for (const int64_t row : ref.CachedRows()) {
+              if (wanted.count(row) == 0) {
+                victims.emplace_back(emb.tracker().Count(row), row);
+              }
+            }
+            std::sort(victims.begin(), victims.end());
+            const size_t leave =
+                std::min(static_cast<size_t>(need), victims.size());
+            for (size_t v = 0; v < leave; ++v) ref.Erase(victims[v].second);
+          }
+          missing.resize(std::min(
+              missing.size(), static_cast<size_t>(ref.capacity() - ref.size())));
+          std::vector<float> values(missing.size() * static_cast<size_t>(N));
+          emb.tt().LookupRows(missing, values.data());
+          for (size_t i = 0; i < missing.size(); ++i) {
+            ref.Insert(missing[i], values.data() + i * static_cast<size_t>(N));
+          }
+          return static_cast<int64_t>(missing.size());
+        };
+    // After a refresh, resize or load the replay starts over from the
+    // residents the operator now holds.
+    const auto resync = [&] {
+      const std::vector<int64_t> rows = emb.cache().CachedRows();
+      std::vector<float> values;
+      for (const int64_t row : rows) {
+        const float* v = emb.cache().Peek(row);
+        values.insert(values.end(), v, v + N);
+      }
+      ref.Resize(emb.cache().capacity(), rows, values.data());
+    };
+
+    Rng data(19);
+    std::vector<std::vector<int64_t>> plans;
+    std::string saved;
+    std::vector<float> out;
+    for (int step = 0; step < 100; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      if (step == 20) {
+        std::ostringstream os;
+        BinaryWriter w(os);
+        emb.SaveState(w);
+        saved = os.str();
+      }
+      if (step == 30 || step == 50 || step == 60) {
+        emb.ResizeCache(step == 30 ? 32 : step == 50 ? 12 : 24);
+        resync();
+      }
+      if (step == 70) {
+        std::istringstream is(saved);
+        BinaryReader r(is);
+        emb.LoadState(r);
+        resync();
+      }
+      std::vector<int64_t> plan;
+      const int64_t n = 4 + data.RandInt(12);
+      for (int64_t i = 0; i < n; ++i) plan.push_back(data.RandInt(90));
+      plans.push_back(plan);
+      if (plans.size() > 3) plans.erase(plans.begin());
+
+      const int64_t expected = ref_window(plans);
+      ASSERT_EQ(emb.PrefetchRows(Window(plans)), expected);
+      ASSERT_EQ(emb.cache().CachedRows(), ref.CachedRows());
+      for (const int64_t row : ref.CachedRows()) {
+        const float* got = emb.cache().Peek(row);
+        const float* want = ref.Peek(row);
+        ASSERT_EQ(std::vector<float>(got, got + N),
+                  std::vector<float>(want, want + N))
+            << "row " << row;
+      }
+
+      const CsrBatch batch = CsrBatch::FromIndices(plans.front());
+      out.resize(static_cast<size_t>(batch.num_bags() * N));
+      const int64_t refreshes = emb.refreshes();
+      emb.Forward(batch, out.data());
+      if (emb.refreshes() != refreshes) resync();
+    }
+    EXPECT_EQ(emb.refreshes(), 2);
+    EXPECT_EQ(emb.resizes(), 3);
+    EXPECT_GT(emb.cache().evictions(), 0);
+  }
+}
+
+TEST(CachedTtEmbeddingBag, BackwardFollowsARowThatEraseMoved) {
+  // Erase fills the hole with the last slot's row. The backward takes each
+  // hit's gradient slot from the partition's probe of the cache, which
+  // must name the moved row's new slot: SGD at lr 1 then moves every row
+  // by its own gradient and no other.
+  Rng rng(19);
+  CachedTtEmbeddingBag emb(SmallCachedConfig(/*capacity=*/4, /*warmup=*/0),
+                           TtInit::kGaussian, rng);
+  ASSERT_EQ(PrefetchOne(emb, std::vector<int64_t>{1, 2, 3, 4}), 4);
+  // 1 and 3 lie outside the window and 1 leaves first: 4 moves from the
+  // last slot into its hole. Slots: [1 2 3 4] -> [4 2 3], then 10.
+  const std::vector<std::vector<int64_t>> window = {{2, 4, 10}};
+  ASSERT_EQ(emb.PrefetchRows(Window(window)), 1);
+  ASSERT_EQ(emb.cache().CachedRows(), (std::vector<int64_t>{4, 2, 3, 10}));
+
+  const int64_t N = emb.emb_dim();
+  const auto value = [&](int64_t row) {
+    const float* v = emb.cache().Peek(row);
+    return std::vector<float>(v, v + N);
+  };
+  const std::vector<int64_t> lookups = {4, 10, 2};
+  std::vector<std::vector<float>> before;
+  for (const int64_t row : lookups) before.push_back(value(row));
+  const std::vector<float> untouched = value(3);
+
+  const CsrBatch batch = CsrBatch::FromIndices(lookups);
+  std::vector<float> out(lookups.size() * static_cast<size_t>(N));
+  emb.Forward(batch, out.data());
+  std::vector<float> grad(out.size());
+  for (size_t i = 0; i < grad.size(); ++i) {
+    grad[i] = 0.25f * static_cast<float>(i / static_cast<size_t>(N) + 1) +
+              0.01f * static_cast<float>(i % static_cast<size_t>(N));
+  }
+  emb.Backward(batch, grad.data());
+  emb.ApplySgd(1.0f);
+  for (size_t b = 0; b < lookups.size(); ++b) {
+    std::vector<float> want = before[b];
+    for (int64_t j = 0; j < N; ++j) {
+      want[static_cast<size_t>(j)] -= grad[b * static_cast<size_t>(N) +
+                                           static_cast<size_t>(j)];
+    }
+    EXPECT_EQ(value(lookups[b]), want) << "row " << lookups[b];
+  }
+  EXPECT_EQ(value(3), untouched);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -90,6 +91,13 @@ std::unique_ptr<DlrmModel> MakeUncachedModel(uint64_t seed) {
   tables.push_back(
       std::make_unique<TtEmbeddingAdapter>(t2, TtInit::kGaussian, rng));
   return std::make_unique<DlrmModel>(TinyConfig(), std::move(tables), rng);
+}
+
+/// The reference for a prefetch plan: std::sort + std::unique.
+std::vector<int64_t> SortThenUnique(std::vector<int64_t> ids) {
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 std::string CheckpointBytes(const DlrmModel& model) {
@@ -418,6 +426,28 @@ class ThrowingSource : public SyntheticCriteo {
   int64_t calls_ = 0;
 };
 
+/// SyntheticCriteo whose `batch`-th training batch (0-based) carries `id`
+/// as the first lookup of `table`.
+class PoisonedSource : public SyntheticCriteo {
+ public:
+  PoisonedSource(const SyntheticCriteoConfig& cfg, int64_t batch, int table,
+                 int64_t id)
+      : SyntheticCriteo(cfg), batch_(batch), table_(table), id_(id) {}
+  MiniBatch NextBatch(int64_t batch_size) override {
+    MiniBatch b = SyntheticCriteo::NextBatch(batch_size);
+    if (calls_++ == batch_) {
+      b.sparse[static_cast<size_t>(table_)].indices.front() = id_;
+    }
+    return b;
+  }
+
+ private:
+  int64_t batch_;
+  int table_;
+  int64_t id_;
+  int64_t calls_ = 0;
+};
+
 /// SyntheticCriteo that stalls on every batch — the slow-producer case.
 class SlowSource : public SyntheticCriteo {
  public:
@@ -516,6 +546,84 @@ TEST(LookaheadStage, PlansAreSortedUniquePerSelectedTable) {
     ASSERT_FALSE(sb.plan[2].empty());
     for (size_t k = 1; k < sb.plan[2].size(); ++k) {
       EXPECT_LT(sb.plan[2][k - 1], sb.plan[2][k]);
+    }
+    EXPECT_EQ(sb.plan[2], SortThenUnique(sb.batch.sparse[2].indices));
+  }
+}
+
+TEST(LookaheadStage, SortUniqueIdsMatchesSortThenUnique) {
+  // The plan builder's radix sort against std::sort + std::unique: edge
+  // sizes, one-pass and multi-pass key widths, negative ids (which plans
+  // must carry through to PrefetchRows' validation) and the int64 extremes.
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  std::vector<std::vector<int64_t>> inputs = {
+      {}, {7}, {-3}, {5, 5, 5, 5}, {kMax, kMin}, {kMin, kMin, kMax, 0, -1, 1},
+      {3, 2047, 2048, 0, 2047}};
+  Rng rng(91);
+  const auto draw = [&rng](int64_t n, const auto& id) {
+    std::vector<int64_t> v;
+    for (int64_t i = 0; i < n; ++i) v.push_back(id());
+    return v;
+  };
+  for (const int64_t n : {int64_t{2}, int64_t{100}, int64_t{5000}}) {
+    // Rows of a 200k-row table (two passes), and a hot few (one pass).
+    inputs.push_back(draw(n, [&] { return rng.RandInt(200000); }));
+    inputs.push_back(draw(n, [&] { return rng.RandInt(40); }));
+    // Negative ids, alone and mixed with valid rows.
+    inputs.push_back(draw(n, [&] { return -1 - rng.RandInt(5000); }));
+    inputs.push_back(draw(n, [&] { return rng.RandInt(5000) - 2500; }));
+    // Spans past 2^33 and up to the full int64 range: many passes.
+    inputs.push_back(draw(n, [&] {
+      return static_cast<int64_t>(rng.NextUInt64() >> 29) - (int64_t{1} << 33);
+    }));
+    inputs.push_back(
+        draw(n, [&] { return static_cast<int64_t>(rng.NextUInt64()); }));
+    std::vector<int64_t> extremes =
+        draw(n, [&] { return rng.RandInt(1000); });
+    extremes.insert(extremes.end(), {kMin, kMax, kMin + 1, kMax - 1, kMax});
+    inputs.push_back(extremes);
+  }
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SCOPED_TRACE("input " + std::to_string(i) + ", " +
+                 std::to_string(inputs[i].size()) + " ids");
+    std::vector<int64_t> got = inputs[i];
+    SortUniqueIds(got);
+    EXPECT_EQ(got, SortThenUnique(inputs[i]));
+  }
+}
+
+TEST(Pipeline, OutOfRangePlanRowThrowsTypedBeforeAnyCacheChanges) {
+  // A staged batch whose cached-table bag holds a negative id or an id
+  // past the table reaches PrefetchRows through its plan, and the first
+  // window that holds it throws IndexError before any cache mutation.
+  constexpr int kCachedTable = 2;
+  constexpr int64_t kRows = 120;  // MakeCachedModel's cached table
+  for (const int64_t bad : {int64_t{-1}, kRows}) {
+    for (const bool threaded : {false, true}) {
+      SCOPED_TRACE("bad=" + std::to_string(bad) +
+                   " threaded=" + std::to_string(threaded));
+      auto model = MakeCachedModel(42, /*cache_capacity=*/16);
+      TrainConfig cfg = BaseTrain();
+      cfg.eval_batches = 0;
+      cfg.lookahead_depth = 2;
+      cfg.lookahead_threaded = threaded;
+      cfg.iterations = 6;  // past the warm-up: the cache is populated
+      SyntheticCriteo clean(TinyData());
+      TrainDlrm(*model, clean, cfg);
+      CachedTtEmbeddingBag* bag = model->table(kCachedTable).cached_bag();
+      ASSERT_NE(bag, nullptr);
+      ASSERT_GT(bag->cache().size(), 0);
+      const std::string before = CheckpointBytes(*model);
+      const std::vector<int64_t> rows_before = bag->cache().CachedRows();
+      const int64_t inserts_before = bag->prefetch_inserts();
+
+      // The bad id sits in the window's second batch, not its front.
+      PoisonedSource poisoned(TinyData(), /*batch=*/1, kCachedTable, bad);
+      EXPECT_THROW(TrainDlrm(*model, poisoned, cfg), IndexError);
+      EXPECT_EQ(CheckpointBytes(*model), before);
+      EXPECT_EQ(bag->cache().CachedRows(), rows_before);
+      EXPECT_EQ(bag->prefetch_inserts(), inserts_before);
     }
   }
 }
