@@ -17,7 +17,12 @@
 // batch, and one PrefetchRows call with a 3-plan window on its 200k-row
 // table).
 // The envelope stamps the CPU model, the build type and the dispatch tier
-// so the numbers are attributable. All other flags pass through to google-benchmark.
+// so the numbers are attributable.
+//
+// `--digest` prints one FNV-1a line per tier and kernel-table entry over
+// that entry's outputs on a fixed sweep (PrintKernelDigests), then exits:
+// diffing the lines of two builds shows whether their kernels agree bit
+// for bit. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -720,16 +725,147 @@ int RunKernelJsonSweep(const std::string& path) {
   return deterministic && lookahead.plans_equal ? 0 : 2;
 }
 
+// FNV-1a (64-bit) over raw bytes.
+struct Fnv1a {
+  uint64_t h = 0xcbf29ce484222325ull;
+  void Add(const float* p, int64_t n) {
+    const auto* s = reinterpret_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < static_cast<size_t>(n) * sizeof(float); ++i) {
+      h = (h ^ s[i]) * 0x100000001b3ull;
+    }
+  }
+};
+
+// --digest mode: for every tier this CPU runs and every kernel-table entry,
+// one line "<tier> <entry> <FNV-1a>" over that entry's outputs across a
+// fixed sweep: GEMMs at 15 m x 21 n x 16 k, alpha {1, 0.75}, beta
+// {0, 0.5, 1}, padded leading dimensions, operands aligned and one float
+// off; Axpy at n = 0..70; Transpose at 600 shapes; the pairwise dots at 144
+// shapes. Equal lines mean bitwise-equal outputs, so two builds (or two
+// revisions) of the kernels can be compared line by line.
+void PrintKernelDigests() {
+  const int64_t kMs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 33, 64};
+  const int64_t kNs[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  12, 13,
+                         15, 16, 17, 24, 31, 32, 33, 48, 64, 100};
+  const int64_t kKs[] = {1,  2,  3,  4,  5,  7,  8,  9,
+                         13, 16, 17, 31, 32, 33, 37, 64};
+  constexpr int64_t kPad = 3;
+  Rng rng(2801);
+  std::vector<float> pool(1 << 16), c0(1 << 16);
+  FillUniform(rng, pool, -1, 1);
+  FillUniform(rng, c0, -1, 1);
+  std::vector<float> out(c0.size());
+  const float* b_pool = pool.data() + (1 << 15);
+
+  const int detected = static_cast<int>(DetectedSimdTier());
+  const SimdTier saved = ActiveSimdTier();
+  for (int t = 0; t <= detected; ++t) {
+    const SimdTier tier = static_cast<SimdTier>(t);
+    SetSimdTier(tier);
+    const auto print = [&](const char* entry, const Fnv1a& d) {
+      std::printf("%-6s %-18s %016llx\n", SimdTierName(tier), entry,
+                  static_cast<unsigned long long>(d.h));
+    };
+    for (int e = 0; e < 4; ++e) {
+      const Trans ta = e & 1 ? Trans::kYes : Trans::kNo;
+      const Trans tb = e & 2 ? Trans::kYes : Trans::kNo;
+      Fnv1a d;
+      for (int64_t m : kMs) {
+        for (int64_t n : kNs) {
+          for (int64_t k : kKs) {
+            const int64_t lda = (ta == Trans::kYes ? m : k) + kPad;
+            const int64_t ldb = (tb == Trans::kYes ? k : n) + kPad;
+            const int64_t ldc = n + kPad;
+            for (float alpha : {1.0f, 0.75f}) {
+              for (float beta : {0.0f, 0.5f, 1.0f}) {
+                for (int64_t off : {0, 1}) {
+                  std::copy(c0.begin(), c0.begin() + m * ldc,
+                            out.begin() + off);
+                  Gemm(ta, tb, m, n, k, alpha, pool.data() + off, lda,
+                       b_pool + off, ldb, beta, out.data() + off, ldc);
+                  d.Add(out.data() + off, m * ldc);
+                }
+              }
+            }
+          }
+        }
+      }
+      static const char* const kNames[] = {"nn", "tn", "nt", "tt"};
+      print(kNames[e], d);
+    }
+
+    Fnv1a axpy;
+    for (int64_t n = 0; n <= 70; ++n) {
+      for (float alpha : {1.0f, 0.75f}) {
+        for (int64_t off : {0, 1}) {
+          std::copy(c0.begin(), c0.begin() + n, out.begin() + off);
+          Axpy(n, alpha, pool.data() + off, out.data() + off);
+          axpy.Add(out.data() + off, n);
+        }
+      }
+    }
+    print("axpy", axpy);
+
+    Fnv1a dots, dots_bwd;
+    constexpr int64_t kBatch = 3;
+    for (int64_t f : {1, 2, 3, 4, 5, 8, 9, 13, 16, 17, 27, 33}) {
+      for (int64_t dim : {1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 32, 33}) {
+        const int64_t od = dim + f * (f - 1) / 2;
+        std::vector<const float*> feats;
+        std::vector<std::vector<float>> grads(static_cast<size_t>(f));
+        std::vector<float*> grad_ptrs;
+        for (int64_t i = 0; i < f; ++i) {
+          feats.push_back(pool.data() + 1 + i * kBatch * dim);
+          grads[static_cast<size_t>(i)].resize(
+              static_cast<size_t>(kBatch * dim));
+          grad_ptrs.push_back(grads[static_cast<size_t>(i)].data());
+        }
+        PairwiseDots(f, dim, feats.data(), kBatch, out.data());
+        dots.Add(out.data(), kBatch * od);
+        PairwiseDotsBackward(f, dim, feats.data(), c0.data() + 1, kBatch,
+                             grad_ptrs.data());
+        for (const std::vector<float>& g : grads) {
+          dots_bwd.Add(g.data(), kBatch * dim);
+        }
+      }
+    }
+    print("pair_dots", dots);
+    print("pair_dots_backward", dots_bwd);
+
+    Fnv1a transpose;
+    std::vector<int64_t> rows_set, cols_set;
+    for (int64_t i = 1; i <= 20; ++i) rows_set.push_back(i);
+    for (int64_t i = 1; i <= 17; ++i) cols_set.push_back(i);
+    rows_set.insert(rows_set.end(), {31, 32, 33, 64});
+    cols_set.insert(cols_set.end(), {24, 31, 32, 33, 48, 63, 64, 65});
+    for (int64_t rows : rows_set) {
+      for (int64_t cols : cols_set) {
+        const int64_t ldd = rows + kPad + 2;
+        std::copy(c0.begin(), c0.begin() + cols * ldd, out.begin());
+        Transpose(rows, cols, pool.data() + 1, cols + kPad, out.data(), ldd);
+        transpose.Add(out.data(), cols * ldd);
+      }
+    }
+    print("transpose", transpose);
+  }
+  SetSimdTier(saved);
+}
+
 }  // namespace
 }  // namespace ttrec
 
-// Custom main: peel off `--json <path>` (google-benchmark rejects unknown
-// flags) before handing the rest to the standard benchmark driver.
+// Custom main: peel off `--digest` and `--json <path>` (google-benchmark
+// rejects unknown flags) before handing the rest to the standard benchmark
+// driver.
 int main(int argc, char** argv) {
   std::string json_path;
   std::vector<char*> passthrough;
   passthrough.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--digest") {
+      ttrec::PrintKernelDigests();
+      return 0;
+    }
     if (std::string(argv[i]) == "--json" && i + 1 < argc) {
       json_path = argv[++i];
     } else {

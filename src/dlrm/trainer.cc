@@ -224,7 +224,7 @@ TrainResult TrainDlrm(DlrmModel& model, BatchSource& data,
   lo.start_index = result.start_iteration;
   lo.total_batches = config.iterations - result.start_iteration;
   lo.capture_state = ckpt != nullptr && config.checkpoint_every > 0;
-  if (depth >= 1 && config.prefetch_cache) {
+  if (depth >= 1) {
     bool any_cached = false;
     std::vector<bool> plan_tables(static_cast<size_t>(model.num_tables()),
                                   false);

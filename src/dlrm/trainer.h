@@ -87,7 +87,11 @@ struct TrainConfig {
   /// Lookahead depth K of the staged pipeline: before step `it` runs, the
   /// batches up to `it + K` have been generated and the prefetch plans of
   /// batches `it` .. `it + K` applied to the caches. 0 = the classic
-  /// synchronous loop (no thread, no plans). Depth is a *semantic* knob, like cache capacity: raising
+  /// synchronous loop (no thread, no plans). At depth >= 1 every
+  /// cache-backed table gets the row plans of the whole window in next-use
+  /// order (CachedTtEmbeddingBag::PrefetchRows): their rows are admitted
+  /// while room lasts and never evicted while any of them is still ahead.
+  /// Depth is a *semantic* knob, like cache capacity: raising
   /// it changes which rows are resident when a batch arrives (more hits,
   /// fewer TT decodes), so results differ *across* depths — while for any
   /// fixed depth, execution strategy (threaded on/off, any num_threads) is
@@ -98,13 +102,6 @@ struct TrainConfig {
   /// throughput knob: the same staged schedule executed inline yields
   /// bitwise-identical results.
   bool lookahead_threaded = true;
-  /// Before every step, hand each cache-backed table the row plans of all
-  /// staged batches in the window, in next-use order
-  /// (CachedTtEmbeddingBag::PrefetchRows): the rows those batches look up
-  /// are admitted while room lasts and are never evicted while any of them
-  /// is still ahead. Only meaningful at depth >= 1; inert for models with
-  /// no cached tables.
-  bool prefetch_cache = true;
 
   /// Snapshot the full training state every N iterations (0 = never);
   /// requires checkpoint_dir.

@@ -64,10 +64,9 @@ void PairwiseDotsBackward(int64_t num_features, int64_t dim,
 
 /// dst (cols x rows, row stride ldd) = src (rows x cols, row stride lds)
 /// transposed, dispatched like Gemm: dst[j * ldd + r] = src[r * lds + j].
-/// Pure data movement, so every tier writes the same bytes; the vector
-/// tiers move 8 x 8 (AVX2) or 16 x 16 (AVX-512) blocks through registers
-/// and leave the ragged edges to the scalar loop. src and dst must not
-/// overlap.
+/// Pure data movement, so every tier writes the same bytes; both vector
+/// tiers move 8 x 8 blocks through YMM registers and leave the ragged edges
+/// to the scalar loop. src and dst must not overlap.
 void Transpose(int64_t rows, int64_t cols, const float* src, int64_t lds,
                float* dst, int64_t ldd);
 

@@ -3,8 +3,11 @@
 //
 // Each SIMD tier (scalar, AVX2+FMA, AVX-512) lives in its own translation
 // unit compiled with per-file ISA flags and exports one GemmKernelTable.
-// The public entry points in gemm.cc validate arguments, handle
-// degenerate shapes, then jump through the table for ActiveSimdTier().
+// The two vector tiers share one source, tensor/gemm_simd.h, instantiated
+// over each tier's ops traits (vector type, loads, stores, FMA, masks, NT's
+// horizontal sum and the packed n = 4 tiles). The public entry points in
+// gemm.cc validate arguments, handle degenerate shapes, then jump through
+// the table for ActiveSimdTier().
 //
 // Kernel preconditions (established by the dispatcher, kernels may assume):
 // m > 0, n > 0, k > 0, alpha != 0, leading dims already validated; for the
@@ -14,6 +17,8 @@
 // regardless of operand alignment — unaligned loads only, tail strategy a
 // pure function of the shape. A GEMM row's and an interaction sample's
 // result must not depend on m, the batch size or its position in either.
+// AVX2 and AVX-512 must write the same bytes for NN, TN, Axpy, Transpose
+// and the pairwise dots; only NT's bits depend on the vector width.
 #pragma once
 
 #include <cstdint>

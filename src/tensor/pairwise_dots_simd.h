@@ -1,8 +1,9 @@
 // The pairwise-dot (DLRM dot interaction) kernels of the vector tiers,
-// written once over a vector-ops traits type and instantiated by
-// gemm_avx2.cc and gemm_avx512.cc with their own ISA flags. Everything here
-// has internal linkage, so each tier's translation unit gets its own copy
-// compiled for its ISA.
+// written once over the tier's ops traits (the Ops of tensor/gemm_simd.h,
+// which lists what it provides; these kernels use kWidth, kRows and the
+// load, store, FMA and mask primitives) and put in the kernel table by
+// gemm_simd.h. Everything here has internal linkage, so each tier's
+// translation unit gets its own copy compiled for its ISA.
 //
 // Arithmetic contract: every output element is one FMA chain in a fixed
 // order (the forward's dot <z_i, z_j> over k = 0..d-1; the backward's
@@ -12,12 +13,8 @@
 // result is independent of the batch, of its position in it, of operand
 // alignment and of the vector width: AVX2 and AVX-512 agree bitwise.
 //
-// Ops provides: Vec, Mask, kWidth, kRows (rows per block, sized to the
-// register file), Zero(), Set1(x), Load(p), Store(p, v), Fma(a, b, c),
-// LaneMask(lo, hi) (lanes l with lo <= l < hi), MaskLoad(p, m) (zeros in
-// inactive lanes, which are never read) and MaskStore(p, m, v) (inactive
-// lanes are never written). Both tiers compile with AVX2, so TransposeRows
-// serves both.
+// Both tiers compile with AVX2, so Transpose8x8 and TransposeRows serve
+// both.
 //
 // The small loops over a block's rows and vectors carry `#pragma GCC
 // unroll`: left rolled, GCC keeps the accumulator arrays in memory.
@@ -45,7 +42,7 @@ inline int64_t PairBase(int64_t F, int64_t d, int64_t i) {
 
 // Transposes the 8 x 8 block r holds (row i in r[i]) in place, through
 // unpack, shuffle and 128-bit permutes: r[j] ends up holding column j. The
-// AVX2 tier's Transpose kernel runs its full blocks through it too.
+// Transpose kernel of gemm_simd.h runs its full blocks through it too.
 inline void Transpose8x8(__m256 (&r)[8]) {
   __m256 u[8];
 #pragma GCC unroll 8

@@ -2,9 +2,11 @@
 // parameterized sweep of shapes and transpose combinations, plus the
 // per-SIMD-tier conformance sweeps: every dispatch tier this machine can
 // run (scalar always; AVX2/AVX-512 when detected) is forced in turn and
-// checked against GemmRef over exhaustive ragged-tail shapes — the tiers
-// differ bitwise (vector kernels apply alpha/beta after the k loop), so
-// agreement is gated by tolerance against the oracle, never tier-vs-tier.
+// checked against GemmRef over exhaustive ragged-tail shapes. The scalar
+// tier differs bitwise from the vector tiers (they apply alpha/beta after
+// the k loop), so that agreement is gated by tolerance against the oracle;
+// the two vector tiers run one shared source and must agree bit for bit
+// wherever their arithmetic does not depend on the vector width.
 #include <gtest/gtest.h>
 
 #if defined(TTREC_HAVE_AVX2) || defined(TTREC_HAVE_AVX512)
@@ -111,9 +113,9 @@ TEST(Gemv, MatchesGemm) {
 
 // Exhaustive small-shape conformance of the dispatched kernels against
 // GemmRef: every m,n,k in 1..17 hits every panel width and ragged tail of
-// every tier (16/8/4/scalar columns for AVX2, masked 16-wide for AVX-512,
-// row blocks of 4 plus 3/2/1 remainders), crossed with all transpose
-// combinations and the alpha/beta special cases the kernels branch on
+// every tier (2W- and W-wide panels and a masked tail, W = 8 for AVX2 and
+// 16 for AVX-512; row blocks of 4 plus 3/2/1 remainders), crossed with all
+// transpose combinations and the alpha/beta special cases the kernels branch on
 // (alpha 0 short-circuits in the front-end; beta 0 skips the C load).
 TEST(GemmTierConformance, ExhaustiveSmallShapesMatchReference) {
   constexpr int kMaxDim = 17;
@@ -218,35 +220,46 @@ TEST(GemmTierConformance, AlignmentInvariantBitwise) {
 // NT is register-blocked in the vector tiers, but a C row is still a pure
 // function of its A row: the rows of an m = 13 product (full row blocks
 // plus a remainder, in every tier) equal one-row products bit for bit.
+// alpha != 1 with beta != 0 pins the one explicit epilogue: written as
+// alpha * d + beta * C, GCC contracted it differently per tile shape at -O3.
 TEST(GemmTierConformance, NtRowsIndependentOfM) {
   TierGuard guard;
   for (SimdTier tier : TestableTiers()) {
     SetSimdTier(tier);
-    for (auto [n, k] : {std::pair<int64_t, int64_t>{64, 367}, {5, 19}}) {
-      const int64_t m = 13;
-      Rng rng(91);
-      const std::vector<float> a = RandomVec(rng, m * k);
-      const std::vector<float> b = RandomVec(rng, n * k);
-      std::vector<float> c(static_cast<size_t>(m * n));
-      Gemm(Trans::kNo, Trans::kYes, m, n, k, 1.0f, a.data(), k, b.data(), k,
-           0.0f, c.data(), n);
-      for (int64_t i = 0; i < m; ++i) {
-        std::vector<float> row(static_cast<size_t>(n));
-        Gemm(Trans::kNo, Trans::kYes, 1, n, k, 1.0f, a.data() + i * k, k,
-             b.data(), k, 0.0f, row.data(), n);
-        EXPECT_EQ(std::memcmp(row.data(), c.data() + i * n,
-                              static_cast<size_t>(n) * sizeof(float)),
-                  0)
-            << "tier=" << SimdTierName(tier) << " n=" << n << " k=" << k
-            << " row " << i;
+    for (auto [n, k] : {std::pair<int64_t, int64_t>{64, 367},
+                        {5, 19},
+                        {7, 13},
+                        {33, 37}}) {
+      for (float alpha : {1.0f, 0.75f}) {
+        for (float beta : {0.0f, 0.5f, 1.0f}) {
+          const int64_t m = 13;
+          Rng rng(91);
+          const std::vector<float> a = RandomVec(rng, m * k);
+          const std::vector<float> b = RandomVec(rng, n * k);
+          const std::vector<float> c0 = RandomVec(rng, m * n);
+          std::vector<float> c = c0;
+          Gemm(Trans::kNo, Trans::kYes, m, n, k, alpha, a.data(), k, b.data(),
+               k, beta, c.data(), n);
+          for (int64_t i = 0; i < m; ++i) {
+            std::vector<float> row(c0.begin() + i * n,
+                                   c0.begin() + (i + 1) * n);
+            Gemm(Trans::kNo, Trans::kYes, 1, n, k, alpha, a.data() + i * k, k,
+                 b.data(), k, beta, row.data(), n);
+            EXPECT_EQ(std::memcmp(row.data(), c.data() + i * n,
+                                  static_cast<size_t>(n) * sizeof(float)),
+                      0)
+                << "tier=" << SimdTierName(tier) << " n=" << n << " k=" << k
+                << " alpha=" << alpha << " beta=" << beta << " row " << i;
+          }
+        }
       }
     }
   }
 }
 
 // The broadcast kernels (NN, TN) block rows by 4, pack n = 4 products four
-// (AVX-512) or two (AVX2) rows to a vector, and run the < 4-column tail as
-// scalar FMA chains, yet a C row is a pure function of its A row: the TT
+// (AVX-512) or two (AVX2) rows to a vector, and run the last n % W columns
+// as one masked vector, yet a C row is a pure function of its A row: the TT
 // chain stacks many lookups' rows into one product and relies on each
 // landing on the bits of its own one-row product, whichever row block,
 // packed tile or remainder it falls into. alpha != 1 pins the one explicit
@@ -349,9 +362,9 @@ TEST(GemmTierConformance, PackedFourColumnRowsIndependentOfM) {
 }
 
 // Transpose is data movement, so every tier must write exactly the scalar
-// loop's bytes: full 8 x 8 / 16 x 16 register blocks, ragged right and
-// bottom edges, single rows and columns, padded leading dimensions, and
-// nothing outside the destination's rows x cols.
+// loop's bytes: full 8 x 8 register blocks, ragged right and bottom edges,
+// single rows and columns, padded leading dimensions, and nothing outside
+// the destination's rows x cols.
 TEST(GemmTierConformance, TransposeMatchesScalarLoop) {
   const int64_t kShapes[][2] = {{32, 64}, {64, 32}, {32, 4},  {4, 32},
                                 {16, 16}, {17, 19}, {1, 37}, {37, 1}};
@@ -378,6 +391,88 @@ TEST(GemmTierConformance, TransposeMatchesScalarLoop) {
           << "tier=" << SimdTierName(tier) << " " << rows << "x" << cols;
     }
   }
+}
+
+// The vector tiers run one source (tensor/gemm_simd.h) in which an NN/TN
+// element is one FMA chain over k plus the shared epilogue, whatever tile,
+// masked tail or packed tile it lands in, and Axpy and Transpose do the
+// same per-element work at either width: AVX2 and AVX-512 must write the
+// same bytes. NT is left out: its chains run W lanes wide, so its bits
+// depend on the vector width by design.
+TEST(GemmTierConformance, VectorTiersAgreeBitwise) {
+  if (DetectedSimdTier() < SimdTier::kAvx512) {
+    GTEST_SKIP() << "needs both vector tiers";
+  }
+  constexpr int64_t kPad = 3;
+  TierGuard guard;
+  // Runs fn once per vector tier and compares the buffers it returns.
+  const auto agree = [](auto&& fn) {
+    SetSimdTier(SimdTier::kAvx2);
+    const std::vector<float> avx2 = fn();
+    SetSimdTier(SimdTier::kAvx512);
+    const std::vector<float> avx512 = fn();
+    return avx2.size() == avx512.size() &&
+           std::memcmp(avx2.data(), avx512.data(),
+                       avx2.size() * sizeof(float)) == 0;
+  };
+  int64_t bad = 0;
+  for (int tai = 0; tai < 2; ++tai) {
+    const Trans ta = tai ? Trans::kYes : Trans::kNo;
+    for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 33, 64}) {
+      for (int64_t m = 1; m <= 17; ++m) {
+        for (int64_t k : {1, 7, 32, 37}) {
+          const int64_t lda = (tai ? m : k) + kPad;
+          const int64_t ldb = n + kPad, ldc = n + kPad;
+          Rng rng(static_cast<uint64_t>(101 + m * 1000 + n * 10 + k));
+          const std::vector<float> a = RandomVec(rng, (tai ? k : m) * lda);
+          const std::vector<float> b = RandomVec(rng, k * ldb);
+          const std::vector<float> c0 = RandomVec(rng, m * ldc);
+          for (float alpha : {1.0f, 0.75f}) {
+            for (float beta : {0.0f, 0.5f, 1.0f}) {
+              const bool same = agree([&] {
+                std::vector<float> c = c0;
+                Gemm(ta, Trans::kNo, m, n, k, alpha, a.data(), lda, b.data(),
+                     ldb, beta, c.data(), ldc);
+                return c;
+              });
+              if (!same && bad++ < 5) {
+                ADD_FAILURE() << "ta=" << tai << " m=" << m << " n=" << n
+                              << " k=" << k << " alpha=" << alpha
+                              << " beta=" << beta;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  Rng rng(103);
+  const std::vector<float> x = RandomVec(rng, 41);
+  const std::vector<float> y0 = RandomVec(rng, 41);
+  for (int64_t n = 0; n <= 40; ++n) {
+    const bool same = agree([&] {
+      std::vector<float> y = y0;
+      Axpy(n, 0.75f, x.data(), y.data());
+      return y;
+    });
+    if (!same && bad++ < 5) ADD_FAILURE() << "Axpy n=" << n;
+  }
+  for (int64_t rows : {1, 5, 8, 13, 16, 17, 31, 32, 33}) {
+    for (int64_t cols : {1, 4, 8, 9, 16, 19, 64, 67}) {
+      const int64_t lds = cols + kPad, ldd = rows + kPad;
+      const std::vector<float> src = RandomVec(rng, rows * lds);
+      const std::vector<float> dst0 = RandomVec(rng, cols * ldd);
+      const bool same = agree([&] {
+        std::vector<float> dst = dst0;
+        Transpose(rows, cols, src.data(), lds, dst.data(), ldd);
+        return dst;
+      });
+      if (!same && bad++ < 5) {
+        ADD_FAILURE() << "Transpose " << rows << "x" << cols;
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0);
 }
 
 TEST(Transpose, RejectsBadLeadingDims) {

@@ -195,10 +195,6 @@ TEST(Pipeline, PrefetchRunsAtDepthOneAndAboveOnly) {
   const RunOutput deep = RunTrain(cfg);
   EXPECT_GT(deep.result.prefetched_rows, 0);
   EXPECT_GE(deep.result.prefetch_seconds, 0.0);
-
-  // prefetch_cache off: staging still works, caches untouched by plans.
-  cfg.prefetch_cache = false;
-  EXPECT_EQ(RunTrain(cfg).result.prefetched_rows, 0);
 }
 
 TEST(Pipeline, WindowSizedCacheHitsEveryLookupAfterWarmup) {
