@@ -14,8 +14,10 @@
 // shapes — its NN and TN GEMMs with n = 4 and a 32 x 64 slice transpose —
 // with speedups over the scalar tier), plus the cached tables' lookahead
 // bookkeeping at the train_cached_shift shape (the prefetch plans of one
-// batch, and one PrefetchRows call with a 3-plan window on its 200k-row
-// table).
+// batch, one PrefetchRows call with a 3-plan window on its 200k-row table,
+// and one step's PrefetchRows calls over all four tables, with the tracker
+// frozen after warm-up and with track_after_warmup), and the checkpoint
+// CRC32's rate.
 // The envelope stamps the CPU model, the build type and the dispatch tier
 // so the numbers are attributable.
 //
@@ -29,7 +31,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -46,6 +50,7 @@
 #include "tensor/gemm.h"
 #include "tensor/parallel.h"
 #include "tensor/random.h"
+#include "tensor/serialize.h"
 #include "tt/tt_embedding.h"
 
 namespace ttrec {
@@ -199,7 +204,7 @@ void BM_LfuCacheFind(benchmark::State& state) {
   cache.Populate(rows, vals.data());
   Rng rng(6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.Find(rng.RandInt(4096)));
+    benchmark::DoNotOptimize(cache.Peek(rng.RandInt(4096)));
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -253,6 +258,12 @@ constexpr int64_t kLastM = 32, kLastN = 4, kLastK = 32;
 // tables of 200k/100k/50k/20k rows, 32 lookups per sample, batch 256,
 // depth 2, 2,048-row caches, a 20-step warm-up refreshed every 10), on one
 // seed of its stream.
+/// One step's PrefetchRows calls over every table of the stream.
+struct PrefetchStepRow {
+  int64_t steps = 0;
+  double us_per_step = 0.0, admitted_per_step = 0.0;
+};
+
 struct LookaheadRow {
   int64_t batches = 0;
   double lookups_per_batch = 0.0, plan_rows_per_batch = 0.0;
@@ -260,12 +271,73 @@ struct LookaheadRow {
   bool plans_equal = true;
   int64_t prefetch_calls = 0;
   double prefetch_us = 0.0, admitted_per_call = 0.0, window_rows_per_call = 0.0;
+  PrefetchStepRow step_frozen, step_tracking;
 };
 
 constexpr int64_t kShiftBatch = 256;
 constexpr int64_t kShiftCache = 2048;
 constexpr int64_t kShiftWarmup = 20;
 constexpr int kShiftWindow = 3;  // depth 2: the batch about to train + 2
+constexpr int64_t kShiftRows[] = {200000, 100000, 50000, 20000};
+
+CachedTtConfig ShiftCacheConfig(int64_t rows, bool track_after_warmup) {
+  CachedTtConfig cc;
+  cc.tt.shape = MakeTtShape(rows, 16, 3, 32);
+  cc.cache_capacity = kShiftCache;
+  cc.warmup_iterations = kShiftWarmup;
+  cc.refresh_interval = 10;
+  cc.track_after_warmup = track_after_warmup;
+  return cc;
+}
+
+/// The trainer's schedule on every table: before step i, PrefetchRows with
+/// the plans of batches i..i+2, then the step's Forward. The calls after
+/// the warm-up are timed and summed per step; the fastest rep counts.
+PrefetchStepRow MeasurePrefetchStep(
+    const std::vector<MiniBatch>& batches,
+    const std::vector<std::vector<int64_t>>& plans, bool track_after_warmup,
+    int reps) {
+  const size_t T = std::size(kShiftRows);
+  const int64_t n_batches = static_cast<int64_t>(batches.size());
+  PrefetchStepRow row;
+  row.us_per_step = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    std::vector<std::unique_ptr<CachedTtEmbeddingBag>> tables;
+    Rng rng(5);
+    for (const int64_t rows : kShiftRows) {
+      tables.push_back(std::make_unique<CachedTtEmbeddingBag>(
+          ShiftCacheConfig(rows, track_after_warmup),
+          TtInit::kSampledGaussian, rng));
+    }
+    std::vector<float> out(static_cast<size_t>(kShiftBatch * 16));
+    std::vector<std::span<const int64_t>> window(kShiftWindow);
+    double total_ms = 0.0;
+    int64_t steps = 0, admitted = 0;
+    for (int64_t i = 0; i + kShiftWindow <= n_batches; ++i) {
+      double step_ms = 0.0;
+      for (size_t t = 0; t < T; ++t) {
+        for (int k = 0; k < kShiftWindow; ++k) {
+          window[static_cast<size_t>(k)] =
+              plans[static_cast<size_t>(i + k) * T + t];
+        }
+        const auto t0 = Clock::now();
+        const int64_t got = tables[t]->PrefetchRows(window);
+        step_ms += MsSince(t0);
+        if (i > kShiftWarmup) admitted += got;
+        tables[t]->Forward(batches[static_cast<size_t>(i)].sparse[t],
+                           out.data());
+      }
+      if (i > kShiftWarmup) {
+        total_ms += step_ms;
+        ++steps;
+      }
+    }
+    row.steps = steps;
+    row.us_per_step = std::min(row.us_per_step, 1e3 * total_ms / steps);
+    row.admitted_per_step = static_cast<double>(admitted) / steps;
+  }
+  return row;
+}
 
 LookaheadRow MeasureLookahead(int reps) {
   SkewShiftSourceConfig c;
@@ -343,13 +415,9 @@ LookaheadRow MeasureLookahead(int reps) {
   // warm-up are timed, phase shift included.
   row.prefetch_us = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    CachedTtConfig cc;
-    cc.tt.shape = MakeTtShape(200000, 16, 3, 32);
-    cc.cache_capacity = kShiftCache;
-    cc.warmup_iterations = kShiftWarmup;
-    cc.refresh_interval = 10;
     Rng rng(5);
-    CachedTtEmbeddingBag emb(cc, TtInit::kSampledGaussian, rng);
+    CachedTtEmbeddingBag emb(ShiftCacheConfig(kShiftRows[0], false),
+                             TtInit::kSampledGaussian, rng);
     std::vector<float> out(static_cast<size_t>(kShiftBatch * 16));
     double total_ms = 0.0;
     int64_t calls = 0, admitted = 0, window_rows = 0;
@@ -376,6 +444,31 @@ LookaheadRow MeasureLookahead(int reps) {
     row.admitted_per_call = static_cast<double>(admitted) / calls;
     row.window_rows_per_call = static_cast<double>(window_rows) / calls;
   }
+  row.step_frozen = MeasurePrefetchStep(batches, plans, false, reps);
+  row.step_tracking = MeasurePrefetchStep(batches, plans, true, reps);
+  return row;
+}
+
+/// Crc32 over a 3 MiB buffer of random bytes, about the size of the
+/// train_cached_shift snapshot with its caches full: the fastest of `reps`.
+struct Crc32Row {
+  int64_t bytes = 0;
+  double us = 0.0, gbytes_per_s = 0.0;
+};
+
+Crc32Row MeasureCrc32(int reps) {
+  Crc32Row row;
+  row.bytes = 3 << 20;
+  std::vector<unsigned char> buf(static_cast<size_t>(row.bytes));
+  Rng rng(29);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.RandInt(256));
+  row.us = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = Clock::now();
+    benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+    row.us = std::min(row.us, 1e3 * MsSince(t0));
+  }
+  row.gbytes_per_s = static_cast<double>(row.bytes) / (row.us * 1e3);
   return row;
 }
 
@@ -606,6 +699,16 @@ int RunKernelJsonSweep(const std::string& path) {
       lookahead.plans_equal ? "yes" : "NO", lookahead.lookups_per_batch,
       lookahead.plan_rows_per_batch, lookahead.prefetch_us,
       lookahead.admitted_per_call, lookahead.window_rows_per_call);
+  std::printf(
+      "lookahead  PrefetchRows per step, 4 tables: %.1f us frozen tracker "
+      "(%.0f admitted), %.1f us track_after_warmup (%.0f admitted)\n",
+      lookahead.step_frozen.us_per_step,
+      lookahead.step_frozen.admitted_per_step,
+      lookahead.step_tracking.us_per_step,
+      lookahead.step_tracking.admitted_per_step);
+  const Crc32Row crc = MeasureCrc32(/*reps=*/20);
+  std::printf("crc32  %.1f us per %lld bytes (%.2f GB/s)\n", crc.us,
+              static_cast<long long>(crc.bytes), crc.gbytes_per_s);
 
   // Shared BENCH_*.json envelope (obs/json_writer.h); field names below are
   // the stable contract CI consumers parse. schema v2 adds cpu_model,
@@ -710,6 +813,22 @@ int RunKernelJsonSweep(const std::string& path) {
   w.Kv("admitted_per_call", lookahead.admitted_per_call, 1);
   w.Kv("window_rows_per_call", lookahead.window_rows_per_call, 1);
   w.EndObject();
+  const auto step_entry = [&](const char* key, const PrefetchStepRow& step,
+                              bool tracking) {
+    w.Key(key).BeginObject();
+    w.Kv("tables", static_cast<int64_t>(std::size(kShiftRows)));
+    w.Kv("cache_capacity", kShiftCache).Kv("window_plans", kShiftWindow);
+    w.Kv("track_after_warmup", tracking).Kv("steps", step.steps);
+    w.Kv("us_per_step", step.us_per_step, 2);
+    w.Kv("admitted_per_step", step.admitted_per_step, 1);
+    w.EndObject();
+  };
+  step_entry("prefetch_step", lookahead.step_frozen, false);
+  step_entry("prefetch_step_tracking", lookahead.step_tracking, true);
+  w.EndObject();
+  w.Key("crc32").BeginObject();
+  w.Kv("bytes", crc.bytes).Kv("timing", "min_of_reps").Kv("reps", 20);
+  w.Kv("us", crc.us, 2).Kv("gbytes_per_s", crc.gbytes_per_s, 3);
   w.EndObject();
   w.EndObject();
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -1,6 +1,7 @@
 #include "cache/cached_tt_embedding.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -42,6 +43,24 @@ std::vector<float> DecodeRows(const TtEmbeddingBag& tt,
   return out;
 }
 
+/// Merges the sorted `tail` into the sorted `order`, from the back, so the
+/// merge needs no buffer beyond `order`'s capacity (std::inplace_merge
+/// allocates one). The entries are distinct.
+void MergeSortedTail(std::vector<std::pair<int64_t, int64_t>>& order,
+                     const std::vector<std::pair<int64_t, int64_t>>& tail) {
+  size_t i = order.size();
+  size_t j = tail.size();
+  order.resize(i + j);
+  size_t k = order.size();
+  while (j > 0) {
+    if (i > 0 && tail[j - 1] < order[i - 1]) {
+      order[--k] = order[--i];
+    } else {
+      order[--k] = tail[--j];
+    }
+  }
+}
+
 }  // namespace
 
 CachedTtEmbeddingBag::CachedTtEmbeddingBag(CachedTtConfig config, TtInit init,
@@ -78,7 +97,7 @@ CsrBatch CachedTtEmbeddingBag::Partition(const CsrBatch& batch, bool count,
     for (int64_t l = begin; l < end; ++l) {
       const int64_t row = batch.indices[static_cast<size_t>(l)];
       const float w = batch.LookupWeight(l, bag_size, config_.tt.pooling);
-      const float* cached = count ? cache_.Find(row) : cache_.Peek(row);
+      const float* cached = cache_.Peek(row);
       if (cached == nullptr) {
         tt_batch.indices.push_back(row);
         tt_batch.weights.push_back(w);
@@ -86,6 +105,10 @@ CsrBatch CachedTtEmbeddingBag::Partition(const CsrBatch& batch, bool count,
       on_lookup(b, l, w, cached);
     }
     tt_batch.offsets.push_back(static_cast<int64_t>(tt_batch.indices.size()));
+  }
+  if (count) {
+    const int64_t misses = tt_batch.num_lookups();
+    cache_.CountLookups(batch.num_lookups() - misses, misses);
   }
   return tt_batch;
 }
@@ -122,7 +145,7 @@ void CachedTtEmbeddingBag::RefreshCache() {
   const std::vector<int64_t> top = tracker_.TopK(cache_.capacity());
   if (top.empty()) return;
   cache_.Populate(top, DecodeRows(tt_, top).data());
-  evict_order_stale_ = true;
+  counted_order_stale_ = true;
   resident_bits_stale_ = true;
   ++refreshes_;
 }
@@ -131,29 +154,33 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(
     std::span<const std::span<const int64_t>> window) {
   TTREC_TRACE_SCOPE("cache.prefetch");
   ++prefetch_calls_;
+  PrefetchScratch& scratch = prefetch_scratch_;
   // Validate before any mutation. The lookahead stage hands over sorted
   // plans, which are read in place; any other plan is sorted on a copy, so
-  // a plan always admits in ascending row order.
-  std::vector<std::span<const int64_t>> plans(window.begin(), window.end());
-  std::vector<std::vector<int64_t>> sorted_copies;
-  sorted_copies.reserve(plans.size());
+  // a plan always admits in ascending row order, and its first and last
+  // rows bound the rest.
+  std::vector<std::span<const int64_t>>& plans = scratch.plans;
+  plans.assign(window.begin(), window.end());
+  size_t copies = 0;
   for (std::span<const int64_t>& plan : plans) {
-    for (const int64_t row : plan) {
-      TTREC_CHECK_INDEX(row >= 0 && row < num_rows(),
-                        "CachedTtEmbeddingBag::PrefetchRows: row ", row,
-                        " out of range [0, ", num_rows(), ")");
-    }
     if (!std::is_sorted(plan.begin(), plan.end())) {
-      std::vector<int64_t>& copy =
-          sorted_copies.emplace_back(plan.begin(), plan.end());
+      // Growing the list moves the copies, not their buffers, so the
+      // plans already pointed at earlier copies stay valid.
+      if (copies == scratch.sorted_copies.size()) {
+        scratch.sorted_copies.emplace_back();
+      }
+      std::vector<int64_t>& copy = scratch.sorted_copies[copies++];
+      copy.assign(plan.begin(), plan.end());
       std::sort(copy.begin(), copy.end());
       plan = copy;
     }
+    if (plan.empty()) continue;
+    const int64_t bad = plan.front() < 0 ? plan.front() : plan.back();
+    TTREC_CHECK_INDEX(plan.front() >= 0 && plan.back() < num_rows(),
+                      "CachedTtEmbeddingBag::PrefetchRows: row ", bad,
+                      " out of range [0, ", num_rows(), ")");
   }
 
-  // Mark the window and collect its missing rows in next-use order; a row
-  // an earlier plan already marked is not collected twice, and residency
-  // is a bit test, not a probe of the cache's id map.
   const size_t words = static_cast<size_t>((num_rows() + 63) / 64);
   if (window_bits_.empty()) window_bits_.assign(words, 0);
   if (resident_bits_stale_) {
@@ -163,10 +190,22 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(
     }
     resident_bits_stale_ = false;
   }
+  if (counted_bits_stale_) {
+    counted_bits_.assign(words, 0);
+    for (const auto& [row, count] : tracker_.Items()) {
+      if (count > 0) SetRowBit(counted_bits_, row);
+    }
+    counted_bits_stale_ = false;
+  }
+
+  // Mark the window and collect its missing rows in next-use order; a row
+  // an earlier plan already marked is not collected twice, and residency
+  // is a bit test, not a probe of the cache's id map.
   const auto in_window = [this](int64_t row) {
     return TestRowBit(window_bits_, row);
   };
-  std::vector<int64_t> missing;
+  std::vector<int64_t>& missing = scratch.missing;
+  missing.clear();
   for (const std::span<const int64_t> plan : plans) {
     for (const int64_t row : plan) {
       if (in_window(row)) continue;
@@ -180,29 +219,46 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(
   // order matters as much as the set: Erase moves the last slot into the
   // hole, so it fixes CachedRows() order and with it checkpoint bytes. A
   // frozen tracker still holds its warm-up counts, so those rows outlast
-  // the never-counted ones. The scan stops at the last victim; the window
-  // rows it passes keep their places.
+  // the never-counted ones. That order starts with every uncounted
+  // resident in row order, which a word-wise scan of the bitmaps reads;
+  // the counted residents follow from their own (count, row) order. Both
+  // scans stop at the last victim; the window rows they pass keep their
+  // places.
   int64_t need = static_cast<int64_t>(missing.size()) -
                  (cache_.capacity() - cache_.size());
-  if (need > 0) {
-    if (evict_order_stale_) {
-      evict_order_.clear();
-      for (const int64_t row : cache_.CachedRows()) {
-        evict_order_.emplace_back(tracker_.Count(row), row);
-      }
-      std::sort(evict_order_.begin(), evict_order_.end());
-      evict_order_stale_ = false;
+  for (size_t w = 0; w < words && need > 0; ++w) {
+    uint64_t victims = resident_bits_[w] & ~counted_bits_[w] & ~window_bits_[w];
+    for (; victims != 0 && need > 0; victims &= victims - 1, --need) {
+      const int64_t row =
+          static_cast<int64_t>(w * 64) + std::countr_zero(victims);
+      cache_.Erase(row);
+      ClearRowBit(resident_bits_, row);
     }
-    auto scanned = evict_order_.begin();
-    for (; scanned != evict_order_.end() && need > 0; ++scanned) {
+  }
+  if (need > 0) {
+    if (counted_order_stale_) {
+      counted_order_.clear();
+      for (size_t w = 0; w < words; ++w) {
+        for (uint64_t bits = resident_bits_[w] & counted_bits_[w]; bits != 0;
+             bits &= bits - 1) {
+          const int64_t row =
+              static_cast<int64_t>(w * 64) + std::countr_zero(bits);
+          counted_order_.emplace_back(tracker_.Count(row), row);
+        }
+      }
+      std::sort(counted_order_.begin(), counted_order_.end());
+      counted_order_stale_ = false;
+    }
+    auto scanned = counted_order_.begin();
+    for (; scanned != counted_order_.end() && need > 0; ++scanned) {
       if (!in_window(scanned->second)) {
         cache_.Erase(scanned->second);
         ClearRowBit(resident_bits_, scanned->second);
         --need;
       }
     }
-    evict_order_.erase(
-        std::remove_if(evict_order_.begin(), scanned,
+    counted_order_.erase(
+        std::remove_if(counted_order_.begin(), scanned,
                        [&](const std::pair<int64_t, int64_t>& entry) {
                          return !in_window(entry.second);
                        }),
@@ -215,26 +271,31 @@ int64_t CachedTtEmbeddingBag::PrefetchRows(
   }
 
   // Admit what now fits, soonest use first; the rest of the window stays
-  // on the TT path until a later call finds room for it.
+  // on the TT path until a later call finds room for it. The admitted
+  // rows take consecutive slots, so one LookupRows call decodes them
+  // straight into the cache.
   const int64_t admitted = std::min(static_cast<int64_t>(missing.size()),
                                     cache_.capacity() - cache_.size());
   prefetch_skips_ += static_cast<int64_t>(missing.size()) - admitted;
   missing.resize(static_cast<size_t>(admitted));
   if (missing.empty()) return 0;
-  const std::vector<float> values = DecodeRows(tt_, missing);
-  const size_t N = static_cast<size_t>(emb_dim());
-  for (size_t i = 0; i < missing.size(); ++i) {
-    cache_.Insert(missing[i], values.data() + i * N);
-    SetRowBit(resident_bits_, missing[i]);
-  }
-  if (!evict_order_stale_) {
-    const auto old_end = static_cast<std::ptrdiff_t>(evict_order_.size());
+  float* const values = cache_.Append(missing.front());
+  for (size_t i = 1; i < missing.size(); ++i) cache_.Append(missing[i]);
+  tt_.LookupRows(missing, values);
+  for (const int64_t row : missing) SetRowBit(resident_bits_, row);
+  // Only the counted admissions join the counted order, and only they
+  // probe the tracker.
+  if (!counted_order_stale_) {
+    std::vector<std::pair<int64_t, int64_t>>& counted =
+        scratch.counted_admissions;
+    counted.clear();
     for (const int64_t row : missing) {
-      evict_order_.emplace_back(tracker_.Count(row), row);
+      if (TestRowBit(counted_bits_, row)) {
+        counted.emplace_back(tracker_.Count(row), row);
+      }
     }
-    std::sort(evict_order_.begin() + old_end, evict_order_.end());
-    std::inplace_merge(evict_order_.begin(), evict_order_.begin() + old_end,
-                       evict_order_.end());
+    std::sort(counted.begin(), counted.end());
+    MergeSortedTail(counted_order_, counted);
   }
   prefetch_inserts_ += admitted;
   return admitted;
@@ -299,7 +360,7 @@ void CachedTtEmbeddingBag::ResizeCache(int64_t new_capacity) {
   }
 
   cache_.Resize(new_capacity, keep, values.data());
-  evict_order_stale_ = true;
+  counted_order_stale_ = true;
   resident_bits_stale_ = true;
   config_.cache_capacity = new_capacity;
   ++resizes_;
@@ -315,14 +376,20 @@ void CachedTtEmbeddingBag::Forward(const CsrBatch& batch, float* output) {
       iteration_ > config_.warmup_iterations &&
       (iteration_ - config_.warmup_iterations) % config_.rewarm_period == 0) {
     tracker_.Decay(0.5);
-        rewarm_until_ =
+    counted_bits_stale_ = true;  // counts that decayed to 0 left the tracker
+    rewarm_until_ =
         iteration_ + std::max<int64_t>(1, config_.warmup_iterations);
   }
   const bool tracking =
       in_warmup || config_.track_after_warmup || iteration_ < rewarm_until_;
   if (tracking) {
-    for (int64_t row : batch.indices) tracker_.Increment(row);
-    evict_order_stale_ = true;
+    // Every counted row now has a count above 0. Stale bits (all of them
+    // until the first prefetch) are rebuilt from the tracker instead.
+    for (int64_t row : batch.indices) {
+      tracker_.Increment(row);
+      if (!counted_bits_stale_) SetRowBit(counted_bits_, row);
+    }
+    counted_order_stale_ = true;
   }
   if (in_warmup && iteration_ > 0 &&
       iteration_ % config_.refresh_interval == 0) {
@@ -419,12 +486,13 @@ void CachedTtEmbeddingBag::LoadState(BinaryReader& r) {
   }
   // Stale before the residents change, so a read that throws after the
   // Populate cannot leave an order or a bitmap of the old residents.
-  evict_order_stale_ = true;
+  counted_order_stale_ = true;
   resident_bits_stale_ = true;
   cache_.Populate(rows, values.data());
   iteration_ = r.ReadI64();
   rewarm_until_ = -1;
   tracker_.Clear();
+  counted_bits_stale_ = true;
 }
 
 void CachedTtEmbeddingBag::ApplySgd(float lr) {

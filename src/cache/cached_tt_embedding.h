@@ -86,7 +86,8 @@ class CachedTtEmbeddingBag {
   ///
   /// Thread-safety: safe for any number of concurrent callers, and produces
   /// output bitwise identical to Forward on a frozen cache (hits read
-  /// through LfuRowCache::Find const, misses run the TT chain per lookup).
+  /// through LfuRowCache::Peek and count once per call, misses run the TT
+  /// chain per lookup).
   /// Must not race with mutations (Forward, Backward, optimizer steps,
   /// RefreshCache, LoadState) — serve traffic and training steps on the
   /// same operator require external phasing.
@@ -143,9 +144,10 @@ class CachedTtEmbeddingBag {
   ///   - A row that any window plan looks up is never evicted. When the
   ///     cache is full, only rows outside the window leave, in ascending
   ///     (tracker count, row id) order, never more than needed.
-  ///   - Missing rows are decoded from the TT cores in one LookupRows call
-  ///     and admitted in next-use order: by plan, then ascending row id
-  ///     within a plan (a plan that is not sorted is sorted on a copy).
+  ///   - Missing rows are admitted in next-use order: by plan, then
+  ///     ascending row id within a plan (a plan that is not sorted is
+  ///     sorted on a copy), and decoded from the TT cores by one
+  ///     LookupRows call straight into their slots.
   ///   - Rows that still do not fit are skipped and counted in
   ///     prefetch_skips(); a caller that passes the window again at the
   ///     next step retries them.
@@ -154,18 +156,23 @@ class CachedTtEmbeddingBag {
   /// access. Returns the number of rows admitted; the evictions count in
   /// cache().evictions() like any other.
   ///
-  /// Cost: window membership and residency are one bit per table row each,
-  /// 2 bits per row in all, allocated on the first call (never by serving)
-  /// and not counted in MemoryBytes(). The window bits are set from the
-  /// window and cleared before returning; the residency bits follow this
-  /// call's admissions and evictions, so marking the window tests a bit
-  /// per distinct row and probes no id map. The residents are kept sorted
-  /// by (count, row), so choosing victims reads the front of that order up
-  /// to the last victim, and admissions merge in. The order and the
-  /// residency bits are rebuilt only after a refresh, resize or load
-  /// replaced the residents; the order (one tracker probe per resident and
-  /// a sort) also after frequency tracking moved the counts: in the warm-up
-  /// window, or on every step with track_after_warmup.
+  /// Cost: bookkeeping is bit operations and one tracker probe per counted
+  /// row it orders. Window membership, residency and "tracker count > 0"
+  /// are one bit per table row each, 3 bits per row in all, allocated on
+  /// the first call (never by serving) and not counted in MemoryBytes().
+  /// Marking the window tests a bit per distinct row and probes no id map.
+  /// The (count, row) order starts with every uncounted resident in row
+  /// order, so the first victims come from a word-wise scan of
+  /// resident & ~counted & ~window that stops at the last victim needed;
+  /// only the counted residents are kept sorted by (count, row), for the
+  /// victims after those. An uncounted admission costs no tracker probe,
+  /// sort or merge. The residency bits are rebuilt only after a refresh,
+  /// resize or load replaced the residents; the counted bits only after a
+  /// rewarm's decay or a load's clear (Forward's tracking sets the bits of
+  /// the rows it counts); the counted order after either, or after
+  /// frequency tracking moved the counts (in the warm-up window, or on
+  /// every step with track_after_warmup). Every buffer the call uses is a
+  /// grow-only member, so a steady-state call allocates nothing.
   ///
   /// Determinism: given the same cache/tracker state and the same window,
   /// the resulting resident set, slot order and values are identical — the
@@ -247,9 +254,10 @@ class CachedTtEmbeddingBag {
   /// Splits `batch` into cache hits and a TT sub-batch of the misses (in
   /// lookup order, with explicit per-lookup weights), calling
   /// `on_lookup(bag, lookup, weight, cached)` for every lookup; `cached` is
-  /// null for a miss. `count` reads the cache through Find const, which
-  /// counts each lookup as a hit or a miss (the forwards), and otherwise
-  /// through Peek (the backward). Const and safe for concurrent callers.
+  /// null for a miss. Every lookup is one Peek; with `count` (the forwards)
+  /// the call's hits and misses are then added once (the backward revisits
+  /// the forward's lookups and does not count them). Const and safe for
+  /// concurrent callers.
   template <typename OnLookup>
   CsrBatch Partition(const CsrBatch& batch, bool count,
                      OnLookup&& on_lookup) const;
@@ -276,23 +284,38 @@ class CachedTtEmbeddingBag {
   int64_t prefetch_calls_ = 0;
   int64_t prefetch_inserts_ = 0;
   int64_t prefetch_skips_ = 0;
-  /// PrefetchRows' eviction order: every resident as (tracker count, row
-  /// id), ascending. Stale after anything that replaces the resident set or
-  /// moves counts (refresh, resize, load, frequency tracking); the next
-  /// prefetch that needs victims rebuilds it, and prefetches keep it in
-  /// step otherwise.
-  std::vector<std::pair<int64_t, int64_t>> evict_order_;
-  bool evict_order_stale_ = true;
-  /// PrefetchRows scratch: one bit per table row, set for the window's rows
-  /// and cleared before the call returns. Sized on first use.
+  /// PrefetchRows' bitmaps, one bit per table row each, sized on first use:
+  ///  - window_bits_: the window's rows, cleared before the call returns;
+  ///  - resident_bits_: set while the row is resident. Prefetch keeps them
+  ///    in step with its own Append and Erase; a refresh, resize or load
+  ///    replaces the residents and marks them stale, and the next prefetch
+  ///    rebuilds them from CachedRows();
+  ///  - counted_bits_: set while the row's tracker count is above 0.
+  ///    Forward's tracking sets the bits of the rows it counts; a decay or
+  ///    clear marks them stale, and the next prefetch rebuilds them from
+  ///    the tracker.
   std::vector<uint64_t> window_bits_;
-  /// PrefetchRows' residency index: one bit per table row, set while the
-  /// row is resident, so marking the window probes no id map. Prefetch
-  /// keeps it in step with its own Insert and Erase; a refresh, resize or
-  /// load replaces the residents and marks it stale, and the next prefetch
-  /// rebuilds it from CachedRows(). Sized on first use.
   std::vector<uint64_t> resident_bits_;
+  std::vector<uint64_t> counted_bits_;
   bool resident_bits_stale_ = true;
+  bool counted_bits_stale_ = true;
+  /// The counted residents as (tracker count, row id), ascending: the
+  /// victims after the uncounted ones. Stale after anything that replaces
+  /// the residents or moves counts; the next prefetch that reaches it
+  /// rebuilds it, and prefetches keep it in step otherwise.
+  std::vector<std::pair<int64_t, int64_t>> counted_order_;
+  bool counted_order_stale_ = true;
+  /// PrefetchRows' grow-only scratch: the plans (and sorted copies of the
+  /// unsorted ones), the missing rows, and the counted admissions that
+  /// merge into counted_order_. The admissions decode straight into their
+  /// cache slots.
+  struct PrefetchScratch {
+    std::vector<std::span<const int64_t>> plans;
+    std::vector<std::vector<int64_t>> sorted_copies;
+    std::vector<int64_t> missing;
+    std::vector<std::pair<int64_t, int64_t>> counted_admissions;
+  };
+  PrefetchScratch prefetch_scratch_;
   obs::StatPublisher stats_publisher_;
   std::vector<CacheHit> hit_scratch_;
 };

@@ -29,43 +29,36 @@ LfuRowCache::LfuRowCache(int64_t capacity, int64_t emb_dim)
   grads_.resize(static_cast<size_t>(capacity * emb_dim), 0.0f);
   const uint64_t map_cap =
       std::bit_ceil(static_cast<uint64_t>(std::max<int64_t>(16, 2 * capacity)));
-  map_keys_.assign(static_cast<size_t>(map_cap), -1);
-  map_slots_.assign(static_cast<size_t>(map_cap), -1);
+  map_.assign(static_cast<size_t>(map_cap), MapCell{});
 }
 
 int64_t LfuRowCache::SlotOf(int64_t row) const {
-  const size_t mask = map_keys_.size() - 1;
+  const size_t mask = map_.size() - 1;
   size_t i = static_cast<size_t>(HashKey(row)) & mask;
-  while (map_keys_[i] != -1) {
-    if (map_keys_[i] == row) return map_slots_[i];
+  while (map_[i].key != -1) {
+    if (map_[i].key == row) return map_[i].slot;
     i = (i + 1) & mask;
   }
   return -1;
 }
 
-float* LfuRowCache::Find(int64_t row) {
-  const int64_t slot = SlotOf(row);
-  if (slot < 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return values_.data() + slot * emb_dim_;
-}
-
-const float* LfuRowCache::Find(int64_t row) const {
-  const int64_t slot = SlotOf(row);
-  if (slot < 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  return values_.data() + slot * emb_dim_;
-}
-
 const float* LfuRowCache::Peek(int64_t row) const {
   const int64_t slot = SlotOf(row);
   return slot < 0 ? nullptr : values_.data() + slot * emb_dim_;
+}
+
+void LfuRowCache::CountLookups(int64_t hits, int64_t misses) const {
+  if (hits != 0) hits_.fetch_add(hits, std::memory_order_relaxed);
+  if (misses != 0) misses_.fetch_add(misses, std::memory_order_relaxed);
+}
+
+std::vector<int64_t> LfuRowCache::CachedRows() const {
+  std::vector<int64_t> rows;
+  rows.reserve(slot_cells_.size());
+  for (const int64_t cell : slot_cells_) {
+    rows.push_back(map_[static_cast<size_t>(cell)].key);
+  }
+  return rows;
 }
 
 float* LfuRowCache::GradFor(const float* value) {
@@ -96,27 +89,27 @@ void LfuRowCache::PopulateImpl(int64_t new_capacity,
   // whose duplicate rows burned slots.
   const uint64_t map_cap = std::bit_ceil(
       static_cast<uint64_t>(std::max<int64_t>(16, 2 * new_capacity)));
-  std::vector<int64_t> new_keys(static_cast<size_t>(map_cap), -1);
-  std::vector<int64_t> new_slots(static_cast<size_t>(map_cap), -1);
+  std::vector<MapCell> new_map(static_cast<size_t>(map_cap));
+  std::vector<int64_t> new_cells;
+  new_cells.reserve(static_cast<size_t>(new_capacity));
   const size_t mask = static_cast<size_t>(map_cap) - 1;
   for (size_t slot = 0; slot < rows.size(); ++slot) {
     const int64_t row = rows[slot];
     TTREC_CHECK_INDEX(row >= 0, "LfuRowCache: negative row id ", row);
     size_t i = static_cast<size_t>(HashKey(row)) & mask;
-    while (new_keys[i] != -1) {
+    while (new_map[i].key != -1) {
       // Duplicate row ids would silently shadow each other in the map.
-      TTREC_CHECK_CONFIG(new_keys[i] != row,
+      TTREC_CHECK_CONFIG(new_map[i].key != row,
                          "LfuRowCache::Populate: duplicate row id ", row);
       i = (i + 1) & mask;
     }
-    new_keys[i] = row;
-    new_slots[i] = static_cast<int64_t>(slot);
+    new_map[i] = MapCell{row, static_cast<int64_t>(slot)};
+    new_cells.push_back(static_cast<int64_t>(i));
   }
 
   // Commit.
   const size_t n = rows.size();
-  std::vector<int64_t> previous = std::move(rows_);
-  rows_.assign(rows.begin(), rows.begin() + static_cast<ptrdiff_t>(n));
+  const std::vector<int64_t> previous = CachedRows();
   if (new_capacity != capacity_) {
     capacity_ = new_capacity;
     values_.assign(static_cast<size_t>(new_capacity * emb_dim_), 0.0f);
@@ -131,8 +124,8 @@ void LfuRowCache::PopulateImpl(int64_t new_capacity,
     std::memcpy(values_.data(), values,
                 n * static_cast<size_t>(emb_dim_) * sizeof(float));
   }
-  map_keys_ = std::move(new_keys);
-  map_slots_ = std::move(new_slots);
+  map_ = std::move(new_map);
+  slot_cells_ = std::move(new_cells);
   // Count the rows that did not survive the repopulation — their learned
   // weights are gone (the streaming-decomposition gap the paper leaves
   // open), which is exactly what an operator watching `cache.evictions`
@@ -148,51 +141,58 @@ void LfuRowCache::Populate(std::span<const int64_t> rows,
   PopulateImpl(capacity_, rows, values);
 }
 
-void LfuRowCache::Insert(int64_t row, const float* value) {
-  TTREC_CHECK_INDEX(row >= 0, "LfuRowCache::Insert: negative row id ", row);
+float* LfuRowCache::Append(int64_t row) {
+  TTREC_CHECK_INDEX(row >= 0, "LfuRowCache::Append: negative row id ", row);
   TTREC_CHECK_CONFIG(size() < capacity_,
-                     "LfuRowCache::Insert: cache full (", capacity_,
+                     "LfuRowCache::Append: cache full (", capacity_,
                      " rows); Erase one first");
-  TTREC_CHECK_CONFIG(SlotOf(row) < 0, "LfuRowCache::Insert: row ", row,
-                     " already resident");
-  const int64_t slot = static_cast<int64_t>(rows_.size());
-  rows_.push_back(row);
-  std::memcpy(values_.data() + slot * emb_dim_, value,
-              static_cast<size_t>(emb_dim_) * sizeof(float));
+  // One walk of the probe sequence both rejects a resident row and finds
+  // the first empty cell, where the row goes.
+  const size_t mask = map_.size() - 1;
+  size_t i = static_cast<size_t>(HashKey(row)) & mask;
+  while (map_[i].key != -1) {
+    TTREC_CHECK_CONFIG(map_[i].key != row, "LfuRowCache::Append: row ", row,
+                       " already resident");
+    i = (i + 1) & mask;
+  }
+  const int64_t slot = size();
+  slot_cells_.push_back(static_cast<int64_t>(i));
+  map_[i] = MapCell{row, slot};
   std::fill_n(grads_.data() + slot * emb_dim_, emb_dim_, 0.0f);
   if (!adagrad_.empty()) {
     std::fill_n(adagrad_.data() + slot * emb_dim_, emb_dim_, 0.0f);
   }
-  const size_t mask = map_keys_.size() - 1;
-  size_t i = static_cast<size_t>(HashKey(row)) & mask;
-  while (map_keys_[i] != -1) i = (i + 1) & mask;
-  map_keys_[i] = row;
-  map_slots_[i] = slot;
+  return values_.data() + slot * emb_dim_;
+}
+
+void LfuRowCache::Insert(int64_t row, const float* value) {
+  std::memcpy(Append(row), value,
+              static_cast<size_t>(emb_dim_) * sizeof(float));
 }
 
 void LfuRowCache::Erase(int64_t row) {
-  const size_t mask = map_keys_.size() - 1;
+  const size_t mask = map_.size() - 1;
   size_t i = static_cast<size_t>(HashKey(row)) & mask;
-  while (map_keys_[i] != row) {
-    TTREC_CHECK_CONFIG(map_keys_[i] != -1, "LfuRowCache::Erase: row ", row,
+  while (map_[i].key != row) {
+    TTREC_CHECK_CONFIG(map_[i].key != -1, "LfuRowCache::Erase: row ", row,
                        " not resident");
     i = (i + 1) & mask;
   }
-  const int64_t slot = map_slots_[i];
-  const int64_t last = static_cast<int64_t>(rows_.size()) - 1;
+  const int64_t slot = map_[i].slot;
+  const int64_t last = size() - 1;
 
   // Backward-shift deletion (Knuth 6.4R): refill the hole so linear
   // probing never crosses a tombstone — the map stays tombstone-free, which
-  // SlotOf's termination condition (first empty cell) depends on.
+  // SlotOf's termination condition (first empty cell) depends on. A moved
+  // entry's slot follows it to its new cell.
   size_t hole = i;
   size_t j = i;
   while (true) {
-    map_keys_[hole] = -1;
-    map_slots_[hole] = -1;
+    map_[hole] = MapCell{};
     while (true) {
       j = (j + 1) & mask;
-      if (map_keys_[j] == -1) goto map_done;
-      const size_t ideal = static_cast<size_t>(HashKey(map_keys_[j])) & mask;
+      if (map_[j].key == -1) goto map_done;
+      const size_t ideal = static_cast<size_t>(HashKey(map_[j].key)) & mask;
       // Move j's entry back iff the hole lies cyclically within
       // [ideal, j) — i.e. the probe from its ideal cell would hit the hole
       // before reaching j.
@@ -200,17 +200,20 @@ void LfuRowCache::Erase(int64_t row) {
                                            : (ideal <= hole && ideal > j);
       if (hole_in_range) break;
     }
-    map_keys_[hole] = map_keys_[j];
-    map_slots_[hole] = map_slots_[j];
+    map_[hole] = map_[j];
+    slot_cells_[static_cast<size_t>(map_[j].slot)] =
+        static_cast<int64_t>(hole);
     hole = j;
   }
 map_done:
 
   // Compact the slot arrays: move the last slot's row into the vacated
   // slot (carrying its value, gradient, and Adagrad state), then shrink.
+  // The last slot's cell is on record, so the map is not probed again.
   if (slot != last) {
-    const int64_t moved_row = rows_[static_cast<size_t>(last)];
-    rows_[static_cast<size_t>(slot)] = moved_row;
+    const int64_t cell = slot_cells_[static_cast<size_t>(last)];
+    slot_cells_[static_cast<size_t>(slot)] = cell;
+    map_[static_cast<size_t>(cell)].slot = slot;
     std::memcpy(values_.data() + slot * emb_dim_,
                 values_.data() + last * emb_dim_,
                 static_cast<size_t>(emb_dim_) * sizeof(float));
@@ -222,11 +225,8 @@ map_done:
                   adagrad_.data() + last * emb_dim_,
                   static_cast<size_t>(emb_dim_) * sizeof(float));
     }
-    size_t m = static_cast<size_t>(HashKey(moved_row)) & mask;
-    while (map_keys_[m] != moved_row) m = (m + 1) & mask;
-    map_slots_[m] = slot;
   }
-  rows_.pop_back();
+  slot_cells_.pop_back();
   ++evictions_;
 }
 
@@ -242,7 +242,7 @@ void LfuRowCache::ApplyAdagrad(float lr, float eps) {
   if (adagrad_.empty()) {
     adagrad_.assign(values_.size(), 0.0f);
   }
-  const size_t used = rows_.size() * static_cast<size_t>(emb_dim_);
+  const size_t used = slot_cells_.size() * static_cast<size_t>(emb_dim_);
   for (size_t i = 0; i < used; ++i) {
     adagrad_[i] += grads_[i] * grads_[i];
     values_[i] -= lr * grads_[i] / (std::sqrt(adagrad_[i]) + eps);
@@ -251,7 +251,7 @@ void LfuRowCache::ApplyAdagrad(float lr, float eps) {
 }
 
 void LfuRowCache::ApplySgd(float lr) {
-  const size_t used = rows_.size() * static_cast<size_t>(emb_dim_);
+  const size_t used = slot_cells_.size() * static_cast<size_t>(emb_dim_);
   for (size_t i = 0; i < used; ++i) {
     values_[i] -= lr * grads_[i];
     grads_[i] = 0.0f;
@@ -259,13 +259,13 @@ void LfuRowCache::ApplySgd(float lr) {
 }
 
 void LfuRowCache::ZeroGrads() {
-  const size_t used = rows_.size() * static_cast<size_t>(emb_dim_);
+  const size_t used = slot_cells_.size() * static_cast<size_t>(emb_dim_);
   std::fill(grads_.begin(), grads_.begin() + static_cast<ptrdiff_t>(used),
             0.0f);
 }
 
 double LfuRowCache::GradSqNorm() const {
-  const size_t used = rows_.size() * static_cast<size_t>(emb_dim_);
+  const size_t used = slot_cells_.size() * static_cast<size_t>(emb_dim_);
   double sq = 0.0;
   for (size_t i = 0; i < used; ++i) {
     sq += static_cast<double>(grads_[i]) * grads_[i];
@@ -274,7 +274,7 @@ double LfuRowCache::GradSqNorm() const {
 }
 
 void LfuRowCache::ScaleGrads(float scale) {
-  const size_t used = rows_.size() * static_cast<size_t>(emb_dim_);
+  const size_t used = slot_cells_.size() * static_cast<size_t>(emb_dim_);
   for (size_t i = 0; i < used; ++i) grads_[i] *= scale;
 }
 
@@ -288,9 +288,8 @@ void LfuRowCache::SetAdagradState(std::vector<float> state) {
 int64_t LfuRowCache::MemoryBytes() const {
   return static_cast<int64_t>(values_.size() * sizeof(float) +
                               grads_.size() * sizeof(float) +
-                              map_keys_.size() * sizeof(int64_t) +
-                              map_slots_.size() * sizeof(int64_t) +
-                              rows_.size() * sizeof(int64_t));
+                              map_.size() * sizeof(MapCell) +
+                              slot_cells_.size() * sizeof(int64_t));
 }
 
 double LfuRowCache::HitRate() const {

@@ -8,14 +8,18 @@
 // the TT cores would be streaming TT decomposition, an open problem).
 //
 // Thread-safety contract (the serving read path depends on this):
-//  - `Find(int64_t) const` is safe to call from any number of concurrent
-//    reader threads: the lookup touches only the immutable-between-Populate
-//    slot map and values array, and the hit/miss statistics are relaxed
-//    atomics. The returned pointer stays valid until the next Populate.
-//  - Any mutation — Populate, ApplySgd/ApplyAdagrad, ZeroGrads, ScaleGrads,
-//    SetAdagradState, writing through the non-const Find pointer — requires
-//    exclusive access (no concurrent readers or writers). Training owns that
-//    phase; serving only ever uses the const path on a frozen cache.
+//  - `Peek(int64_t) const` and `CountLookups` are safe to call from any
+//    number of concurrent reader threads: a probe touches only the slot map
+//    and values array, which change only in the exclusive phase below, and
+//    the hit/miss statistics are relaxed atomics. The forwards probe every
+//    lookup with Peek and add the call's hits and misses once, so a call
+//    costs one probe per lookup and two atomic adds. A pointer Peek returns
+//    stays valid until the next mutation.
+//  - Any mutation — Populate, Append/Insert, Erase, Resize,
+//    ApplySgd/ApplyAdagrad, ZeroGrads, ScaleGrads, SetAdagradState, writing
+//    through an Append or GradFor pointer — requires exclusive access (no
+//    concurrent readers or writers). Training owns that phase; serving
+//    only ever reads a frozen cache.
 #pragma once
 
 #include <atomic>
@@ -33,22 +37,20 @@ class LfuRowCache {
 
   int64_t capacity() const { return capacity_; }
   int64_t emb_dim() const { return emb_dim_; }
-  int64_t size() const { return static_cast<int64_t>(rows_.size()); }
+  int64_t size() const { return static_cast<int64_t>(slot_cells_.size()); }
 
-  /// Pointer to the cached vector for `row`, or nullptr on miss. The const
-  /// overload is safe for concurrent readers (see the contract above); the
-  /// non-const overload hands out a writable pointer and therefore belongs
-  /// to the exclusive-access training phase.
-  float* Find(int64_t row);
-  const float* Find(int64_t row) const;
-
-  /// Find without touching the hit/miss statistics — for control-plane
-  /// reads (resize row carry-over, checkpointing) that must not skew
-  /// HitRate(). Same concurrency contract as Find const.
+  /// Pointer to the cached vector for `row`, or nullptr on miss. Leaves
+  /// the hit/miss statistics alone: a forward counts its call's lookups
+  /// with CountLookups, and control-plane reads (resize row carry-over,
+  /// checkpointing) are not lookups at all.
   const float* Peek(int64_t row) const;
 
+  /// Adds one call's lookups to hits() and misses(). Const and safe for
+  /// concurrent callers (relaxed atomics, see the contract above).
+  void CountLookups(int64_t hits, int64_t misses) const;
+
   /// Gradient accumulator slot paired with the cached vector at `value`, a
-  /// pointer that Find or Peek returned since the last mutation: the slot
+  /// pointer that Peek returned since the last mutation: the slot
   /// is the one that probe found, so the id map is not probed again.
   /// nullptr for a null `value` (a miss) or one that is not the start of a
   /// resident slot's vector.
@@ -64,13 +66,19 @@ class LfuRowCache {
   /// eviction discards learned weights by design.
   void Populate(std::span<const int64_t> rows, const float* values);
 
-  /// Incrementally admits one row with its vector (`emb_dim` floats) into a
-  /// free slot — the lookahead-prefetch path, where repopulating the whole
-  /// cache per plan would reset every resident row's gradients and Adagrad
-  /// state. The new row's gradient (and Adagrad, when active) slot is
-  /// zeroed; every other slot is untouched. Throws ConfigError when the
-  /// cache is full or the row is already resident, IndexError on a negative
-  /// id — all before any state changes. Exclusive-access phase only.
+  /// Incrementally admits one row into the next free slot — the
+  /// lookahead-prefetch path, where repopulating the whole cache per plan
+  /// would reset every resident row's gradients and Adagrad state — and
+  /// returns its vector (`emb_dim` floats), which the caller writes before
+  /// any read. The row takes slot size(), so consecutive calls hand out
+  /// consecutive vectors. The new row's gradient (and Adagrad, when
+  /// active) slot is zeroed; every other slot is untouched. Throws
+  /// ConfigError when the cache is full or the row is already resident,
+  /// IndexError on a negative id — all before any state changes.
+  /// Exclusive-access phase only.
+  float* Append(int64_t row);
+
+  /// Append, then copies `value` (`emb_dim` floats) into the new vector.
   void Insert(int64_t row, const float* value);
 
   /// Incrementally evicts one resident row, discarding its learned weights
@@ -93,7 +101,7 @@ class LfuRowCache {
 
   /// Planning cost model: the bytes one capacity row costs at `emb_dim` —
   /// value + gradient vectors plus the 2x-provisioned id-map slots and the
-  /// slot->row entry. MemoryBytes() of a populated cache tracks
+  /// slot->map-cell entry. MemoryBytes() of a populated cache tracks
   /// capacity * BytesPerRow(emb_dim) up to the map's power-of-two rounding.
   static int64_t BytesPerRow(int64_t emb_dim) {
     return static_cast<int64_t>(2 * static_cast<uint64_t>(emb_dim) *
@@ -122,14 +130,17 @@ class LfuRowCache {
   const std::vector<float>& AdagradState() const { return adagrad_; }
   void SetAdagradState(std::vector<float> state);
 
-  /// All currently cached row ids (unordered).
-  std::vector<int64_t> CachedRows() const { return rows_; }
+  /// All currently cached row ids, in slot order (unordered by id; the
+  /// order fixes checkpoint bytes).
+  std::vector<int64_t> CachedRows() const;
 
   /// Bytes for vectors + gradients + the id map.
   int64_t MemoryBytes() const;
 
-  // Hit statistics (updated by Find; relaxed atomics so concurrent readers
-  // can count without synchronizing).
+  // Hit statistics: CountLookups adds each forward call's hits and misses
+  // once, so after a call returns hits() + misses() has grown by exactly its
+  // lookups. Relaxed atomics, so concurrent readers count without
+  // synchronizing.
   int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   int64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Rows that left the cache: removed by Erase, or previously resident
@@ -150,12 +161,19 @@ class LfuRowCache {
 
   int64_t capacity_;
   int64_t emb_dim_;
-  std::vector<int64_t> rows_;      // slot -> row id
+  // slot -> id-map cell (the row id is map_[cell].key): Erase finds the
+  // cell of the row it moves into the hole without probing for it.
+  std::vector<int64_t> slot_cells_;
   std::vector<float> values_;      // capacity x emb_dim
   std::vector<float> grads_;       // capacity x emb_dim
   std::vector<float> adagrad_;     // lazily sized capacity x emb_dim
-  std::vector<int64_t> map_keys_;  // open addressing: row id or -1
-  std::vector<int64_t> map_slots_;
+  // Open addressing with linear probing; a cell holds a row id and its
+  // slot side by side, so a probe that finds the row reads one cache line.
+  struct MapCell {
+    int64_t key = -1;  // row id, or -1 for an empty cell
+    int64_t slot = -1;
+  };
+  std::vector<MapCell> map_;
   mutable std::atomic<int64_t> hits_{0};
   mutable std::atomic<int64_t> misses_{0};
   // Mutated only in the exclusive-access phase, so plain ints.

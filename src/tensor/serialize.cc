@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -18,16 +20,27 @@ uint64_t FnvUpdate(uint64_t h, const void* data, size_t bytes) {
   return Fnv1a(data, bytes, h);
 }
 
-std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8 tables: t[0] is the bytewise CRC32 table, and t[k][b] is
+// the CRC of byte b followed by k zero bytes, so one step folds eight input
+// bytes with eight independent lookups instead of eight dependent table
+// walks. The values are the bytewise loop's.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < t.size(); ++k) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 }  // namespace
 
@@ -41,11 +54,23 @@ uint64_t Fnv1a(const void* data, size_t bytes, uint64_t h) {
 }
 
 uint32_t Crc32(const void* data, size_t bytes, uint32_t crc) {
-  static const std::array<uint32_t, 256> table = MakeCrc32Table();
+  static const Crc32Tables t = MakeCrc32Tables();
+  static_assert(std::endian::native == std::endian::little,
+                "the slicing step reads little-endian words");
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < bytes; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; bytes >= 8; bytes -= 8, p += 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, p, sizeof(lo));
+    std::memcpy(&hi, p + 4, sizeof(hi));
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; bytes > 0; --bytes, ++p) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -535,14 +535,17 @@ void TtEmbeddingBag::LookupRows(std::span<const int64_t> indices,
   const int64_t N = emb_dim();
   // Blocks write disjoint output ranges and there is no accumulation, so
   // this is trivially deterministic.
-  ThreadPool::Global().ParallelFor(blocks, 1, [&](int64_t c0, int64_t c1) {
+  const auto decode = [&](int64_t c0, int64_t c1) {
     Workspace& ws = ThreadWorkspace();
     for (int64_t blk = c0; blk < c1; ++blk) {
       const int64_t begin = blk * bs;
       const int64_t end = std::min(n, begin + bs);
       DecodeBlock(indices, begin, end, /*dedup=*/false, out + begin * N, ws);
     }
-  });
+  };
+  // One captured reference keeps the std::function in inline storage.
+  ThreadPool::Global().ParallelFor(
+      blocks, 1, [&decode](int64_t c0, int64_t c1) { decode(c0, c1); });
 }
 
 void TtEmbeddingBag::SortUnitsByDigit(int c, int64_t units,

@@ -9,6 +9,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -101,16 +102,16 @@ TEST(LfuRowCache, PopulateFindUpdate) {
   std::vector<float> vals = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   cache.Populate(rows, vals.data());
   EXPECT_EQ(cache.size(), 3);
-  ASSERT_NE(cache.Find(20), nullptr);
-  EXPECT_FLOAT_EQ(cache.Find(20)[0], 4.0f);
-  EXPECT_EQ(cache.Find(99), nullptr);
+  ASSERT_NE(cache.Peek(20), nullptr);
+  EXPECT_FLOAT_EQ(cache.Peek(20)[0], 4.0f);
+  EXPECT_EQ(cache.Peek(99), nullptr);
 
   // Gradient + SGD on a cached row.
   float* g = cache.GradFor(cache.Peek(20));
   ASSERT_NE(g, nullptr);
   g[0] = 1.0f;
   cache.ApplySgd(0.5f);
-  EXPECT_FLOAT_EQ(cache.Find(20)[0], 3.5f);
+  EXPECT_FLOAT_EQ(cache.Peek(20)[0], 3.5f);
   // Gradient cleared after SGD.
   EXPECT_FLOAT_EQ(cache.GradFor(cache.Peek(20))[0], 0.0f);
 }
@@ -121,9 +122,9 @@ TEST(LfuRowCache, RepopulateDiscardsOldContents) {
   cache.Populate(std::vector<int64_t>{5, 6}, v1.data());
   std::vector<float> v2 = {9, 9};
   cache.Populate(std::vector<int64_t>{7}, v2.data());
-  EXPECT_EQ(cache.Find(5), nullptr);  // evicted, learned weights discarded
-  EXPECT_EQ(cache.Find(6), nullptr);
-  ASSERT_NE(cache.Find(7), nullptr);
+  EXPECT_EQ(cache.Peek(5), nullptr);  // evicted, learned weights discarded
+  EXPECT_EQ(cache.Peek(6), nullptr);
+  ASSERT_NE(cache.Peek(7), nullptr);
   EXPECT_EQ(cache.size(), 1);
 }
 
@@ -189,10 +190,12 @@ TEST(LfuRowCache, HitRateAccounting) {
   std::vector<float> vals = {1, 2};
   cache.Populate(std::vector<int64_t>{1, 2}, vals.data());
   cache.ResetStats();
-  (void)cache.Find(1);
-  (void)cache.Find(2);
-  (void)cache.Find(3);
-  (void)cache.Find(4);
+  // A forward probes with Peek and counts its call's lookups once.
+  int64_t hits = 0;
+  for (const int64_t row : {1, 2, 3, 4}) hits += cache.Peek(row) != nullptr;
+  cache.CountLookups(hits, 4 - hits);
+  EXPECT_EQ(cache.hits(), 2);
+  EXPECT_EQ(cache.misses(), 2);
   EXPECT_DOUBLE_EQ(cache.HitRate(), 0.5);
   cache.ResetStats();
   EXPECT_DOUBLE_EQ(cache.HitRate(), 0.0);
@@ -292,10 +295,10 @@ TEST(CachedTtEmbeddingBag, GradientsRouteToCacheForHits) {
   std::vector<float> out(static_cast<size_t>(4 * 8));
   emb.Forward(warm, out.data());
   emb.Forward(warm, out.data());
-  ASSERT_NE(emb.cache().Find(0), nullptr);
+  ASSERT_NE(emb.cache().Peek(0), nullptr);
 
   // Record cached value, train one step on row 0 only.
-  std::vector<float> before(emb.cache().Find(0), emb.cache().Find(0) + 8);
+  std::vector<float> before(emb.cache().Peek(0), emb.cache().Peek(0) + 8);
   std::vector<Tensor> cores_before;
   for (int k = 0; k < 3; ++k) cores_before.push_back(emb.tt().cores().core(k));
 
@@ -306,7 +309,7 @@ TEST(CachedTtEmbeddingBag, GradientsRouteToCacheForHits) {
   emb.ApplySgd(0.25f);
 
   // Cached row moved by -lr * grad; TT cores untouched.
-  const float* after = emb.cache().Find(0);
+  const float* after = emb.cache().Peek(0);
   ASSERT_NE(after, nullptr);
   for (int j = 0; j < 8; ++j) {
     EXPECT_NEAR(after[j], before[static_cast<size_t>(j)] - 0.25f, 1e-5f);
@@ -356,7 +359,7 @@ TEST(CachedTtEmbeddingBag, MeanPoolingUsesOriginalBagSize) {
   std::vector<float> out2(static_cast<size_t>(2 * 8));
   emb.Forward(warm, out2.data());
   emb.Forward(warm, out2.data());
-  ASSERT_NE(emb.cache().Find(0), nullptr);
+  ASSERT_NE(emb.cache().Peek(0), nullptr);
 
   CsrBatch mixed;
   mixed.indices = {0, 40};
@@ -576,14 +579,19 @@ TEST(LfuRowCache, InsertEraseFuzzMatchesReferenceMap) {
       ref.emplace(row, v);
     }
     ASSERT_EQ(cache.size(), static_cast<int64_t>(ref.size()));
+    // Every resident is found at its slot: slots are contiguous, so the
+    // probe for the row in slot s lands s vectors past slot 0's. Erase
+    // moves the last slot into the hole and keeps the moved row's map cell
+    // on record instead of probing for it; a stale cell shows here.
+    const std::vector<int64_t> slots = cache.CachedRows();
+    for (size_t slot = 0; slot < slots.size(); ++slot) {
+      const float* got = cache.Peek(slots[slot]);
+      ASSERT_EQ(got, cache.Peek(slots[0]) + slot * kDim)
+          << "row " << slots[slot] << " at step " << step;
+      const std::vector<float>& want = ref.at(slots[slot]);
+      ASSERT_EQ(std::vector<float>(got, got + kDim), want);
+    }
     if (step % 100 == 0) {
-      for (const auto& [r, v] : ref) {
-        const float* got = cache.Peek(r);
-        ASSERT_NE(got, nullptr) << "row " << r << " lost at step " << step;
-        for (int64_t d = 0; d < kDim; ++d) {
-          ASSERT_EQ(got[d], v[static_cast<size_t>(d)]);
-        }
-      }
       for (int64_t probe = 0; probe < kRows; ++probe) {
         ASSERT_EQ(cache.Contains(probe), ref.contains(probe))
             << "row " << probe << " at step " << step;
@@ -1039,6 +1047,103 @@ TEST(CachedTtEmbeddingBag, OnePlanWindowMatchesSinglePlanPrefetch) {
   }
 }
 
+/// A replay of PrefetchRows' window rule on a second LfuRowCache, which it
+/// asks for residency and the tracker for counts, where PrefetchRows keeps
+/// bitmaps and an order. Next-use order: by plan, then by row id; each row
+/// once, at its soonest use. Victims: residents outside the window, in
+/// ascending (tracker count, row id) order.
+class WindowReplay {
+ public:
+  explicit WindowReplay(const CachedTtEmbeddingBag& emb)
+      : emb_(emb), ref_(emb.cache().capacity(), emb.emb_dim()) {}
+
+  int64_t Prefetch(const std::vector<std::vector<int64_t>>& plans) {
+    for (const int64_t row : ref_.CachedRows()) {
+      if (counted_.contains(row) && emb_.tracker().Count(row) == 0) {
+        ++residents_uncounted_;
+      }
+    }
+    std::set<int64_t> wanted;
+    std::vector<int64_t> missing;
+    for (std::vector<int64_t> plan : plans) {
+      std::sort(plan.begin(), plan.end());
+      for (const int64_t row : plan) {
+        if (wanted.insert(row).second && !ref_.Contains(row)) {
+          missing.push_back(row);
+        }
+      }
+    }
+    const int64_t need = static_cast<int64_t>(missing.size()) -
+                         (ref_.capacity() - ref_.size());
+    if (need > 0) {
+      std::vector<std::pair<int64_t, int64_t>> victims;
+      for (const int64_t row : ref_.CachedRows()) {
+        if (wanted.count(row) == 0) {
+          victims.emplace_back(emb_.tracker().Count(row), row);
+        }
+      }
+      std::sort(victims.begin(), victims.end());
+      const size_t leave = std::min(static_cast<size_t>(need), victims.size());
+      for (size_t v = 0; v < leave; ++v) {
+        ++(victims[v].first > 0 ? counted_victims_ : uncounted_victims_);
+        ref_.Erase(victims[v].second);
+      }
+    }
+    const auto room = static_cast<size_t>(ref_.capacity() - ref_.size());
+    missing.resize(std::min(missing.size(), room));
+    const size_t N = static_cast<size_t>(emb_.emb_dim());
+    std::vector<float> values(missing.size() * N);
+    emb_.tt().LookupRows(missing, values.data());
+    for (size_t i = 0; i < missing.size(); ++i) {
+      ref_.Insert(missing[i], values.data() + i * N);
+    }
+    counted_.clear();
+    for (const int64_t row : ref_.CachedRows()) {
+      if (emb_.tracker().Count(row) > 0) counted_.insert(row);
+    }
+    return static_cast<int64_t>(missing.size());
+  }
+
+  /// Starts over from the residents the operator holds now: after a
+  /// refresh, resize or load replaced them without a prefetch.
+  void Resync() {
+    const std::vector<int64_t> rows = emb_.cache().CachedRows();
+    std::vector<float> values;
+    for (const int64_t row : rows) {
+      const float* v = emb_.cache().Peek(row);
+      values.insert(values.end(), v, v + emb_.emb_dim());
+    }
+    ref_.Resize(emb_.cache().capacity(), rows, values.data());
+    counted_.clear();
+  }
+
+  /// Slot order and values equal the operator's.
+  void ExpectMatches() const {
+    ASSERT_EQ(emb_.cache().CachedRows(), ref_.CachedRows());
+    const int64_t N = emb_.emb_dim();
+    for (const int64_t row : ref_.CachedRows()) {
+      const float* got = emb_.cache().Peek(row);
+      const float* want = ref_.Peek(row);
+      ASSERT_EQ(std::vector<float>(got, got + N),
+                std::vector<float>(want, want + N))
+          << "row " << row;
+    }
+  }
+
+  int64_t uncounted_victims() const { return uncounted_victims_; }
+  int64_t counted_victims() const { return counted_victims_; }
+  /// Residents whose count was above 0 after one call and 0 at the next.
+  int64_t residents_uncounted() const { return residents_uncounted_; }
+
+ private:
+  const CachedTtEmbeddingBag& emb_;
+  LfuRowCache ref_;
+  std::set<int64_t> counted_;
+  int64_t uncounted_victims_ = 0;
+  int64_t counted_victims_ = 0;
+  int64_t residents_uncounted_ = 0;
+};
+
 TEST(CachedTtEmbeddingBag, WindowPrefetchMatchesReplayThroughResizeAndLoad) {
   // PrefetchRows keeps its own residency bitmap. A replay of the window
   // rule on a second LfuRowCache asks that cache instead, and both must
@@ -1054,58 +1159,8 @@ TEST(CachedTtEmbeddingBag, WindowPrefetchMatchesReplayThroughResizeAndLoad) {
                                /*num_cores=*/3, /*rank=*/4);
     cfg.track_after_warmup = track_after_warmup;
     CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
-    LfuRowCache ref(cfg.cache_capacity, emb.emb_dim());
+    WindowReplay replay(emb);
     const int64_t N = emb.emb_dim();
-
-    // Next-use order: by plan, then by row id; each row once, at its
-    // soonest use. Victims: residents outside the window, in ascending
-    // (tracker count, row id) order.
-    const auto ref_window =
-        [&](const std::vector<std::vector<int64_t>>& plans) {
-          std::set<int64_t> wanted;
-          std::vector<int64_t> missing;
-          for (std::vector<int64_t> plan : plans) {
-            std::sort(plan.begin(), plan.end());
-            for (const int64_t row : plan) {
-              if (wanted.insert(row).second && !ref.Contains(row)) {
-                missing.push_back(row);
-              }
-            }
-          }
-          const int64_t need = static_cast<int64_t>(missing.size()) -
-                               (ref.capacity() - ref.size());
-          if (need > 0) {
-            std::vector<std::pair<int64_t, int64_t>> victims;
-            for (const int64_t row : ref.CachedRows()) {
-              if (wanted.count(row) == 0) {
-                victims.emplace_back(emb.tracker().Count(row), row);
-              }
-            }
-            std::sort(victims.begin(), victims.end());
-            const size_t leave =
-                std::min(static_cast<size_t>(need), victims.size());
-            for (size_t v = 0; v < leave; ++v) ref.Erase(victims[v].second);
-          }
-          missing.resize(std::min(
-              missing.size(), static_cast<size_t>(ref.capacity() - ref.size())));
-          std::vector<float> values(missing.size() * static_cast<size_t>(N));
-          emb.tt().LookupRows(missing, values.data());
-          for (size_t i = 0; i < missing.size(); ++i) {
-            ref.Insert(missing[i], values.data() + i * static_cast<size_t>(N));
-          }
-          return static_cast<int64_t>(missing.size());
-        };
-    // After a refresh, resize or load the replay starts over from the
-    // residents the operator now holds.
-    const auto resync = [&] {
-      const std::vector<int64_t> rows = emb.cache().CachedRows();
-      std::vector<float> values;
-      for (const int64_t row : rows) {
-        const float* v = emb.cache().Peek(row);
-        values.insert(values.end(), v, v + N);
-      }
-      ref.Resize(emb.cache().capacity(), rows, values.data());
-    };
 
     Rng data(19);
     std::vector<std::vector<int64_t>> plans;
@@ -1121,13 +1176,13 @@ TEST(CachedTtEmbeddingBag, WindowPrefetchMatchesReplayThroughResizeAndLoad) {
       }
       if (step == 30 || step == 50 || step == 60) {
         emb.ResizeCache(step == 30 ? 32 : step == 50 ? 12 : 24);
-        resync();
+        replay.Resync();
       }
       if (step == 70) {
         std::istringstream is(saved);
         BinaryReader r(is);
         emb.LoadState(r);
-        resync();
+        replay.Resync();
       }
       std::vector<int64_t> plan;
       const int64_t n = 4 + data.RandInt(12);
@@ -1135,27 +1190,138 @@ TEST(CachedTtEmbeddingBag, WindowPrefetchMatchesReplayThroughResizeAndLoad) {
       plans.push_back(plan);
       if (plans.size() > 3) plans.erase(plans.begin());
 
-      const int64_t expected = ref_window(plans);
+      const int64_t expected = replay.Prefetch(plans);
       ASSERT_EQ(emb.PrefetchRows(Window(plans)), expected);
-      ASSERT_EQ(emb.cache().CachedRows(), ref.CachedRows());
-      for (const int64_t row : ref.CachedRows()) {
-        const float* got = emb.cache().Peek(row);
-        const float* want = ref.Peek(row);
-        ASSERT_EQ(std::vector<float>(got, got + N),
-                  std::vector<float>(want, want + N))
-            << "row " << row;
-      }
+      ASSERT_NO_FATAL_FAILURE(replay.ExpectMatches());
 
       const CsrBatch batch = CsrBatch::FromIndices(plans.front());
       out.resize(static_cast<size_t>(batch.num_bags() * N));
       const int64_t refreshes = emb.refreshes();
       emb.Forward(batch, out.data());
-      if (emb.refreshes() != refreshes) resync();
+      if (emb.refreshes() != refreshes) replay.Resync();
     }
     EXPECT_EQ(emb.refreshes(), 2);
     EXPECT_EQ(emb.resizes(), 3);
     EXPECT_GT(emb.cache().evictions(), 0);
   }
+}
+
+TEST(CachedTtEmbeddingBag, WindowPrefetchMatchesReplayThroughDecayAndTracking) {
+  // PrefetchRows takes its first victims from a bitmap scan of the
+  // residents whose tracker count is 0 and the rest from a (count, row)
+  // order of the counted ones, split by one "count > 0" bit per row. Each
+  // rewarm halves the counts and drops the rows it takes to 0, so counted
+  // residents become uncounted; the re-tracking windows, and every step
+  // under track_after_warmup, count rows again. The replay asks the
+  // tracker itself, and slot order and values must agree after every call.
+  for (const bool track_after_warmup : {false, true}) {
+    SCOPED_TRACE(track_after_warmup ? "tracking" : "frozen");
+    Rng rng(20);
+    CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/20, /*warmup=*/4,
+                                           /*refresh=*/2);
+    cfg.tt.shape = MakeTtShape(/*num_rows=*/300, /*emb_dim=*/8,
+                               /*num_cores=*/3, /*rank=*/4);
+    cfg.track_after_warmup = track_after_warmup;
+    cfg.rewarm_period = 12;
+    CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+    WindowReplay replay(emb);
+    const int64_t N = emb.emb_dim();
+
+    Rng data(21);
+    std::vector<std::vector<int64_t>> plans;
+    std::vector<float> out;
+    for (int step = 0; step < 120; ++step) {
+      SCOPED_TRACE("step " + std::to_string(step));
+      std::vector<int64_t> plan;
+      const int64_t n = 4 + data.RandInt(12);
+      // Hot rows keep counts through the decays; cold rows are seen
+      // rarely, so a decay takes many of their counts back to 0.
+      for (int64_t i = 0; i < n; ++i) {
+        plan.push_back(data.Bernoulli(0.5) ? data.RandInt(40)
+                                           : data.RandInt(300));
+      }
+      plans.push_back(plan);
+      if (plans.size() > 3) plans.erase(plans.begin());
+
+      const int64_t expected = replay.Prefetch(plans);
+      ASSERT_EQ(emb.PrefetchRows(Window(plans)), expected);
+      ASSERT_NO_FATAL_FAILURE(replay.ExpectMatches());
+
+      // The step looks up every other row of its plan, so some admitted
+      // rows stay uncounted under tracking too.
+      std::vector<int64_t> looked_up;
+      for (size_t i = 0; i < plans.front().size(); i += 2) {
+        looked_up.push_back(plans.front()[i]);
+      }
+      const CsrBatch batch = CsrBatch::FromIndices(std::move(looked_up));
+      out.resize(static_cast<size_t>(batch.num_bags() * N));
+      const int64_t refreshes = emb.refreshes();
+      emb.Forward(batch, out.data());
+      if (emb.refreshes() != refreshes) replay.Resync();
+    }
+    EXPECT_GE(emb.tracker().decay_rebuilds(), 9);
+    EXPECT_GT(replay.residents_uncounted(), 0);
+    EXPECT_GT(replay.uncounted_victims(), 0);
+    EXPECT_GT(replay.counted_victims(), 0);
+  }
+}
+
+TEST(CachedTtEmbeddingBag, HitsPlusMissesEqualLookupsUnderConcurrentReaders) {
+  // The forwards probe every lookup with Peek and add each call's hits and
+  // misses once. The totals stay exact: after Forward, hits are the
+  // lookups of resident rows and hits + misses all lookups; after
+  // concurrent ForwardInference callers, the same sums over every call.
+  Rng rng(22);
+  CachedTtConfig cfg = SmallCachedConfig(/*capacity=*/16, /*warmup=*/0);
+  cfg.tt.shape = MakeTtShape(/*num_rows=*/300, /*emb_dim=*/8,
+                             /*num_cores=*/3, /*rank=*/4);
+  CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+  std::vector<int64_t> hot(16);
+  for (size_t i = 0; i < hot.size(); ++i) hot[i] = static_cast<int64_t>(3 * i);
+  ASSERT_EQ(PrefetchOne(emb, hot), 16);
+
+  Rng data(23);
+  std::vector<CsrBatch> batches;
+  int64_t lookups = 0, resident = 0;
+  for (int b = 0; b < 8; ++b) {
+    std::vector<int64_t> idx;
+    for (int i = 0; i < 40; ++i) idx.push_back(data.RandInt(60));
+    for (const int64_t row : idx) resident += emb.cache().Contains(row);
+    lookups += static_cast<int64_t>(idx.size());
+    batches.push_back(CsrBatch::FromIndices(std::move(idx)));
+  }
+  ASSERT_GT(resident, 0);
+  ASSERT_LT(resident, lookups);
+
+  emb.ResetStats();
+  std::vector<float> out;
+  for (const CsrBatch& batch : batches) {
+    out.resize(static_cast<size_t>(batch.num_bags() * emb.emb_dim()));
+    emb.Forward(batch, out.data());
+  }
+  EXPECT_EQ(emb.cache().hits(), resident);
+  EXPECT_EQ(emb.cache().hits() + emb.cache().misses(), lookups);
+
+  emb.ResetStats();
+  constexpr int kReaders = 4, kRounds = 10;
+  const CachedTtEmbeddingBag& frozen = emb;
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      std::vector<float> o;
+      for (int round = 0; round < kRounds; ++round) {
+        for (const CsrBatch& batch : batches) {
+          o.resize(static_cast<size_t>(batch.num_bags() * frozen.emb_dim()));
+          frozen.ForwardInference(batch, o.data());
+        }
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(emb.cache().hits(), kReaders * kRounds * resident);
+  EXPECT_EQ(emb.cache().hits() + emb.cache().misses(),
+            kReaders * kRounds * lookups);
+  EXPECT_DOUBLE_EQ(emb.HitRate(), static_cast<double>(resident) / lookups);
 }
 
 TEST(CachedTtEmbeddingBag, BackwardFollowsARowThatEraseMoved) {

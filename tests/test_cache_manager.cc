@@ -238,8 +238,7 @@ TEST(CacheResize, LfuResizePreservesStatsAndCountsDrops) {
   LfuRowCache cache(4, 2);
   std::vector<float> vals = {1, 1, 2, 2, 3, 3, 4, 4};
   cache.Populate(std::vector<int64_t>{10, 20, 30, 40}, vals.data());
-  (void)cache.Find(10);  // hit
-  (void)cache.Find(99);  // miss
+  cache.CountLookups(/*hits=*/1, /*misses=*/1);
   const int64_t hits_before = cache.hits();
   const int64_t misses_before = cache.misses();
 

@@ -146,18 +146,18 @@ TEST(CacheAdagrad, UpdatesCachedRowsAndResetsOnPopulate) {
   float* g = cache.GradFor(cache.Peek(5));
   g[0] = 2.0f;
   cache.ApplyAdagrad(0.1f);
-  EXPECT_NEAR(cache.Find(5)[0], 1.0f - 0.1f, 1e-5f);  // sign step
+  EXPECT_NEAR(cache.Peek(5)[0], 1.0f - 0.1f, 1e-5f);  // sign step
   // Second identical gradient: smaller step.
   cache.GradFor(cache.Peek(5))[0] = 2.0f;
-  const float before = cache.Find(5)[0];
+  const float before = cache.Peek(5)[0];
   cache.ApplyAdagrad(0.1f);
-  EXPECT_LT(before - cache.Find(5)[0], 0.1f);
+  EXPECT_LT(before - cache.Peek(5)[0], 0.1f);
   // Repopulate clears the accumulator: a fresh row steps at full size again.
   cache.Populate(std::vector<int64_t>{7}, vals.data());
   cache.GradFor(cache.Peek(7))[0] = 2.0f;
-  const float fresh_before = cache.Find(7)[0];
+  const float fresh_before = cache.Peek(7)[0];
   cache.ApplyAdagrad(0.1f);
-  EXPECT_NEAR(fresh_before - cache.Find(7)[0], 0.1f, 1e-5f);
+  EXPECT_NEAR(fresh_before - cache.Peek(7)[0], 0.1f, 1e-5f);
 }
 
 TEST(EmbeddingOpAdapters, RouteAdagrad) {

@@ -3,8 +3,9 @@
 // Contract under test (DESIGN.md "Kernel parallelism"): forward, backward,
 // and optimizer application of TtEmbeddingBag are bitwise identical for any
 // global ThreadPool size, with and without dedup, in every SIMD tier. Plus
-// regression tests for the workspace accounting and for the steady-state
-// page faults of the forward and the backward.
+// regression tests for the workspace accounting, for the steady-state
+// page faults of the forward and the backward, and for the steady-state
+// allocations of the cached table's lookahead prefetch.
 #include <gtest/gtest.h>
 #include <malloc.h>
 #include <sys/resource.h>
@@ -15,9 +16,11 @@
 #include <functional>
 #include <new>
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "cache/cached_tt_embedding.h"
 #include "data/csr_batch.h"
 #include "simd_tiers.h"
 #include "tensor/check.h"
@@ -542,6 +545,73 @@ TEST(TtForwardSteadyState, TakesNoPageFaults) {
       }
     }
   }
+#endif
+}
+
+TEST(CachedTtPrefetchSteadyState, AllocatesNothing) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "the counting operator new is not built under sanitizers";
+#else
+  // PrefetchRows keeps every buffer it uses as a grow-only member, so once
+  // a cycle of windows has run, running it again allocates nothing. The
+  // tracker is frozen after a two-step warm-up whose rows keep their
+  // counts, so the windows evict and admit counted and uncounted rows
+  // alike: the bitmap scan, the counted order and its merge all run.
+  PoolGuard guard;
+  ThreadPool::SetGlobalThreads(1);
+  CachedTtConfig cfg;
+  cfg.tt.shape = MakeTtShape(/*num_rows=*/20000, /*emb_dim=*/16,
+                             /*num_cores=*/3, /*rank=*/8);
+  cfg.cache_capacity = 256;
+  cfg.warmup_iterations = 2;
+  cfg.refresh_interval = 1;
+  Rng rng(12);
+  CachedTtEmbeddingBag emb(cfg, TtInit::kGaussian, rng);
+
+  // Eight sorted plans of 120 rows, each drawn from a hot range the
+  // warm-up counts and a cold range it never saw; windows of three
+  // consecutive plans slide around the cycle, as the lookahead stage's do.
+  Rng data(13);
+  std::vector<std::vector<int64_t>> plans(8);
+  for (std::vector<int64_t>& plan : plans) {
+    while (plan.size() < 120) {
+      plan.push_back(data.Bernoulli(0.3) ? data.RandInt(400)
+                                         : 400 + data.RandInt(19600));
+      std::sort(plan.begin(), plan.end());
+      plan.erase(std::unique(plan.begin(), plan.end()), plan.end());
+    }
+  }
+  std::vector<int64_t> warm(400);
+  for (size_t i = 0; i < warm.size(); ++i) warm[i] = static_cast<int64_t>(i);
+  const CsrBatch warm_batch = CsrBatch::FromIndices(warm);
+  std::vector<float> out(static_cast<size_t>(warm_batch.num_bags() * 16));
+  for (int i = 0; i <= cfg.warmup_iterations; ++i) {
+    emb.Forward(warm_batch, out.data());
+  }
+  ASSERT_TRUE(emb.warmed_up());
+
+  std::vector<std::span<const int64_t>> window(3);
+  const auto step = [&](size_t i) {
+    for (size_t k = 0; k < window.size(); ++k) {
+      window[k] = plans[(i + k) % plans.size()];
+    }
+    return emb.PrefetchRows(window);
+  };
+  int64_t admitted = 0;
+  for (size_t i = 0; i < 3 * plans.size(); ++i) admitted += step(i);
+  ASSERT_GT(admitted, 0);
+
+  const int64_t evictions = emb.cache().evictions();
+  t_news = 0;
+  t_count_news = true;
+  admitted = 0;
+  for (size_t i = 0; i < 2 * plans.size(); ++i) admitted += step(i);
+  t_count_news = false;
+  EXPECT_EQ(t_news, 0) << t_news << " operator new calls over "
+                       << 2 * plans.size()
+                       << " steady-state PrefetchRows calls";
+  EXPECT_GT(admitted, 0);
+  EXPECT_GT(emb.cache().evictions(), evictions);
 #endif
 }
 

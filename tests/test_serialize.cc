@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "tensor/check.h"
+#include "tensor/random.h"
 #include "tensor/serialize.h"
 #include "tt/tt_embedding.h"
 #include "tt/tt_io.h"
@@ -145,6 +149,102 @@ TEST(Serialize, Crc32MatchesKnownVector) {
   inc = Crc32("6789", 4, inc);
   EXPECT_EQ(inc, 0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+/// The CRC32 definition itself, one bit at a time: the reference the
+/// table-driven Crc32 must reproduce.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t bytes, uint32_t crc) {
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < bytes; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Serialize, Crc32MatchesBitwiseReference) {
+  // Crc32 folds eight bytes per step and the rest one at a time. Every
+  // length from 0 to 4096 and every start offset modulo 8 must give the
+  // definition's value, from a zero seed, from an arbitrary one, and when
+  // the buffer is split in two and the CRC chained across the split.
+  Rng rng(0xC3C3);
+  std::vector<unsigned char> buf(4096 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.RandInt(256));
+  for (size_t len = 0; len <= 4096; ++len) {
+    const unsigned char* p = buf.data() + len % 8;
+    const uint32_t seed = static_cast<uint32_t>(rng.RandInt(int64_t{1} << 32));
+    ASSERT_EQ(Crc32(p, len), BitwiseCrc32(p, len, 0)) << "length " << len;
+    const uint32_t want = BitwiseCrc32(p, len, seed);
+    ASSERT_EQ(Crc32(p, len, seed), want) << "length " << len;
+    const size_t split = len / 3;
+    ASSERT_EQ(Crc32(p + split, len - split, Crc32(p, split, seed)), want)
+        << "length " << len << " split at " << split;
+  }
+}
+
+TEST(Serialize, CheckpointSectionCrcsAndTrailerArePinned) {
+  // A small checkpoint-shaped stream: a TTSN-style header, then sections
+  // whose payloads run from 24 bytes to 8 KiB and leave every remainder
+  // modulo 8. The pinned CRCs and FNV-1a trailer are those of the
+  // bytewise CRC32 (zlib's crc32 gives the same); a change to either
+  // algorithm would change every checkpoint file and fails here.
+  std::ostringstream os;
+  BinaryWriter w(os);
+  w.WriteU32(0x4E535454u);
+  w.WriteU32(1);
+  const std::vector<size_t> floats = {0, 1, 3, 64, 1026, 2051, 7, 12};
+  w.WriteU32(static_cast<uint32_t>(floats.size()));
+  for (size_t s = 0; s < floats.size(); ++s) {
+    w.BeginSection("s" + std::to_string(s));
+    w.WriteI64(static_cast<int64_t>(s) * 1000 + 7);
+    std::vector<float> v(floats[s]);
+    for (size_t i = 0; i < v.size(); ++i) {
+      v[i] = static_cast<float>(static_cast<int>((i * 37 + s) % 97) - 48) *
+             0.125f;
+    }
+    w.WriteFloats(v.data(), v.size());
+    w.WriteString(std::string(s, 'x'));
+    w.EndSection();
+  }
+  w.Finish();
+  const std::string bytes = os.str();
+
+  // Walk the frames: [i64 name length][name][i64 size][payload][u32 crc].
+  const auto read_at = [&](size_t pos, auto value) {
+    EXPECT_LE(pos + sizeof(value), bytes.size());
+    std::memcpy(&value, bytes.data() + pos, sizeof(value));
+    return value;
+  };
+  std::vector<uint32_t> crcs;
+  size_t pos = 3 * sizeof(uint32_t);
+  for (size_t s = 0; s < floats.size(); ++s) {
+    pos += sizeof(int64_t) + static_cast<size_t>(read_at(pos, int64_t{0}));
+    const auto size = static_cast<size_t>(read_at(pos, int64_t{0}));
+    pos += sizeof(int64_t);
+    EXPECT_EQ(Crc32(bytes.data() + pos, size), read_at(pos + size, 0u));
+    crcs.push_back(read_at(pos + size, 0u));
+    pos += size + sizeof(uint32_t);
+  }
+  ASSERT_EQ(pos + sizeof(uint64_t), bytes.size());
+  EXPECT_EQ(crcs, (std::vector<uint32_t>{
+                      0x92D9FD57u, 0xE352DD1Au, 0xA9B42192u, 0xB733E3D4u,
+                      0x84633D44u, 0x705FE5A1u, 0xF2C717EDu, 0x4BA10390u}));
+  EXPECT_EQ(read_at(pos, uint64_t{0}), 0xCC25D54C56221633ull);
+
+  std::istringstream is(bytes);
+  BinaryReader r(is);
+  r.ReadU32();
+  r.ReadU32();
+  EXPECT_EQ(r.ReadU32(), floats.size());
+  for (size_t s = 0; s < floats.size(); ++s) {
+    r.BeginSection("s" + std::to_string(s));
+    EXPECT_EQ(r.ReadI64(), static_cast<int64_t>(s) * 1000 + 7);
+    std::vector<float> v(floats[s]);
+    r.ReadFloats(v.data(), v.size());
+    EXPECT_EQ(r.ReadString(), std::string(s, 'x'));
+    r.EndSection();
+  }
+  r.Finish();
 }
 
 TEST(Serialize, SectionRoundTrip) {
