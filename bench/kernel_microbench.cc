@@ -16,19 +16,23 @@
 // bookkeeping at the train_cached_shift shape (the prefetch plans of one
 // batch, one PrefetchRows call with a 3-plan window on its 200k-row table,
 // and one step's PrefetchRows calls over all four tables, with the tracker
-// frozen after warm-up and with track_after_warmup), and the checkpoint
-// CRC32's rate.
+// frozen after warm-up and with track_after_warmup), the checkpoint
+// CRC32's rate, and the sampled-Gaussian init (Algorithm 3) of the
+// train_tt tables with its uniform pairs and Box-Muller transforms per
+// core entry.
 // The envelope stamps the CPU model, the build type and the dispatch tier
 // so the numbers are attributable.
 //
 // `--digest` prints one FNV-1a line per tier and kernel-table entry over
-// that entry's outputs on a fixed sweep (PrintKernelDigests), then exits:
-// diffing the lines of two builds shows whether their kernels agree bit
-// for bit. All other flags pass through to google-benchmark.
+// that entry's outputs on a fixed sweep, plus one line over sampled-Gaussian
+// TT cores (PrintKernelDigests), then exits: diffing the lines of two
+// builds shows whether their kernels and their initializer agree bit for
+// bit. All other flags pass through to google-benchmark.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
@@ -44,6 +48,7 @@
 #include "cache/lfu_cache.h"
 #include "data/csr_batch.h"
 #include "data/skew_shift_source.h"
+#include "data/table_specs.h"
 #include "dlrm/train_stages.h"
 #include "obs/json_writer.h"
 #include "tensor/cpu_features.h"
@@ -52,6 +57,7 @@
 #include "tensor/random.h"
 #include "tensor/serialize.h"
 #include "tt/tt_embedding.h"
+#include "tt/tt_shapes.h"
 
 namespace ttrec {
 namespace {
@@ -472,6 +478,65 @@ Crc32Row MeasureCrc32(int reps) {
   return row;
 }
 
+/// Sampled-Gaussian init of the seven train_tt tables (the largest Kaggle
+/// tables scaled by 1/16, three cores, dim 16, rank 32) from one Rng at
+/// the default threshold: the fastest of `reps`, and the uniform pairs the
+/// init drew and those with u1 < e^(-t^2/2), the only pairs whose radius
+/// can exceed t and so the ones that need Box-Muller's transform.
+struct InitRow {
+  double threshold = 2.0;
+  uint64_t seed = 7;
+  int64_t tables = 0, entries = 0;
+  double ms = 0.0, ns_per_entry = 0.0;
+  double pairs_per_entry = 0.0, box_mullers_per_entry = 0.0;
+};
+
+InitRow MeasureInit(int reps) {
+  InitRow row;
+  const DatasetSpec spec = KaggleSpec().Scaled(16);
+  std::vector<TtCores> cores;
+  for (int t : spec.LargestTables(7)) {
+    cores.emplace_back(
+        MakeTtShape(spec.table_rows[static_cast<size_t>(t)], 16, 3, 32));
+    row.entries += cores.back().TotalParams();
+  }
+  row.tables = static_cast<int64_t>(cores.size());
+  uint64_t end[4];
+  row.ms = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    Rng rng(row.seed);
+    const auto t0 = Clock::now();
+    for (TtCores& c : cores) {
+      InitializeTtCores(c, TtInit::kSampledGaussian, rng, row.threshold);
+    }
+    row.ms = std::min(row.ms, MsSince(t0));
+    rng.GetState(end);
+  }
+  row.ns_per_entry = 1e6 * row.ms / static_cast<double>(row.entries);
+
+  // Replay the init's draws pair by pair until the engine reaches the
+  // state the init left.
+  const double edge = std::exp(-0.5 * row.threshold * row.threshold);
+  Rng replay(row.seed);
+  int64_t pairs = 0, transforms = 0;
+  for (;;) {
+    uint64_t s[4];
+    replay.GetState(s);
+    if (std::equal(s, s + 4, end)) break;
+    double u1;
+    do {
+      u1 = replay.NextDouble();
+    } while (u1 <= 0.0);
+    replay.NextDouble();
+    ++pairs;
+    if (u1 < edge) ++transforms;
+  }
+  const auto entries = static_cast<double>(row.entries);
+  row.pairs_per_entry = static_cast<double>(pairs) / entries;
+  row.box_mullers_per_entry = static_cast<double>(transforms) / entries;
+  return row;
+}
+
 // --json mode: the Criteo-shape sweeps described in the file comment.
 int RunKernelJsonSweep(const std::string& path) {
   const int64_t rows = 1000000;
@@ -709,6 +774,12 @@ int RunKernelJsonSweep(const std::string& path) {
   const Crc32Row crc = MeasureCrc32(/*reps=*/20);
   std::printf("crc32  %.1f us per %lld bytes (%.2f GB/s)\n", crc.us,
               static_cast<long long>(crc.bytes), crc.gbytes_per_s);
+  const InitRow init = MeasureInit(/*reps=*/5);
+  std::printf(
+      "init  sampled_gaussian t=%.1f, %lld train_tt tables: %.1f ms (%.1f ns "
+      "per entry, %.2f pairs and %.2f Box-Mullers per entry)\n",
+      init.threshold, static_cast<long long>(init.tables), init.ms,
+      init.ns_per_entry, init.pairs_per_entry, init.box_mullers_per_entry);
 
   // Shared BENCH_*.json envelope (obs/json_writer.h); field names below are
   // the stable contract CI consumers parse. schema v2 adds cpu_model,
@@ -830,6 +901,16 @@ int RunKernelJsonSweep(const std::string& path) {
   w.Kv("bytes", crc.bytes).Kv("timing", "min_of_reps").Kv("reps", 20);
   w.Kv("us", crc.us, 2).Kv("gbytes_per_s", crc.gbytes_per_s, 3);
   w.EndObject();
+  w.Key("init").BeginObject();
+  w.Kv("workload", "train_tt");
+  w.Kv("strategy", TtInitName(TtInit::kSampledGaussian));
+  w.Kv("tables", init.tables).Kv("entries", init.entries);
+  w.Kv("threshold", init.threshold, 1).Kv("seed", init.seed);
+  w.Kv("timing", "min_of_reps").Kv("reps", 5);
+  w.Kv("ms_per_init", init.ms, 2).Kv("ns_per_entry", init.ns_per_entry, 2);
+  w.Kv("pairs_per_entry", init.pairs_per_entry, 3);
+  w.Kv("box_mullers_per_entry", init.box_mullers_per_entry, 3);
+  w.EndObject();
   w.EndObject();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -861,7 +942,10 @@ struct Fnv1a {
 // {0, 0.5, 1}, padded leading dimensions, operands aligned and one float
 // off; Axpy at n = 0..70; Transpose at 600 shapes; the pairwise dots at 144
 // shapes. Equal lines mean bitwise-equal outputs, so two builds (or two
-// revisions) of the kernels can be compared line by line.
+// revisions) of the kernels can be compared line by line. A last,
+// tier-free line covers sampled-Gaussian TT cores over three shapes, two
+// seeds and t in {1, 2, 3}: their bits go through libm and the compiler's
+// contraction choices, not through the kernel table.
 void PrintKernelDigests() {
   const int64_t kMs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 33, 64};
   const int64_t kNs[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  12, 13,
@@ -968,6 +1052,25 @@ void PrintKernelDigests() {
     print("transpose", transpose);
   }
   SetSimdTier(saved);
+
+  Fnv1a init;
+  const TtShape init_shapes[] = {
+      MakeTtShapeExplicit(1000, 16, {10, 10, 10}, {2, 2, 4}, 8),
+      MakeTtShape(20000, 16, 3, 32), MakeTtShape(7, 4, 2, 2)};
+  for (double t : {1.0, 2.0, 3.0}) {
+    for (uint64_t seed : {1, 2}) {
+      Rng init_rng(seed);
+      for (const TtShape& shape : init_shapes) {
+        TtCores cores(shape);
+        InitializeTtCores(cores, TtInit::kSampledGaussian, init_rng, t);
+        for (int k = 0; k < cores.num_cores(); ++k) {
+          init.Add(cores.core(k).data(), cores.core(k).numel());
+        }
+      }
+    }
+  }
+  std::printf("%-6s %-18s %016llx\n", "any", "init",
+              static_cast<unsigned long long>(init.h));
 }
 
 }  // namespace

@@ -42,7 +42,12 @@ class Rng {
 
   /// Standard normal conditioned on |x| > threshold ("tail sampling").
   /// This is the resample-while-|x|<=t loop of the paper's Algorithm 3,
-  /// which removes near-zero mass from TT-core entries.
+  /// which removes near-zero mass from TT-core entries: draws, values and
+  /// the engine state after each call are those of calling Normal() until
+  /// |x| > threshold, but pairs whose radius cannot exceed the threshold
+  /// skip Box-Muller's log, sqrt and cos. Throws ConfigError unless
+  /// 0 <= threshold < sqrt(-2 ln 2^-53) ~ 8.57, the largest |x| a pair
+  /// can reach.
   double TruncatedTailNormal(double threshold);
 
   /// Bernoulli draw with probability p of returning true.

@@ -1,10 +1,15 @@
 // RNG / distribution tests: determinism, moments, Zipf pmf agreement,
-// truncated-tail sampling (Algorithm 3's inner loop), index shuffle
-// bijectivity.
+// truncated-tail sampling (Algorithm 3's inner loop) and its bitwise
+// agreement with plain rejection, index shuffle bijectivity.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numbers>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "tensor/check.h"
@@ -79,6 +84,143 @@ TEST(Rng, TruncatedTailNormalExcludesCenter) {
   EXPECT_NEAR(m.mean(), 0.0, 0.03);
   // Matches the closed-form tail stddev.
   EXPECT_NEAR(m.stddev(), TailNormalStddev(2.0), 0.02);
+}
+
+// Normal() as plain Box-Muller: u1 redrawn while zero, then u2, then
+// mean + stddev * r * cos(2 pi u2) in that order.
+double ReferenceNormal(Rng& rng, double mean, double stddev) {
+  double u1;
+  do {
+    u1 = rng.NextDouble();
+  } while (u1 <= 0.0);
+  const double u2 = rng.NextDouble();
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
+}
+
+// Plain rejection: Normal() until |x| > t. TruncatedTailNormal skips the
+// transform of pairs that cannot pass, and must still match this bit for
+// bit, engine state included.
+double ReferenceTail(Rng& rng, double t) {
+  for (;;) {
+    const double x = rng.Normal();
+    if (std::abs(x) > t) return x;
+  }
+}
+
+void ExpectSameState(const Rng& a, const Rng& b) {
+  uint64_t sa[4], sb[4];
+  a.GetState(sa);
+  b.GetState(sb);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(sa[i], sb[i]) << "state word " << i;
+}
+
+// An engine whose first NextUInt64() is `first` and whose second is 0, so
+// the first Box-Muller pair is (u1, u2 = 0) and gives x = r exactly, the
+// largest |x| its u1 allows: with s0 = 0 and s1 = s3, xoshiro256++ returns
+// rotl(s3, 23), then 0, then 0 again (a zero u1, redrawn). s2 keeps the
+// stream going afterwards.
+Rng RngWithFirstDraw(uint64_t first) {
+  const uint64_t s3 = std::rotr(first, 23);
+  const uint64_t s[4] = {0, s3, 0x9e3779b97f4a7c15ull, s3};
+  Rng rng;
+  rng.SetState(s);
+  return rng;
+}
+
+// The NextUInt64() whose NextDouble() is k * 2^-53.
+uint64_t DrawOfUnits(uint64_t k) { return k << 11; }
+
+TEST(Rng, NormalMatchesBoxMullerBitwise) {
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {0.0, 0.01}, {1.5, 2.0}, {-3.0, 0.3}};
+  for (const auto& [mean, stddev] : params) {
+    Rng rng(8), ref(8);
+    for (int i = 0; i < 20000; ++i) {
+      const double want = ReferenceNormal(ref, mean, stddev);
+      ASSERT_EQ(std::bit_cast<uint64_t>(rng.Normal(mean, stddev)),
+                std::bit_cast<uint64_t>(want))
+          << "mean " << mean << " stddev " << stddev << " call " << i;
+    }
+    ExpectSameState(rng, ref);
+  }
+}
+
+class TailSamplerBitwise
+    : public ::testing::TestWithParam<std::tuple<double, uint64_t>> {};
+
+TEST_P(TailSamplerBitwise, MatchesPlainRejection) {
+  const auto [t, seed] = GetParam();
+  Rng rng(seed), ref(seed);
+  for (int i = 0; i < 100000; ++i) {
+    const double want = ReferenceTail(ref, t);
+    ASSERT_EQ(std::bit_cast<uint64_t>(rng.TruncatedTailNormal(t)),
+              std::bit_cast<uint64_t>(want))
+        << "t " << t << " seed " << seed << " call " << i;
+  }
+  ExpectSameState(rng, ref);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Thresholds, TailSamplerBitwise,
+    ::testing::Combine(::testing::Values(0.0, 0.5, 1.0, 2.0, 3.0),
+                       ::testing::Values(uint64_t{1}, uint64_t{77},
+                                         uint64_t{20261022})));
+
+TEST(Rng, TailSamplerRedrawsAZeroFirstDraw) {
+  const Rng start = RngWithFirstDraw(0);
+  Rng probe = start;
+  ASSERT_EQ(probe.NextDouble(), 0.0);
+  for (double t : {0.0, 0.5, 1.0, 2.0, 3.0}) {
+    Rng rng = start, ref = start;
+    EXPECT_EQ(std::bit_cast<uint64_t>(rng.TruncatedTailNormal(t)),
+              std::bit_cast<uint64_t>(ReferenceTail(ref, t)))
+        << "t " << t;
+    ExpectSameState(rng, ref);
+  }
+  Rng rng = start, ref = start;
+  EXPECT_EQ(std::bit_cast<uint64_t>(rng.Normal(0.5, 2.0)),
+            std::bit_cast<uint64_t>(ReferenceNormal(ref, 0.5, 2.0)));
+  ExpectSameState(rng, ref);
+}
+
+// First pairs (u1, 0) with u1 a few units of 2^-53 either side of
+// e^(-t^2/2), where the radius crosses t, and of the sampler's skip bound
+// e^(-t^2/2)(1 + 1e-9): x = r, so a skipped pair that plain rejection
+// would accept changes the value returned.
+TEST(Rng, TailSamplerAtTheSkipBound) {
+  for (double t : {0.5, 1.0, 2.0, 3.0, 4.0}) {
+    const double edge = std::exp(-0.5 * t * t);
+    for (double bound : {edge, edge * (1.0 + 1e-9)}) {
+      const auto units = static_cast<uint64_t>(bound * 0x1.0p53);
+      for (uint64_t k = units - 4; k <= units + 4; ++k) {
+        const Rng start = RngWithFirstDraw(DrawOfUnits(k));
+        Rng probe = start;
+        ASSERT_EQ(probe.NextDouble(), static_cast<double>(k) * 0x1.0p-53);
+        ASSERT_EQ(probe.NextDouble(), 0.0);
+        Rng rng = start, ref = start;
+        EXPECT_EQ(std::bit_cast<uint64_t>(rng.TruncatedTailNormal(t)),
+                  std::bit_cast<uint64_t>(ReferenceTail(ref, t)))
+            << "t " << t << " u1 " << k << " * 2^-53";
+        ExpectSameState(rng, ref);
+      }
+    }
+  }
+}
+
+// sqrt(-2 ln 2^-53) ~ 8.5717 is the largest |x| a pair reaches (u1 =
+// 2^-53, the smallest nonzero draw); beyond it plain rejection never ends.
+TEST(Rng, TailSamplerRejectsUnreachableThresholds) {
+  Rng rng(9), untouched(9);
+  const double max_radius = std::sqrt(-2.0 * std::log(0x1.0p-53));
+  for (double t : {-1.0, max_radius, 8.5717, 9.0, 100.0,
+                   std::numeric_limits<double>::infinity(),
+                   std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(rng.TruncatedTailNormal(t), ConfigError) << "t " << t;
+  }
+  ExpectSameState(rng, untouched);  // checked before any draw
+  // A high but reachable threshold still samples.
+  EXPECT_GT(std::abs(rng.TruncatedTailNormal(4.5)), 4.5);
 }
 
 TEST(TailNormalStddev, KnownValues) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "tensor/check.h"
 #include "tensor/stats.h"
@@ -156,6 +158,59 @@ TEST(SampledGaussianInit, LowerKlToTargetThanGaussian) {
     return KlHistogramVsGaussian(h, 0.0, target_var);
   };
   EXPECT_LT(kl_of(TtInit::kSampledGaussian), kl_of(TtInit::kGaussian));
+}
+
+// Algorithm 3 by plain rejection (Normal() until |x| > t), each core
+// entry scaled to the target variance; the initializer's tail sampler
+// skips transforms, and must still write these bytes.
+TEST(SampledGaussianInit, MatchesPlainRejectionBytewise) {
+  const TtShape s = MakeTtShapeExplicit(1000, 16, {10, 10, 10}, {2, 2, 4}, 8);
+  const double target_var = 1.0 / (3.0 * 1000.0);
+  for (double t : {1.0, 2.0, 3.0}) {
+    for (uint64_t seed : {5ull, 31ull}) {
+      TtCores cores(s);
+      Rng rng(seed);
+      InitializeTtCores(cores, TtInit::kSampledGaussian, rng, t);
+
+      TtCores want(s);
+      Rng ref(seed);
+      const double scale = PerCoreStddev(s, target_var) / TailNormalStddev(t);
+      for (int k = 0; k < want.num_cores(); ++k) {
+        for (float& x : want.core(k).span()) {
+          double v;
+          do {
+            v = ref.Normal();
+          } while (std::abs(v) <= t);
+          x = static_cast<float>(v * scale);
+        }
+      }
+      for (int k = 0; k < cores.num_cores(); ++k) {
+        EXPECT_EQ(std::memcmp(cores.core(k).data(), want.core(k).data(),
+                              cores.core(k).span().size_bytes()),
+                  0)
+            << "t " << t << " seed " << seed << " core " << k;
+      }
+      uint64_t got_state[4], want_state[4];
+      rng.GetState(got_state);
+      ref.GetState(want_state);
+      for (int i = 0; i < 4; ++i) EXPECT_EQ(got_state[i], want_state[i]);
+    }
+  }
+}
+
+// Past sqrt(-2 ln 2^-53) ~ 8.57 no draw can pass the tail test, so the
+// initializer must fail instead of looping forever.
+TEST(SampledGaussianInit, RejectsUnreachableThreshold) {
+  const TtShape s = MakeTtShapeExplicit(1000, 16, {10, 10, 10}, {2, 2, 4}, 8);
+  TtCores cores(s);
+  Rng rng(3);
+  EXPECT_THROW(InitializeTtCoresWithTarget(cores, TtInit::kSampledGaussian,
+                                           rng, 1e-3, 9.0),
+               ConfigError);
+  EXPECT_THROW(InitializeTtCoresWithTarget(
+                   cores, TtInit::kSampledGaussian, rng, 1e-3,
+                   std::numeric_limits<double>::infinity()),
+               ConfigError);
 }
 
 TEST(TtInit, NameRoundTrip) {
